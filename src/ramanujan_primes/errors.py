@@ -17,7 +17,8 @@ class ResourceBudgetError(RuntimeError):
     Attributes:
         required: the limit/bytes that would have been needed.
         cap: the configured ceiling that blocked it.
-        partial: optionally, uncertified partial results computed so far.
+        partial: optionally, a shorter prefix whose certificate fits within
+            the cap (a RamanujanTable with the analytic-certificate proof).
     """
 
     def __init__(self, message: str, *, required: int | None = None,

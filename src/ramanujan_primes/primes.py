@@ -130,7 +130,8 @@ class PrimeTable:
         if lo < 0 or hi > self.limit + 1:
             raise RangeQueryError(f"[{lo}, {hi}) outside [0, {self.limit + 1})")
         base = lo & ~7
-        values = np.flatnonzero(self.indicator(base, hi)).astype(np.int64) + base
+        flags = self.indicator(base, hi).view(bool)     # 0/1 bytes
+        values = np.flatnonzero(flags).astype(np.int64, copy=False) + base
         if base < lo:
             values = values[values >= lo]
         return values

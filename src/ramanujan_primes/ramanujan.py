@@ -8,12 +8,26 @@ x >= m.  For integer m the infimum of pi(x) - pi(x/k) over x in
 
 because pi(x) is constant on the interval while pi(x/k) peaks as
 x -> (m+1)^-.  Hence R_n^(k) = 1 + max{m : f*(m) < n}.  With k = num/den
-the strict count below (m+1)/k is pi(((m+1)*den - 1) // num), exact in
-integer arithmetic, so the whole scan vectorizes over a cumulative-pi
-array.  A scan is complete only below a cutoff X for which the tail
-x >= X is PROVEN safe; bounds.certify_tail supplies that proof, and the
-suffix minimum of f* (nondecreasing by construction) turns the scan
-into one searchsorted per batch of n.
+the strict count below (m+1)/k is pi(q(m)) for q(m) = ((m+1)*den - 1) // num,
+exact in integer arithmetic.
+
+The scan visits primes, not integers.  Between consecutive primes pi(m)
+is constant while pi(q(m)) never decreases, so f* never increases on
+[p_j, p_{j+1}): its minimum there sits at the candidate
+c_j = p_{j+1} - 1, where f*(c_j) = j - pi(q(c_j)).  Below a cutoff X the
+candidates are c_j for every prime p_{j+1} < X plus c = X - 1, and
+their suffix minimum S (nondecreasing by construction) carries the
+whole scan:
+
+    min{f*(y) : m <= y < X} = S[pi(m)],
+    R_n^(k) = c_{j-1} + 1 = p_j  for the first j with S[j] >= n,
+    pi_k(x) = S[pi(x)].
+
+So each scan costs a few machine words per prime below X instead of
+per integer; only the sieve's own one-byte-per-integer unpack of the
+primes touches every integer.  A scan is complete only below a cutoff
+X for which the tail x >= X is PROVEN safe; bounds.certify_tail
+supplies that proof.
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds
-from .errors import ResourceBudgetError
+from .errors import ResourceBudgetError, ThresholdDomainError
 from .primes import PrimeTable, build_table
 from .rational import ceil_div, parse_k
 
@@ -179,28 +193,42 @@ def _as_cache(cache: TableCache | None) -> TableCache:
 # the scan
 # ---------------------------------------------------------------------------
 
-def _fstar_array(k: Fraction, hi: int, pi: PrimeTable) -> np.ndarray:
-    """f*(m) for m = 0..hi-1 (infimum of the prime gap count on [m, m+1))."""
+def _candidate_suffix_min(k: Fraction, cutoff: int,
+                          pi: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
+    """Primes below cutoff, and S with S[pi(m)] = min f* over [m, cutoff).
+
+    Candidate j is c_j = p_{j+1} - 1, the last integer with pi = j, or
+    cutoff - 1 for the last j; f*(c_j) = j - pi(q(c_j)).
+    """
     num, den = k.numerator, k.denominator
-    pi_arr = pi.pi_cumulative(hi)
-    m = np.arange(hi, dtype=np.int64)
-    q = ((m + 1) * den - 1) // num
-    return pi_arr - pi_arr[q]
-
-
-def _suffix_min(arr: np.ndarray) -> np.ndarray:
-    return np.minimum.accumulate(arr[::-1])[::-1]
+    primes = pi.primes_array(0, cutoff)
+    ends = np.append(primes, cutoff)                  # c_j + 1
+    below = np.searchsorted(primes, (ends * den - 1) // num, side="right")
+    fstar = np.arange(len(ends)) - below
+    return primes, np.minimum.accumulate(fstar[::-1])[::-1]
 
 
 def _scan(k: Fraction, n_max: int, cutoff: int, pi: PrimeTable) -> list[int]:
     """R_1..R_{n_max} assuming no m >= cutoff has f*(m) < n_max."""
-    sufmin = _suffix_min(_fstar_array(k, cutoff, pi))
-    targets = np.arange(1, n_max + 1, dtype=sufmin.dtype)
-    values = np.searchsorted(sufmin, targets, side="left")
-    if n_max and values[-1] >= cutoff:
+    primes, sufmin = _candidate_suffix_min(k, cutoff, pi)
+    j = np.searchsorted(sufmin, np.arange(1, n_max + 1), side="left")
+    if n_max and j[-1] == len(sufmin):
         raise AssertionError(
             f"scan for k={k} hit its own cutoff {cutoff}; certificate broken")
-    return [int(v) for v in values]
+    return primes[j - 1].tolist()                     # R_n = c_{j-1} + 1 = p_j
+
+
+def _pi_k_array(k: Fraction, x: int, cache: TableCache,
+                profile) -> tuple[PrimeTable, np.ndarray]:
+    """A table and S with pi_k(y) = S[pi(y)] for every y <= x."""
+    num, den = k.numerator, k.denominator
+    pi = cache.get(x)
+    fstar_x = pi.pi(x) - pi.pi(((x + 1) * den - 1) // num)
+    cutoff = bounds.certify_tail(k, fstar_x + 1, profile,
+                                 hard_cap=cache.hard_cap)
+    hi = max(cutoff, x + 1)
+    pi = cache.get(hi)
+    return pi, _candidate_suffix_min(k, hi, pi)[1]
 
 
 def ramanujan_prefix(k, n_max: int, cache: TableCache | None = None,
@@ -225,38 +253,25 @@ def ramanujan_prefix(k, n_max: int, cache: TableCache | None = None,
 def _partial_error(err: ResourceBudgetError, k: Fraction, n_max: int,
                    cache: TableCache, profile) -> ResourceBudgetError:
     """Attach whatever prefix is still certifiable within the cap."""
-    partial = None
+    cap = cache.hard_cap
     try:
-        cap = cache.hard_cap
         u = bounds.upsilon(float(cap), k, profile)
-        n_ok = min(n_max, max(0, math.floor(u) - 2))
-        if n_ok >= 1:
+    except ThresholdDomainError:        # the cap lies below every certificate
+        u = 0.0
+    n_ok = min(n_max, max(0, math.floor(u) - 2))
+    partial = None
+    if n_ok >= 1:
+        try:
             cutoff = bounds.certify_tail(k, n_ok, profile, hard_cap=cap)
             pi = cache.get(cutoff)
+        except ResourceBudgetError:
+            pass
+        else:
             partial = RamanujanTable(k=k, values=_scan(k, n_ok, cutoff, pi),
                                      cutoff=cutoff, proof=PROOF_ANALYTIC,
                                      profile=profile.name)
-    except Exception:
-        partial = None
     return ResourceBudgetError(str(err), required=err.required,
                                cap=err.cap, partial=partial)
-
-
-def scan_with_cutoff(k, n_max: int, cutoff: int,
-                     pi: PrimeTable) -> RamanujanTable:
-    """Scan below a caller-supplied bound, tagged as such.
-
-    The values are correct only if the caller's cutoff really is past
-    R_{n_max}^(k); nothing here proves that.
-    """
-    k = parse_k(k)
-    if cutoff > pi.limit + 1:
-        raise ResourceBudgetError(
-            f"cutoff {cutoff} beyond table limit {pi.limit}",
-            required=cutoff, cap=pi.limit)
-    values = _scan(k, n_max, cutoff, pi)
-    return RamanujanTable(k=k, values=values, cutoff=cutoff,
-                          proof=PROOF_SCAN, profile="none")
 
 
 def ramanujan_upto(k, x: int, cache: TableCache | None = None,
@@ -287,16 +302,8 @@ def pi_k(k, x: int, cache: TableCache | None = None,
     if x < 2:
         return 0
     cache = _as_cache(cache)
-    profile = bounds.get_profile(profile)
-    num, den = k.numerator, k.denominator
-    pi = cache.get(x)
-    fstar_x = pi.pi(x) - pi.pi(((x + 1) * den - 1) // num)
-    cutoff = bounds.certify_tail(k, fstar_x + 1, profile,
-                                 hard_cap=cache.hard_cap)
-    hi = max(cutoff, x + 1)
-    pi = cache.get(hi)
-    f = _fstar_array(k, hi, pi)
-    return int(f[x:].min())
+    pi, sufmin = _pi_k_array(k, x, cache, bounds.get_profile(profile))
+    return int(sufmin[pi.pi(x)])
 
 
 def rho_k(k, x: int, cache: TableCache | None = None,

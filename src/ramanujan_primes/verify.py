@@ -95,7 +95,7 @@ def _primes_for_indices(cache: rp.TableCache, idx_max: int) -> PrimeTable:
 
 def _prime_values(pi: PrimeTable, idx: np.ndarray) -> np.ndarray:
     """p_i for an int64 index array (1-based)."""
-    primes = pi.primes_array(2, pi.limit + 1)
+    primes = pi.primes_array(2, pi.nth_prime(int(idx.max())) + 1)
     return primes[idx - 1]
 
 
@@ -366,16 +366,10 @@ def _run_cor316_pattern(cache, limit, mmax, rng):
     return params, cases, failures, []
 
 
-def _rho_arrays(cache, x_max: int, k=Fraction(2)):
-    """(pi cumulative, suffix-min of f*) valid on 0..x_max."""
-    pi = cache.get(x_max)
-    num, den = k.numerator, k.denominator
-    fstar_top = pi.pi(x_max) - pi.pi(((x_max + 1) * den - 1) // num)
-    hi = max(bounds.certify_tail(k, fstar_top + 1,
-                                 hard_cap=cache.hard_cap), x_max + 1)
-    pi = cache.get(hi)
-    sufmin = rp._suffix_min(rp._fstar_array(k, hi, pi))
-    return pi, pi.pi_cumulative(hi), sufmin
+def _rho_arrays(cache, x_max: int):
+    """(table, pi cumulative on 0..x_max, S) with pi_2(x) = S[pic[x]]."""
+    pi, sufmin = rp._pi_k_array(Fraction(2), x_max, cache, bounds.P4)
+    return pi, pi.pi_cumulative(x_max + 1), sufmin
 
 
 def _run_rho_positivity(cache, limit, mmax, rng):
@@ -395,7 +389,7 @@ def _run_rho_positivity(cache, limit, mmax, rng):
     pi, pic, sufmin = _rho_arrays(cache, x_max)
     x = np.arange(start, x_max + 1, dtype=np.int64)
     # rho_2(x) > 0  <=>  pi(x) - 2*pi_2(x) >= 1, exactly in integers
-    margin = pic[x] - 2 * sufmin[x]
+    margin = pic[x] - 2 * sufmin[pic[x]]
     failures += [f"x={int(v)}: rho_2(x) <= 0" for v in x[margin < 1]]
     cases += len(x)
     return params, cases, failures, []
@@ -426,14 +420,14 @@ def _run_rho_upper(cache, limit, mmax, rng):
     primes = pi.primes_array(2, x_max + 1)
     pn = primes[n_lo - 1:n_hi]
     nn = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    lhs = 0.5 - sufmin[pn] / nn
+    lhs = 0.5 - sufmin[nn] / nn           # pic[p_n] = n
     rhs = c1 / np.log(pn.astype(np.float64))
     for j in np.flatnonzero(lhs > rhs):
         failures.append(f"n={int(nn[j])}: rho_2(p_n) > c1/log p_n")
     cases = len(nn)
 
     xs = np.arange(n3, x_max + 1, dtype=np.int64)
-    lhs2 = 0.5 - sufmin[xs] / pic[xs]
+    lhs2 = 0.5 - sufmin[pic[xs]] / pic[xs]
     rhs2 = c2 / np.log(xs.astype(np.float64))
     for v in xs[lhs2 > rhs2]:
         failures.append(f"x={int(v)}: rho_2(x) > c2/log x")

@@ -15,15 +15,14 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramanujan_primes import (MpsVerdict, NEstimate, RamanujanTable,
                               ResourceBudgetError, TableCache, empirical_N,
                               empirical_N0, mps_holds, pi_k, ramanujan_prefix,
                               ramanujan_upto, rho_k)
-from ramanujan_primes.ramanujan import (PROOF_ANALYTIC, PROOF_SCAN,
-                                        scan_with_cutoff)
+from ramanujan_primes.ramanujan import PROOF_ANALYTIC, PROOF_SCAN
 
 
 def naive_table(k: Fraction, n_max: int, primes, bound: int) -> list[int]:
@@ -184,16 +183,6 @@ def test_upto_empty_cases(cache):
     assert single.proof == PROOF_ANALYTIC
 
 
-def test_scan_with_cutoff_is_tagged_unproven(cache):
-    base = ramanujan_prefix(2, 10, cache)
-    pi = cache.get(base.cutoff)
-    raw = scan_with_cutoff(2, 10, base.cutoff, pi)
-    assert raw.values == base.values
-    assert raw.proof == PROOF_SCAN and raw.profile == "none"
-    with pytest.raises(ResourceBudgetError):
-        scan_with_cutoff(2, 10, pi.limit + 2, pi)
-
-
 # ---------------------------------------------------------------------------
 # cache behaviour and budget
 # ---------------------------------------------------------------------------
@@ -231,6 +220,14 @@ def test_budget_error_carries_partial_prefix(cache):
     assert partial.values == reference.values
 
 
+def test_budget_error_without_certifiable_prefix():
+    """A cap below every certificate still ends in ResourceBudgetError."""
+    with pytest.raises(ResourceBudgetError) as err:
+        ramanujan_prefix(2, 1, TableCache(hard_cap=2000))
+    assert err.value.cap == 2000
+    assert err.value.partial is None
+
+
 # ---------------------------------------------------------------------------
 # pi_k and rho_k
 # ---------------------------------------------------------------------------
@@ -246,6 +243,22 @@ def test_pi_k_inverts_the_table(cache):
         rv = table.value(n)
         assert pi_k("3/2", rv, cache) == n
         assert pi_k("3/2", rv - 1, cache) == n - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(num=st.integers(2, 60), den=st.integers(1, 6), i=st.integers(0, 300),
+       off=st.sampled_from([-1, 0, 1]))
+def test_pi_k_counts_reference_values(cache, oracle_primes, num, den, i, off):
+    """pi_k(x) = #{n : R_n <= x} at x < 2 and at p - 1, p, p + 1."""
+    assume(num > den)
+    k = Fraction(num, den)
+    x = oracle_primes[i - 1] + off if i else off + 1   # i = 0: x in {0, 1, 2}
+    bound = 10 ** 5
+    primes = oracle_primes[:bisect_right(oracle_primes, bound)]
+    # R_n >= p_n, so R_{pi(x)+1} > x and no value <= x is cut off
+    want = naive_table(k, bisect_right(primes, x) + 1, primes, bound)
+    assert want[-1] > x
+    assert pi_k(k, x, cache) == sum(v <= x for v in want)
 
 
 def test_rho_k_exact_values(cache):
