@@ -33,6 +33,7 @@ conservative, never unsound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -734,18 +735,19 @@ def n_threshold(kind: str, pi, **params) -> int:
 # the tail certificate
 # ---------------------------------------------------------------------------
 
-def _fprime_threshold(profile: BoundProfile) -> float:
+@functools.lru_cache(maxsize=32)
+def _fprime_threshold(a: tuple[float, ...]) -> float:
     """Least x (inflated) past which x/(log x - 1 - A(x)) is nondecreasing.
 
     The derivative has the sign of
         psi(x) = log x - 2 - A(x) - sum j*a_j/log^{j+1} x,
-    which is increasing in x when all a_j >= 0.
+    which is increasing in x when all a_j >= 0.  It depends on the a_j
+    alone, so it is computed once per coefficient tuple.
     """
     def psi(x):
         lg = math.log(x)
-        return (lg - 2.0 - profile.A(x)
-                - sum((j + 1) * aj / lg ** (j + 2)
-                      for j, aj in enumerate(profile.a)))
+        return (lg - 2.0 - sum(aj / lg ** (j + 1) for j, aj in enumerate(a))
+                - sum((j + 1) * aj / lg ** (j + 2) for j, aj in enumerate(a)))
 
     lo, hi = 2.0, 16.0
     while psi(hi) < 0:
@@ -781,7 +783,7 @@ def certify_tail(k, n: int, profile: BoundProfile | str = P4,
             "monotonicity threshold (need a_j >= 0 and a single b term)")
     b1 = profile.b[0]
     x_lo = max(profile.y_threshold(0.0), kf * profile.x0,
-               kf * x14(kf, b1), _fprime_threshold(profile))
+               kf * x14(kf, b1), _fprime_threshold(profile.a))
     start = math.ceil(inflate(x_lo))
 
     target = float(n + 1)
@@ -790,16 +792,14 @@ def certify_tail(k, n: int, profile: BoundProfile | str = P4,
         u = upsilon(float(x), kf, profile)
         return u >= target + max(abs(u) * REL_SLACK, ABS_SLACK)
 
-    if clears(start):
-        return start
-    lo, hi = start, min(max(2 * start, 16), hard_cap)
+    lo = hi = start
     while not clears(hi):
-        if hi >= hard_cap:
+        if hi >= hard_cap:             # also when start is at or past the cap
             raise ResourceBudgetError(
                 f"certificate for k={k}, n={n} exceeds hard cap {hard_cap}",
                 required=2 * hi, cap=hard_cap)
         lo = hi
-        hi = min(2 * hi, hard_cap)
+        hi = min(max(2 * hi, 16), hard_cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if clears(mid):

@@ -2,10 +2,12 @@
 
 A PrimeTable stores one bit per integer in [0, limit] plus a cumulative
 prime count at every 2^16 boundary, so pi(x) is a checkpoint lookup plus a
-popcount over at most 8 KiB.  Tables are immutable once built and safe to
-share between threads; every query outside [0, limit] is a hard error
-because silently extrapolating would invalidate the certificates built on
-top of these counts.
+popcount over at most 8 KiB.  The primes themselves, the one way to get
+primes by index or by range, sit in a single int64 array that the table
+builds on first use.  Tables are immutable once built and safe to share
+between threads; every query outside [0, limit] is a hard error because
+silently extrapolating would invalidate the certificates built on top of
+these counts.
 """
 
 from __future__ import annotations
@@ -40,15 +42,23 @@ def _small_sieve(limit: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """Immutable prime table over [0, limit] with O(checkpoint) pi queries."""
+    """Immutable prime table over [0, limit] with O(checkpoint) pi queries.
 
-    __slots__ = ("limit", "prime_count", "_bits", "_checkpoints")
+    nth_prime and primes_array read one read-only int64 array of every
+    prime <= limit, built segment by segment on first use, so a table
+    that only answers pi() never pays for it.  Two threads may build it
+    at the same time; both build identical arrays and either may be
+    kept, so the race is benign.
+    """
+
+    __slots__ = ("limit", "prime_count", "_bits", "_checkpoints", "_primes")
 
     def __init__(self, limit: int, bits: np.ndarray, checkpoints: np.ndarray):
         self.limit = limit
         self._bits = bits              # packed little-endian, bit v of byte v>>3
         self._checkpoints = checkpoints  # checkpoints[j] = #{p prime : p < j * 2^16}
         self.prime_count = self.pi(limit)
+        self._primes: np.ndarray | None = None
 
     # -- scalar queries ------------------------------------------------
 
@@ -80,12 +90,7 @@ class PrimeTable:
         if n < 1 or n > self.prime_count:
             raise RangeQueryError(
                 f"n={n} outside [1, {self.prime_count}] for limit {self.limit}")
-        block = int(np.searchsorted(self._checkpoints, n, side="left")) - 1
-        # nth prime lives in block `block`; unpack it and index directly
-        lo = block << 16
-        hi = min(lo + CHECKPOINT_SPAN, self.limit + 1)
-        values = np.flatnonzero(self.indicator(lo, hi))
-        return int(values[n - int(self._checkpoints[block]) - 1]) + lo
+        return int(self._all_primes()[n - 1])
 
     def count_primes_below_ratio(self, num: int, den: int, strict: bool = True) -> int:
         """#{p prime : p < num/den} (strict) or p <= num/den (non-strict).
@@ -124,27 +129,30 @@ class PrimeTable:
         return np.cumsum(self.indicator(0, hi), dtype=dtype)
 
     def primes_array(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """All primes in [lo, hi) as int64, ascending."""
-        if hi is None:
-            hi = self.limit + 1
-        if lo < 0 or hi > self.limit + 1:
-            raise RangeQueryError(f"[{lo}, {hi}) outside [0, {self.limit + 1})")
-        base = lo & ~7
-        flags = self.indicator(base, hi).view(bool)     # 0/1 bytes
-        values = np.flatnonzero(flags).astype(np.int64, copy=False) + base
-        if base < lo:
-            values = values[values >= lo]
-        return values
+        """All primes in [lo, hi) as int64, ascending: a read-only view.
 
-    def iter_primes(self, lo: int = 2, hi: int | None = None):
-        """Stream primes in [lo, hi) chunk by chunk."""
+        primes_array()[i - 1] is p_i.
+        """
         if hi is None:
             hi = self.limit + 1
-        pos = lo
-        while pos < hi:
-            top = min(pos + SEGMENT_SIZE, hi)
-            yield from self.primes_array(pos, top).tolist()
-            pos = top
+        if lo < 0 or hi > self.limit + 1 or lo > hi:
+            raise RangeQueryError(f"[{lo}, {hi}) outside [0, {self.limit + 1})")
+        primes = self._all_primes()
+        return primes[np.searchsorted(primes, lo):np.searchsorted(primes, hi)]
+
+    def _all_primes(self) -> np.ndarray:
+        primes = self._primes
+        if primes is None:
+            primes = np.empty(self.prime_count, dtype=np.int64)
+            pos = 0
+            for lo in range(0, self.limit + 1, SEGMENT_SIZE):
+                hi = min(lo + SEGMENT_SIZE, self.limit + 1)
+                seg = np.flatnonzero(self.indicator(lo, hi).view(bool)) + lo
+                primes[pos:pos + len(seg)] = seg
+                pos += len(seg)
+            primes.flags.writeable = False
+            self._primes = primes
+        return primes
 
     # -- binary cache ----------------------------------------------------
 

@@ -24,10 +24,13 @@ whole scan:
     pi_k(x) = S[pi(x)].
 
 So each scan costs a few machine words per prime below X instead of
-per integer; only the sieve's own one-byte-per-integer unpack of the
-primes touches every integer.  A scan is complete only below a cutoff
-X for which the tail x >= X is PROVEN safe; bounds.certify_tail
-supplies that proof.
+per integer.  It need not start at j = 0 either: S[j] <= f*(c_j) <= j,
+so S[j] >= n forces j >= n, and the suffix minima over a window
+[first, J] are S itself there.  R_n for n >= n_min therefore needs f*
+only at the candidates j >= n_min (mps_holds reads R_{m-1}^(m) alone),
+and pi_k(x) only at j >= pi(x), where it is the window minimum.  A scan
+is complete only below a cutoff X for which the tail x >= X is PROVEN
+safe; bounds.certify_tail supplies that proof.
 """
 
 from __future__ import annotations
@@ -193,34 +196,41 @@ def _as_cache(cache: TableCache | None) -> TableCache:
 # the scan
 # ---------------------------------------------------------------------------
 
-def _candidate_suffix_min(k: Fraction, cutoff: int,
-                          pi: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
-    """Primes below cutoff, and S with S[pi(m)] = min f* over [m, cutoff).
+def _candidate_suffix_min(k: Fraction, cutoff: int, pi: PrimeTable,
+                          first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Primes below cutoff, and S[first:] with S[pi(m)] = min f* over [m, cutoff).
 
     Candidate j is c_j = p_{j+1} - 1, the last integer with pi = j, or
-    cutoff - 1 for the last j; f*(c_j) = j - pi(q(c_j)).
+    cutoff - 1 for the last j; f*(c_j) = j - pi(q(c_j)).  Only the
+    candidates j >= first are evaluated, so element i of the returned
+    suffix minimum is S[first + i]; the window's suffix minima equal S
+    on it because S looks only rightwards.
     """
     num, den = k.numerator, k.denominator
     primes = pi.primes_array(0, cutoff)
-    ends = np.append(primes, cutoff)                  # c_j + 1
+    ends = np.append(primes[first:], cutoff)          # c_j + 1, j >= first
     below = np.searchsorted(primes, (ends * den - 1) // num, side="right")
-    fstar = np.arange(len(ends)) - below
+    fstar = np.arange(first, first + len(ends)) - below
     return primes, np.minimum.accumulate(fstar[::-1])[::-1]
 
 
-def _scan(k: Fraction, n_max: int, cutoff: int, pi: PrimeTable) -> list[int]:
-    """R_1..R_{n_max} assuming no m >= cutoff has f*(m) < n_max."""
-    primes, sufmin = _candidate_suffix_min(k, cutoff, pi)
-    j = np.searchsorted(sufmin, np.arange(1, n_max + 1), side="left")
-    if n_max and j[-1] == len(sufmin):
+def _scan(k: Fraction, n_max: int, cutoff: int, pi: PrimeTable,
+          n_min: int = 1) -> list[int]:
+    """R_{n_min}..R_{n_max} assuming no m >= cutoff has f*(m) < n_max.
+
+    S[j] >= n forces j >= n, so the candidates below n_min never matter.
+    """
+    primes, sufmin = _candidate_suffix_min(k, cutoff, pi, n_min)
+    j = np.searchsorted(sufmin, np.arange(n_min, n_max + 1), side="left")
+    if n_max >= n_min and j[-1] == len(sufmin):
         raise AssertionError(
             f"scan for k={k} hit its own cutoff {cutoff}; certificate broken")
-    return primes[j - 1].tolist()                     # R_n = c_{j-1} + 1 = p_j
+    return primes[j + n_min - 1].tolist()             # R_n = c_{j-1} + 1 = p_j
 
 
-def _pi_k_array(k: Fraction, x: int, cache: TableCache,
-                profile) -> tuple[PrimeTable, np.ndarray]:
-    """A table and S with pi_k(y) = S[pi(y)] for every y <= x."""
+def _pi_k_array(k: Fraction, x: int, cache: TableCache, profile,
+                first: int = 0) -> tuple[PrimeTable, np.ndarray]:
+    """A table and S[first:] with pi_k(y) = S[pi(y)] for every y <= x."""
     num, den = k.numerator, k.denominator
     pi = cache.get(x)
     fstar_x = pi.pi(x) - pi.pi(((x + 1) * den - 1) // num)
@@ -228,7 +238,7 @@ def _pi_k_array(k: Fraction, x: int, cache: TableCache,
                                  hard_cap=cache.hard_cap)
     hi = max(cutoff, x + 1)
     pi = cache.get(hi)
-    return pi, _candidate_suffix_min(k, hi, pi)[1]
+    return pi, _candidate_suffix_min(k, hi, pi, first)[1]
 
 
 def ramanujan_prefix(k, n_max: int, cache: TableCache | None = None,
@@ -302,8 +312,9 @@ def pi_k(k, x: int, cache: TableCache | None = None,
     if x < 2:
         return 0
     cache = _as_cache(cache)
-    pi, sufmin = _pi_k_array(k, x, cache, bounds.get_profile(profile))
-    return int(sufmin[pi.pi(x)])
+    pi, sufmin = _pi_k_array(k, x, cache, bounds.get_profile(profile),
+                             first=cache.get(x).pi(x))
+    return int(sufmin[0])
 
 
 def rho_k(k, x: int, cache: TableCache | None = None,
@@ -353,7 +364,7 @@ def _empirical(k, n_probe: int, cache: TableCache | None, strict: bool,
     num, den = k.numerator, k.denominator
     idx = (num * np.arange(1, n_probe + 1, dtype=np.int64)
            + (num - den) - 1) // (num - den)
-    pvals = np.asarray([pi.nth_prime(int(i)) for i in idx], dtype=np.int64)
+    pvals = pi.primes_array()[idx - 1]
     violations = np.flatnonzero(rvals <= pvals if strict else rvals < pvals)
     emp = int(violations[-1]) + 2 if len(violations) else 1
 
@@ -400,8 +411,8 @@ def mps_holds(m: int, cache: TableCache | None = None,
     if m == 1:
         return MpsVerdict(m=1, verdict="holds-certified", n0=n0)
     cache = _as_cache(cache)
-    table = ramanujan_prefix(Fraction(m), m - 1, cache, profile)
-    rv = table.values[-1]
+    cutoff = bounds.certify_tail(m, m - 1, profile, hard_cap=cache.hard_cap)
+    rv = _scan(Fraction(m), m - 1, cutoff, cache.get(cutoff), n_min=m - 1)[0]
     if rv <= m * n0:
         return MpsVerdict(m=m, verdict="holds-certified", n0=n0, r_value=rv)
     n_hi = ceil_div(rv, m)

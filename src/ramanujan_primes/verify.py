@@ -95,8 +95,7 @@ def _primes_for_indices(cache: rp.TableCache, idx_max: int) -> PrimeTable:
 
 def _prime_values(pi: PrimeTable, idx: np.ndarray) -> np.ndarray:
     """p_i for an int64 index array (1-based)."""
-    primes = pi.primes_array(2, pi.nth_prime(int(idx.max())) + 1)
-    return primes[idx - 1]
+    return pi.primes_array()[idx - 1]
 
 
 def _pi_of_frac(pi: PrimeTable, mult: int, k: Fraction) -> int:
@@ -180,7 +179,7 @@ def _run_lemma34_sweep(cache, limit, mmax, rng):
     params = {"x_lo": 470077, "x_max": x_max}
     pi = cache.get(x_max + 500)
     i_lo, i_hi = pi.pi(470077), pi.pi(x_max)
-    primes = pi.primes_array(pi.nth_prime(i_lo), pi.limit + 1)
+    primes = pi.primes_array()[i_lo - 1:]
     if len(primes) < i_hi - i_lo + 2:
         raise AssertionError("sieve window too small for the successor prime")
     pnext = primes[1:i_hi - i_lo + 2].astype(np.float64)
@@ -417,8 +416,7 @@ def _run_rho_upper(cache, limit, mmax, rng):
 
     n_lo = math.ceil(x26)
     n_hi = int(pic[x_max])
-    primes = pi.primes_array(2, x_max + 1)
-    pn = primes[n_lo - 1:n_hi]
+    pn = pi.primes_array()[n_lo - 1:n_hi]
     nn = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     lhs = 0.5 - sufmin[nn] / nn           # pic[p_n] = n
     rhs = c1 / np.log(pn.astype(np.float64))

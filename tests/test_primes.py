@@ -7,6 +7,8 @@ literals computed once from that oracle and frozen here.
 
 from __future__ import annotations
 
+import sys
+import threading
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -84,6 +86,12 @@ def test_pi_is_nondecreasing_and_inverts_nth_prime(table):
     assert np.array_equal(pic[primes - 1], n - 1)
 
 
+def test_nth_prime_matches_oracle_everywhere(table, oracle_primes):
+    """p_n from the cached primes array, for every n <= pi(10^6)."""
+    assert [table.nth_prime(n) for n in range(1, len(oracle_primes) + 1)] \
+        == oracle_primes
+
+
 def test_nth_prime_range_errors(table):
     with pytest.raises(RangeQueryError):
         table.nth_prime(0)
@@ -149,6 +157,49 @@ def test_primes_array_slicing(table, oracle_primes):
     # non-byte-aligned lower end
     got = table.primes_array(1001, 1100).tolist()
     assert got == [p for p in oracle_primes if 1001 <= p < 1100]
+    # across the sieve's 2^20 segment boundary, past the oracle's range
+    lo, hi = (1 << 20) - 200, (1 << 20) + 200
+    got = table.primes_array(lo, hi).tolist()
+    assert got == [x for x in range(lo, hi) if _is_prime_trial(x)]
+
+
+def test_primes_array_is_read_only(table):
+    view = table.primes_array(1000, 2000)
+    with pytest.raises(ValueError):
+        view[0] = 4
+    with pytest.raises(ValueError):
+        table.primes_array()[0] = 4
+    assert table.nth_prime(1) == 2
+
+
+def test_primes_array_built_concurrently(oracle_primes):
+    """Threads racing to build the lazy primes array all read the same primes."""
+    t = build_table(10 ** 6)
+    want = oracle_primes[-1]
+    results, errors = [], []
+    start = threading.Barrier(8)
+
+    def worker():
+        try:
+            start.wait(timeout=10)
+            results.append((t.nth_prime(len(oracle_primes)),
+                            t.primes_array().tolist() == oracle_primes))
+        except Exception as exc:     # surfaced by the assertions below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert results == [(want, True)] * 8
 
 
 def test_indicator_alignment_and_range(table):
@@ -176,16 +227,6 @@ def _is_prime_trial(x: int) -> bool:
             return False
         d += 1
     return True
-
-
-def test_iter_primes_spans_chunks(cache):
-    # the streaming iterator chunks at 2^20; cross that boundary
-    t = cache.get((1 << 20) + 1000)
-    lo, hi = (1 << 20) - 200, (1 << 20) + 200
-    got = list(t.iter_primes(lo, hi))
-    assert got == [x for x in range(lo, hi) if _is_prime_trial(x)]
-    assert list(t.iter_primes(2, 50)) == [2, 3, 5, 7, 11, 13, 17, 19, 23,
-                                          29, 31, 37, 41, 43, 47]
 
 
 def test_save_load_roundtrip(tmp_path):

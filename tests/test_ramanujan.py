@@ -22,7 +22,8 @@ from ramanujan_primes import (MpsVerdict, NEstimate, RamanujanTable,
                               ResourceBudgetError, TableCache, empirical_N,
                               empirical_N0, mps_holds, pi_k, ramanujan_prefix,
                               ramanujan_upto, rho_k)
-from ramanujan_primes.ramanujan import PROOF_ANALYTIC, PROOF_SCAN
+from ramanujan_primes.bounds import certify_tail
+from ramanujan_primes.ramanujan import PROOF_ANALYTIC, PROOF_SCAN, _scan
 
 
 def naive_table(k: Fraction, n_max: int, primes, bound: int) -> list[int]:
@@ -226,6 +227,14 @@ def test_budget_error_without_certifiable_prefix():
         ramanujan_prefix(2, 1, TableCache(hard_cap=2000))
     assert err.value.cap == 2000
     assert err.value.partial is None
+    # the certificate's start point lies past the cap and does not clear n
+    with pytest.raises(ResourceBudgetError) as err:
+        certify_tail(2, 3000, hard_cap=2000)
+    assert err.value.cap == 2000
+    with pytest.raises(ResourceBudgetError) as err:
+        ramanujan_prefix(2, 3000, TableCache(hard_cap=2000))
+    assert err.value.cap == 2000
+    assert err.value.partial is None
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +331,26 @@ def test_mps_pins(cache):
     assert v.holds
     with pytest.raises(ValueError):
         mps_holds(0, cache)
+
+
+def test_mps_reads_the_last_prefix_value(cache):
+    """mps_holds's single-value scan gives R_{m-1}^(m) of the full prefix."""
+    for m in [*range(2, 301), 9973, 10000]:
+        assert mps_holds(m, cache).r_value \
+            == ramanujan_prefix(m, m - 1, cache).values[-1], m
+
+
+def test_windowed_scan_matches_full_scan(cache):
+    for ks, n_max in (("11/10", 2000), ("3/2", 3000), ("2", 5000),
+                      ("7", 500)):
+        k = Fraction(ks)
+        cutoff = certify_tail(k, n_max)
+        pi = cache.get(cutoff)
+        full = _scan(k, n_max, cutoff, pi)
+        assert full == ramanujan_prefix(k, n_max, cache).values
+        for n_min in (1, 2, n_max // 3, n_max - 1, n_max):
+            assert _scan(k, n_max, cutoff, pi, n_min) == full[n_min - 1:], \
+                (ks, n_min)
 
 
 def test_mps_against_direct_counts(cache, oracle_primes):
