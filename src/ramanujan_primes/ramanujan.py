@@ -198,7 +198,7 @@ def _as_cache(cache: TableCache | None) -> TableCache:
 
 def _candidate_suffix_min(k: Fraction, cutoff: int, pi: PrimeTable,
                           first: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Primes below cutoff, and S[first:] with S[pi(m)] = min f* over [m, cutoff).
+    """Primes below cutoff, and S[first:]; S[pi(m)] = min f* on [m, cutoff).
 
     Candidate j is c_j = p_{j+1} - 1, the last integer with pi = j, or
     cutoff - 1 for the last j; f*(c_j) = j - pi(q(c_j)).  Only the
@@ -225,7 +225,7 @@ def _scan(k: Fraction, n_max: int, cutoff: int, pi: PrimeTable,
     if n_max >= n_min and j[-1] == len(sufmin):
         raise AssertionError(
             f"scan for k={k} hit its own cutoff {cutoff}; certificate broken")
-    return primes[j + n_min - 1].tolist()             # R_n = c_{j-1} + 1 = p_j
+    return primes[j + n_min - 1].tolist()             # R_n = p_{n_min + j}
 
 
 def _pi_k_array(k: Fraction, x: int, cache: TableCache, profile,

@@ -173,7 +173,7 @@ def test_primes_array_is_read_only(table):
 
 
 def test_primes_array_built_concurrently(oracle_primes):
-    """Threads racing to build the lazy primes array all read the same primes."""
+    """Threads racing to build the lazy primes array all read the same."""
     t = build_table(10 ** 6)
     want = oracle_primes[-1]
     results, errors = [], []
