@@ -158,22 +158,27 @@ def _cmd_const(args, config: CliConfig) -> int:
     params = _parse_params(args.params)
     cache = rp.TableCache(hard_cap=config.cap)
     pi = cache.get(10 ** 6)
-    try:
-        value = bounds.named_threshold(args.name, pi=pi, **params)
-    except ResourceBudgetError:
-        pi = cache.get(config.cap)
-        value = bounds.named_threshold(args.name, pi=pi, **params)
-    except TypeError as err:
-        names = re.findall(r"'(\w+)'", str(err))
-        if "missing" in str(err) and names:
-            wanted = ", ".join(f"{n}=..." for n in names)
-            raise ValueError(
-                f"threshold '{args.name}' needs --params {wanted}") from None
-        if "unexpected keyword" in str(err) and names:
-            raise ValueError(
-                f"threshold '{args.name}' does not take "
-                f"parameter '{names[0]}'") from None
-        raise
+    while True:
+        try:
+            value = bounds.named_threshold(args.name, pi=pi, **params)
+            break
+        except ResourceBudgetError as err:
+            # required is the x the threshold needs pi at; grow the table
+            # to it (cache.get raises past the cap), never to the cap itself
+            if err.required is None or err.required <= pi.limit:
+                raise
+            pi = cache.get(err.required)
+        except TypeError as err:
+            names = re.findall(r"'(\w+)'", str(err))
+            if "missing" in str(err) and names:
+                wanted = ", ".join(f"{n}=..." for n in names)
+                raise ValueError(
+                    f"threshold '{args.name}' needs --params {wanted}") from None
+            if "unexpected keyword" in str(err) and names:
+                raise ValueError(
+                    f"threshold '{args.name}' does not take "
+                    f"parameter '{names[0]}'") from None
+            raise
     if config.fmt == "json":
         print(json.dumps({"name": args.name,
                           "params": {k: str(v) for k, v in params.items()},

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 class RangeQueryError(ValueError):
-    """A query (pi, nth_prime, ratio count) fell outside the sieved range.
+    """A query (pi, nth_prime, primes_array) fell outside the sieved range.
 
     Raised instead of extrapolating: answers outside the table would not be
     certified and must never be guessed.
@@ -12,10 +12,10 @@ class RangeQueryError(ValueError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """A computation would exceed the configured sieve or memory budget.
+    """A computation would exceed the configured sieve budget.
 
     Attributes:
-        required: the limit/bytes that would have been needed.
+        required: the limit or prime index that would have been needed.
         cap: the configured ceiling that blocked it.
         partial: optionally, a shorter prefix whose certificate fits within
             the cap (a RamanujanTable with the analytic-certificate proof).

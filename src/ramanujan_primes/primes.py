@@ -1,34 +1,28 @@
 """Segmented sieve of Eratosthenes with checkpointed prime counting.
 
 A PrimeTable stores one bit per integer in [0, limit] plus a cumulative
-prime count at every 2^16 boundary, so pi(x) is a checkpoint lookup plus a
-popcount over at most 8 KiB.  The primes themselves, the one way to get
-primes by index or by range, sit in a single int64 array that the table
-builds on first use.  Tables are immutable once built and safe to share
-between threads; every query outside [0, limit] is a hard error because
-silently extrapolating would invalidate the certificates built on top of
-these counts.
+prime count at every 2^16 boundary, so pi(x) is a checkpoint lookup plus
+an np.bitwise_count over at most 8 KiB.  The primes themselves, the one
+way to get primes by index or by range, sit in a single int64 array that
+the table builds on first use.  Tables live in memory only: sieving costs
+a few nanoseconds per integer, so there is no file format to keep.
+Tables are immutable once built and safe to share between threads; every
+query outside [0, limit] is a hard error because silently extrapolating
+would invalidate the certificates built on top of these counts.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from math import isqrt
 
 import numpy as np
 
-from .errors import RangeQueryError, ResourceBudgetError
+from .errors import RangeQueryError
 
 __all__ = ["PrimeTable", "build_table", "SEGMENT_SIZE", "CHECKPOINT_SPAN"]
 
 SEGMENT_SIZE = 1 << 20      # values sieved per segment
 CHECKPOINT_SPAN = 1 << 16   # one cumulative pi checkpoint per this many values
-
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-_CACHE_MAGIC = b"RPTB"
-_CACHE_VERSION = 1
 
 
 def _small_sieve(limit: int) -> np.ndarray:
@@ -79,10 +73,10 @@ class PrimeTable:
         lo_byte = block << 13          # (block * 2^16) / 8
         hi_byte = (x + 1) >> 3
         if hi_byte > lo_byte:
-            count += int(_POPCOUNT[self._bits[lo_byte:hi_byte]].sum())
+            count += int(np.bitwise_count(self._bits[lo_byte:hi_byte]).sum())
         rem = (x + 1) & 7
         if rem:
-            count += int(_POPCOUNT[self._bits[hi_byte] & ((1 << rem) - 1)])
+            count += (int(self._bits[hi_byte]) & ((1 << rem) - 1)).bit_count()
         return count
 
     def nth_prime(self, n: int) -> int:
@@ -91,26 +85,6 @@ class PrimeTable:
             raise RangeQueryError(
                 f"n={n} outside [1, {self.prime_count}] for limit {self.limit}")
         return int(self._all_primes()[n - 1])
-
-    def count_primes_below_ratio(self, num: int, den: int, strict: bool = True) -> int:
-        """#{p prime : p < num/den} (strict) or p <= num/den (non-strict).
-
-        All comparisons reduce to integer division; the rational bound is
-        never converted to floating point.
-        """
-        if num < 0 or den < 1:
-            raise ValueError("need num >= 0 and den >= 1")
-        if num > self.limit * den:
-            raise RangeQueryError(
-                f"{num}/{den} outside sieved range [0, {self.limit}]")
-        if strict:
-            # largest integer < num/den is ceil(num/den) - 1
-            bound = -((-num) // den) - 1
-        else:
-            bound = num // den
-        if bound < 0:
-            return 0
-        return self.pi(bound)
 
     # -- bulk access ---------------------------------------------------
 
@@ -154,68 +128,20 @@ class PrimeTable:
             self._primes = primes
         return primes
 
-    # -- binary cache ----------------------------------------------------
-
-    def save(self, path) -> None:
-        digest = hashlib.sha256(self._bits.tobytes()).digest()
-        with open(path, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack("<IQ", _CACHE_VERSION, self.limit))
-            fh.write(digest)
-            fh.write(self._bits.tobytes())
-
-    @classmethod
-    def load(cls, path) -> "PrimeTable":
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _CACHE_MAGIC:
-                raise ValueError(f"not a prime table cache: magic {magic!r}")
-            version, limit = struct.unpack("<IQ", fh.read(12))
-            if version != _CACHE_VERSION:
-                raise ValueError(f"unsupported cache version {version}")
-            digest = fh.read(32)
-            raw = fh.read()
-        if hashlib.sha256(raw).digest() != digest:
-            raise ValueError("prime table cache checksum mismatch")
-        bits = np.frombuffer(raw, dtype=np.uint8)
-        expected = ((limit + 1) + 7) >> 3
-        if len(bits) != expected:
-            raise ValueError("prime table cache truncated")
-        return cls(limit, bits, _checkpoints_from_bits(limit, bits))
-
     def __repr__(self) -> str:
         return f"PrimeTable(limit={self.limit}, prime_count={self.prime_count})"
 
 
-def _checkpoints_from_bits(limit: int, bits: np.ndarray) -> np.ndarray:
-    nblocks = (limit >> 16) + 1
-    per_block = np.zeros(nblocks, dtype=np.int64)
-    counts = _POPCOUNT[bits]
-    for j in range(nblocks):
-        lo = j << 13
-        hi = min(lo + (CHECKPOINT_SPAN >> 3), len(bits))
-        per_block[j] = counts[lo:hi].sum()
-    checkpoints = np.zeros(nblocks + 1, dtype=np.int64)
-    np.cumsum(per_block, out=checkpoints[1:])
-    return checkpoints
-
-
-def build_table(limit: int, *, segment_size: int = SEGMENT_SIZE,
-                memory_budget: int | None = None) -> PrimeTable:
+def build_table(limit: int) -> PrimeTable:
     """Sieve [0, limit] segment by segment and return an immutable table."""
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    nbytes = ((limit + 1 + 7) >> 3) + 8 * ((limit >> 16) + 2) + segment_size
-    if memory_budget is not None and nbytes > memory_budget:
-        raise ResourceBudgetError(
-            f"table to {limit} needs about {nbytes} bytes, budget is {memory_budget}",
-            required=nbytes, cap=memory_budget)
 
     base = _small_sieve(isqrt(limit))
     bits = np.zeros(((limit + 1) + 7) >> 3, dtype=np.uint8)
 
-    for lo in range(0, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
+    for lo in range(0, limit + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE, limit + 1)
         seg = np.ones(hi - lo, dtype=bool)
         if lo == 0:
             seg[:2] = False
@@ -233,4 +159,12 @@ def build_table(limit: int, *, segment_size: int = SEGMENT_SIZE,
     if rem:
         bits[-1] &= (1 << rem) - 1
 
-    return PrimeTable(limit, bits, _checkpoints_from_bits(limit, bits))
+    # one uint8 popcount per byte, zero-padded to whole blocks; the row sums
+    # cast to int64 in small buffered chunks, never the whole array at once
+    block_bytes = CHECKPOINT_SPAN >> 3
+    counts = np.zeros(-(-len(bits) // block_bytes) * block_bytes, dtype=np.uint8)
+    np.bitwise_count(bits, out=counts[:len(bits)])
+    checkpoints = np.zeros(len(counts) // block_bytes + 1, dtype=np.int64)
+    np.cumsum(counts.reshape(-1, block_bytes).sum(axis=1, dtype=np.int64),
+              out=checkpoints[1:])
+    return PrimeTable(limit, bits, checkpoints)

@@ -16,7 +16,6 @@ __all__ = [
     "parse_k",
     "ceil_div",
     "floor_frac",
-    "ceil_frac",
     "format_fraction",
 ]
 
@@ -52,10 +51,6 @@ def ceil_div(a: int, b: int) -> int:
 
 def floor_frac(fr: Fraction) -> int:
     return fr.numerator // fr.denominator
-
-
-def ceil_frac(fr: Fraction) -> int:
-    return -((-fr.numerator) // fr.denominator)
 
 
 def format_fraction(fr: Fraction, digits: int = 12) -> str:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 from ramanujan_primes import RamanujanTable
+from ramanujan_primes import ramanujan as rp
 from ramanujan_primes.cli import ENV_CAP, ENV_THREADS, main
 
 
@@ -119,6 +120,26 @@ def test_const_wrong_param_names_the_key(capsys):
     code, _, err = run(capsys, "const", "--name", "X4", "--params", "q=3")
     assert code == 2
     assert "does not take parameter 'q'" in err
+
+
+def test_const_sieves_only_as_far_as_the_threshold_needs(capsys,
+                                                          monkeypatch):
+    """X19 at k = 1000 needs pi at about 1.2e8, not a table up to the cap."""
+    build = rp.build_table
+
+    def bounded_build(limit):
+        assert limit <= 1 << 28, f"sieved to {limit}"
+        return build(limit)
+
+    monkeypatch.setattr(rp, "build_table", bounded_build)
+    params = "k=1000,eps2=0.1,delta1=0.1,delta2=0.1"
+    code, out, _ = run(capsys, "const", "--name", "X19", "--params", params)
+    assert code == 0
+    assert out.strip() == "6872333"
+    code, _, err = run(capsys, "--cap", "1000000", "const", "--name", "X19",
+                       "--params", params)
+    assert code == 3
+    assert "resource budget exceeded" in err
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,11 @@ from __future__ import annotations
 import sys
 import threading
 from bisect import bisect_right
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ramanujan_primes import PrimeTable, RangeQueryError, ResourceBudgetError
+from ramanujan_primes import RangeQueryError
 from ramanujan_primes.primes import CHECKPOINT_SPAN, build_table
 
 # pi(x) at the checkpoints the rest of the suite leans on, computed from
@@ -73,6 +72,15 @@ def test_pi_at_checkpoint_boundaries(table, oracle_primes):
             assert table.pi(x) == bisect_right(oracle_primes, x)
 
 
+@pytest.mark.parametrize("limit", [2, 9, 65535, 65536, 65537, 131079])
+def test_pi_at_every_x_across_partial_bytes_and_blocks(limit, oracle_primes):
+    """A partial last byte, an exact 2^16 block end, a one-value last block."""
+    t = build_table(limit)
+    want = np.searchsorted(oracle_primes, np.arange(limit + 1), side="right")
+    assert [t.pi(x) for x in range(limit + 1)] == want.tolist()
+    assert t.prime_count == want[-1]
+
+
 def test_pi_is_nondecreasing_and_inverts_nth_prime(table):
     """pi(p_n) = n and pi(p_n - 1) = n - 1, over all n <= 10^5."""
     n_top = 10 ** 5
@@ -113,42 +121,6 @@ def test_is_prime_matches_oracle(table, oracle_primes):
     rng = np.random.default_rng(7)
     for x in rng.integers(0, 10 ** 6, size=500):
         assert table.is_prime(int(x)) == (int(x) in members)
-
-
-def test_count_primes_below_ratio_exact_boundaries(table):
-    # strict: primes < 7 are 2, 3, 5; non-strict includes 7
-    assert table.count_primes_below_ratio(7, 1, strict=True) == 3
-    assert table.count_primes_below_ratio(7, 1, strict=False) == 4
-    # 22/7 is between 3 and 3.15: strict and non-strict agree
-    assert table.count_primes_below_ratio(22, 7, strict=True) == 2
-    assert table.count_primes_below_ratio(22, 7, strict=False) == 2
-    # exact rational boundary 6/2 = 3
-    assert table.count_primes_below_ratio(6, 2, strict=True) == 1
-    assert table.count_primes_below_ratio(6, 2, strict=False) == 2
-
-
-def test_count_primes_below_ratio_vs_oracle(table, oracle_primes):
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        num = int(rng.integers(0, 10 ** 6))
-        den = int(rng.integers(1, 1000))
-        bound = Fraction(num, den)
-        strict = bool(rng.integers(0, 2))
-        if strict:
-            want = sum(1 for p in oracle_primes if p < bound)
-        else:
-            want = bisect_right(oracle_primes, bound)
-        got = table.count_primes_below_ratio(num, den, strict=strict)
-        assert got == want, (num, den, strict)
-
-
-def test_count_primes_below_ratio_errors(table):
-    with pytest.raises(ValueError):
-        table.count_primes_below_ratio(-1, 2)
-    with pytest.raises(ValueError):
-        table.count_primes_below_ratio(3, 0)
-    with pytest.raises(RangeQueryError):
-        table.count_primes_below_ratio(table.limit + 1, 1)
 
 
 def test_primes_array_slicing(table, oracle_primes):
@@ -229,45 +201,7 @@ def _is_prime_trial(x: int) -> bool:
     return True
 
 
-def test_save_load_roundtrip(tmp_path):
-    t = build_table(50_000)
-    path = tmp_path / "t.bin"
-    t.save(path)
-    back = PrimeTable.load(path)
-    assert back.limit == t.limit
-    assert back.prime_count == t.prime_count
-    for x in (0, 1, 2, 49999, 30000):
-        assert back.pi(x) == t.pi(x)
-
-
-def test_load_rejects_corruption(tmp_path):
-    t = build_table(10_000)
-    path = tmp_path / "t.bin"
-    t.save(path)
-    raw = bytearray(path.read_bytes())
-
-    flipped = bytearray(raw)
-    flipped[-1] ^= 0xFF
-    (tmp_path / "bad1.bin").write_bytes(flipped)
-    with pytest.raises(ValueError, match="checksum"):
-        PrimeTable.load(tmp_path / "bad1.bin")
-
-    (tmp_path / "bad2.bin").write_bytes(raw[:-10])
-    with pytest.raises(ValueError):
-        PrimeTable.load(tmp_path / "bad2.bin")
-
-    wrong_magic = bytearray(raw)
-    wrong_magic[:4] = b"XXXX"
-    (tmp_path / "bad3.bin").write_bytes(wrong_magic)
-    with pytest.raises(ValueError, match="magic"):
-        PrimeTable.load(tmp_path / "bad3.bin")
-
-
-def test_build_table_budget_and_bad_limit():
-    with pytest.raises(ResourceBudgetError) as info:
-        build_table(10 ** 7, memory_budget=1000)
-    assert info.value.required is not None
-    assert info.value.cap == 1000
+def test_build_table_rejects_bad_limit():
     with pytest.raises(ValueError):
         build_table(1)
 

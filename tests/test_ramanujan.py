@@ -13,11 +13,13 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ramanujan_primes import ramanujan
 from ramanujan_primes import (MpsVerdict, NEstimate, RamanujanTable,
                               ResourceBudgetError, TableCache, empirical_N,
                               empirical_N0, mps_holds, pi_k, ramanujan_prefix,
@@ -338,6 +340,32 @@ def test_mps_reads_the_last_prefix_value(cache):
     for m in [*range(2, 301), 9973, 10000]:
         assert mps_holds(m, cache).r_value \
             == ramanujan_prefix(m, m - 1, cache).values[-1], m
+
+
+class _UndercountingCache:
+    """Tables that drop 100 primes from pi(x) for every x >= 500."""
+
+    def __init__(self, cache):
+        self._cache = cache
+        self.hard_cap = cache.hard_cap
+
+    def get(self, limit):
+        table = self._cache.get(limit)
+        return SimpleNamespace(
+            pi=lambda x: table.pi(x) - (100 if x >= 500 else 0))
+
+
+def test_mps_scans_past_a_large_r(cache, monkeypatch):
+    """R above m * n0 sends mps_holds to its direct check of each n."""
+    monkeypatch.setattr(ramanujan, "_scan", lambda *args, **kw: [1000])
+    v = mps_holds(50, cache)
+    assert (v.verdict, v.n0, v.r_value, v.counterexample) \
+        == ("holds-scanned", 6, 1000, None)
+    assert v.holds
+    v = mps_holds(50, _UndercountingCache(cache))
+    assert (v.verdict, v.r_value, v.counterexample) \
+        == ("fails", 1000, (50, 10))
+    assert not v.holds
 
 
 def test_windowed_scan_matches_full_scan(cache):
