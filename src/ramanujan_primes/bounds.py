@@ -673,6 +673,27 @@ def _ceil_real(value: float) -> int:
     return math.ceil(inflate(value))
 
 
+def _n0(pi, *, k, t=0, profile="P1") -> int:
+    t = int(t)
+    kx = Fraction(k)
+    if not t > -math.ceil(kx / (kx - 1)):
+        raise ValueError(f"n0: need t > -ceil(k/(k-1)), got t={t}")
+    pival = _pi_at(pi, _x2(float(k), t, get_profile(profile)), "n0")
+    return math.ceil((kx - 1) / kx * (pival - t + 1))
+
+
+def _n1(pi, *, k, eps1=0.0, eps2=0, a1=1.0, b1=1.17, y0=468049.0,
+        x0=_E2547, x10=None) -> int:
+    kf = float(k)
+    eps2x = Fraction(eps2)
+    x10 = _x13(kf) if x10 is None else float(x10)
+    x12 = _x12(kf, float(a1), float(b1), float(y0), float(x0), float(eps1),
+               float(eps2x), x10)
+    m = max(_pi_at(pi, x12, "n1") + 1, _x11(float(b1), float(x0), pi))
+    kx = Fraction(k)
+    return math.ceil((kx - 1) / (kx * (1 + eps2x)) * m)
+
+
 def n_threshold(kind: str, pi, **params) -> int:
     """The integer index thresholds n_0..n_3 (ceiling of the real value).
 
@@ -684,45 +705,17 @@ def n_threshold(kind: str, pi, **params) -> int:
 
     n0 and n1 are rational-prefactor-times-integer expressions and their
     ceilings are taken exactly; n2 and n3 round a float threshold up.
+    A key the threshold does not take raises TypeError, as in
+    named_threshold.
     """
-    k = params.get("k")
     if kind == "n0":
-        t = int(params.get("t", 0))
-        profile = get_profile(params.get("profile", "P1"))
-        kx = Fraction(k)
-        if not t > -math.ceil(kx / (kx - 1)):
-            raise ValueError(f"n0: need t > -ceil(k/(k-1)), got t={t}")
-        pival = _pi_at(pi, _x2(float(k), t, profile), "n0")
-        return math.ceil((kx - 1) / kx * (pival - t + 1))
+        return _n0(pi, **params)
     if kind == "n1":
-        kf = float(k)
-        eps1 = float(params.get("eps1", 0.0))
-        eps2x = Fraction(params.get("eps2", 0))
-        a1 = float(params.get("a1", 1.0))
-        b1 = float(params.get("b1", 1.17))
-        y0 = float(params.get("y0", 468049.0))
-        x0 = float(params.get("x0", _E2547))
-        x10 = float(params.get("x10", _x13(kf)))
-        x12 = _x12(kf, a1, b1, y0, x0, eps1, float(eps2x), x10)
-        x11 = _x11(b1, x0, pi)
-        m = max(_pi_at(pi, x12, "n1") + 1, x11)
-        kx = Fraction(k)
-        return math.ceil((kx - 1) / (kx * (1 + eps2x)) * m)
+        return _n1(pi, **params)
     if kind == "n2":
-        kf = float(k)
-        return _ceil_real(_x22(
-            kf, float(params.get("b1", 1.17)), float(params["eps1"]),
-            float(params["eps2"]), float(params["eps3"]),
-            float(params["delta1"]), float(params["delta2"]), pi,
-            float(params.get("x0", 5.43))))
+        return _ceil_real(named_threshold("X22", pi, **params))
     if kind == "n3":
-        kf = float(k)
-        idx = _ceil_real(_x26(
-            kf, float(params.get("b1", 1.17)), float(params["eps1"]),
-            float(params["eps2"]), float(params["eps3"]),
-            float(params["eps4"]), float(params["delta1"]),
-            float(params["delta2"]), float(params["c2"]), pi,
-            float(params.get("x0", 5.43))))
+        idx = _ceil_real(named_threshold("X26", pi, **params))
         if idx > pi.prime_count:
             raise ResourceBudgetError(
                 f"n3 needs the {idx}th prime but the table holds "

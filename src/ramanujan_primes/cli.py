@@ -8,17 +8,16 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
-import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import bounds, verify
 from . import ramanujan as rp
 from .errors import ResourceBudgetError, ThresholdDomainError
-from .rational import format_fraction, parse_ratio
+from .rational import format_fraction, parse_k, parse_ratio
 
 ENV_CAP = "RAMANUJAN_PRIMES_CAP"
 ENV_THREADS = "RAMANUJAN_PRIMES_THREADS"
@@ -62,19 +61,12 @@ def _config_from(args) -> CliConfig:
                      seed=getattr(args, "seed", None))
 
 
-def _parse_k(text: str) -> Fraction:
-    k = parse_ratio(text)
-    if k <= 1:
-        raise ValueError(f"k must exceed 1, got {k}")
-    return k
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_compute(args, config: CliConfig) -> int:
-    k = _parse_k(args.k)
+    k = parse_k(args.k)
     cache = rp.TableCache(hard_cap=config.cap)
     table = rp.ramanujan_prefix(k, args.n, cache)
     if config.fmt == "json":
@@ -87,7 +79,7 @@ def _cmd_compute(args, config: CliConfig) -> int:
 
 
 def _cmd_pik(args, config: CliConfig) -> int:
-    k = _parse_k(args.k)
+    k = parse_k(args.k)
     cache = rp.TableCache(hard_cap=config.cap)
     count = rp.pi_k(k, args.x, cache)
     total = cache.get(max(args.x, 2)).pi(args.x)
@@ -106,7 +98,7 @@ def _cmd_pik(args, config: CliConfig) -> int:
 
 
 def _cmd_nk(args, config: CliConfig, strict: bool) -> int:
-    k = _parse_k(args.k)
+    k = parse_k(args.k)
     cache = rp.TableCache(hard_cap=config.cap)
     probe = args.probe
     if probe is None:
@@ -156,6 +148,22 @@ def _parse_params(text: str | None) -> dict:
 
 def _cmd_const(args, config: CliConfig) -> int:
     params = _parse_params(args.params)
+    # an unknown name falls through to named_threshold, which lists the known
+    formula = bounds._THRESHOLDS.get(args.name)
+    if formula is not None:
+        keys = {p.name: p.default is p.empty
+                for p in inspect.signature(formula).parameters.values()
+                if p.kind is p.KEYWORD_ONLY}
+        for key in params:
+            if key not in keys:
+                raise ValueError(f"threshold '{args.name}' does not take "
+                                 f"parameter '{key}'")
+        missing = [key for key, required in keys.items()
+                   if required and key not in params]
+        if missing:
+            wanted = ", ".join(f"{key}=..." for key in missing)
+            raise ValueError(
+                f"threshold '{args.name}' needs --params {wanted}")
     cache = rp.TableCache(hard_cap=config.cap)
     pi = cache.get(10 ** 6)
     while True:
@@ -168,17 +176,6 @@ def _cmd_const(args, config: CliConfig) -> int:
             if err.required is None or err.required <= pi.limit:
                 raise
             pi = cache.get(err.required)
-        except TypeError as err:
-            names = re.findall(r"'(\w+)'", str(err))
-            if "missing" in str(err) and names:
-                wanted = ", ".join(f"{n}=..." for n in names)
-                raise ValueError(
-                    f"threshold '{args.name}' needs --params {wanted}") from None
-            if "unexpected keyword" in str(err) and names:
-                raise ValueError(
-                    f"threshold '{args.name}' does not take "
-                    f"parameter '{names[0]}'") from None
-            raise
     if config.fmt == "json":
         print(json.dumps({"name": args.name,
                           "params": {k: str(v) for k, v in params.items()},
@@ -314,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceBudgetError as err:
         print(f"resource budget exceeded: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, KeyError, ThresholdDomainError, TypeError) as err:
+    except (ValueError, KeyError, ThresholdDomainError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

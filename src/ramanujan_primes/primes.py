@@ -2,13 +2,15 @@
 
 A PrimeTable stores one bit per integer in [0, limit] plus a cumulative
 prime count at every 2^16 boundary, so pi(x) is a checkpoint lookup plus
-an np.bitwise_count over at most 8 KiB.  The primes themselves, the one
-way to get primes by index or by range, sit in a single int64 array that
-the table builds on first use.  Tables live in memory only: sieving costs
-a few nanoseconds per integer, so there is no file format to keep.
-Tables are immutable once built and safe to share between threads; every
-query outside [0, limit] is a hard error because silently extrapolating
-would invalidate the certificates built on top of these counts.
+an np.bitwise_count over at most 8 KiB.  The primes themselves sit in a
+single int64 array that the table builds on first use: nth_prime reads
+it by index (an int or an index array), primes_array by value range.
+Tables live in memory only: sieving costs a few nanoseconds per integer,
+so there is no file format to keep.  Tables are immutable once built and
+safe to share between threads; every query outside [0, limit] (or an
+index outside [1, prime_count]) is a hard error because silently
+extrapolating would invalidate the certificates built on top of these
+counts.
 """
 
 from __future__ import annotations
@@ -79,8 +81,14 @@ class PrimeTable:
             count += (int(self._bits[hi_byte]) & ((1 << rem) - 1)).bit_count()
         return count
 
-    def nth_prime(self, n: int) -> int:
-        """The nth prime, 1-indexed."""
+    def nth_prime(self, n: int | np.ndarray) -> int | np.ndarray:
+        """p_n for an int n or an int64 index array; 1 <= n <= prime_count."""
+        if isinstance(n, np.ndarray):
+            if n.size and (n.min() < 1 or n.max() > self.prime_count):
+                raise RangeQueryError(
+                    f"indices {n.min()}..{n.max()} outside "
+                    f"[1, {self.prime_count}] for limit {self.limit}")
+            return self._all_primes()[n - 1]
         if n < 1 or n > self.prime_count:
             raise RangeQueryError(
                 f"n={n} outside [1, {self.prime_count}] for limit {self.limit}")
@@ -103,9 +111,9 @@ class PrimeTable:
         return np.cumsum(self.indicator(0, hi), dtype=dtype)
 
     def primes_array(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """All primes in [lo, hi) as int64, ascending: a read-only view.
+        """All primes with lo <= p < hi as int64, ascending: a read-only view.
 
-        primes_array()[i - 1] is p_i.
+        This reads primes by value; nth_prime reads them by index.
         """
         if hi is None:
             hi = self.limit + 1

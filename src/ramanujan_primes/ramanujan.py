@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -338,18 +338,18 @@ _N_CLOSED_FROM = Fraction(7458, 10)    # N(k) = pi(3k) - 1 from here on
 _N0_CLOSED_FROM = Fraction(1437, 10)   # N_0(k) = pi(2k) from here on
 
 
-def _p_index(k: Fraction, n: int) -> int:
-    """ceil(k*n/(k-1)) exactly."""
+def _p_index(k: Fraction, n):
+    """ceil(k*n/(k-1)) exactly, for an int n or an int64 array."""
     num, den = k.numerator, k.denominator
     return ceil_div(num * n, num - den)
 
 
-def _nth_prime_limit(idx: int) -> int:
-    """A safe sieve limit containing at least idx primes."""
+def _table_to_index(cache: TableCache, idx: int) -> PrimeTable:
+    """A table with p_1..p_idx (Rosser: p_n < n(log n + log log n), n >= 6)."""
     if idx < 6:
-        return 16
+        return cache.get(16)
     x = idx * (math.log(idx) + math.log(math.log(idx)))
-    return int(x * 1.2) + 16
+    return cache.get(int(x * 1.2) + 16)
 
 
 def _empirical(k, n_probe: int, cache: TableCache | None, strict: bool,
@@ -359,12 +359,10 @@ def _empirical(k, n_probe: int, cache: TableCache | None, strict: bool,
         raise ValueError(f"need n_probe >= 1, got {n_probe}")
     cache = _as_cache(cache)
     table = ramanujan_prefix(k, n_probe, cache, profile)
-    pi = cache.get(max(_nth_prime_limit(_p_index(k, n_probe)), table.cutoff))
+    pi = _table_to_index(cache, _p_index(k, n_probe))   # and >= cutoff
     rvals = np.asarray(table.values, dtype=np.int64)
-    num, den = k.numerator, k.denominator
-    idx = (num * np.arange(1, n_probe + 1, dtype=np.int64)
-           + (num - den) - 1) // (num - den)
-    pvals = pi.primes_array()[idx - 1]
+    pvals = pi.nth_prime(_p_index(k, np.arange(1, n_probe + 1,
+                                                dtype=np.int64)))
     violations = np.flatnonzero(rvals <= pvals if strict else rvals < pvals)
     emp = int(violations[-1]) + 2 if len(violations) else 1
 

@@ -38,12 +38,12 @@ def parse_k(text: str | int | Fraction) -> Fraction:
     """Parse a ratio and require k > 1."""
     k = parse_ratio(text)
     if k <= 1:
-        raise ValueError(f"k must be > 1, got {k}")
+        raise ValueError(f"k must exceed 1, got {k}")
     return k
 
 
-def ceil_div(a: int, b: int) -> int:
-    """Exact ceiling of a/b for b >= 1."""
+def ceil_div(a, b: int):
+    """Exact ceiling of a/b for b >= 1; a may be an int or an int64 array."""
     if b < 1:
         raise ValueError("ceil_div needs positive denominator")
     return -((-a) // b)

@@ -21,7 +21,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from . import bounds
 from . import ramanujan as rp
 from .primes import PrimeTable
-from .rational import ceil_div, floor_frac, parse_k
+from .rational import ceil_div, floor_frac
 
 __all__ = ["CampaignReport", "campaign_ids", "run_campaign", "run_all",
            "reports_to_json", "reports_to_csv"]
@@ -85,38 +85,9 @@ def reports_to_csv(reports: list[CampaignReport]) -> str:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _primes_for_indices(cache: rp.TableCache, idx_max: int) -> PrimeTable:
-    """A table guaranteed to hold p_1..p_{idx_max}."""
-    pi = cache.get(rp._nth_prime_limit(idx_max))
-    while pi.prime_count < idx_max:
-        pi = cache.get(pi.limit * 2)
-    return pi
-
-
-def _prime_values(pi: PrimeTable, idx: np.ndarray) -> np.ndarray:
-    """p_i for an int64 index array (1-based)."""
-    return pi.primes_array()[idx - 1]
-
-
 def _pi_of_frac(pi: PrimeTable, mult: int, k: Fraction) -> int:
     """pi(mult * k), exact at the rational point."""
     return pi.pi(floor_frac(mult * k))
-
-
-def _r_upper_violations(cache, k: Fraction, n_list, strict: bool):
-    """n in n_list where R_n^(k) <= / < p_{ceil(kn/(k-1))} (the N/N_0 events)."""
-    n_list = [n for n in n_list if n >= 1]
-    if not n_list:
-        return [], None
-    table = rp.ramanujan_prefix(k, max(n_list), cache)
-    pi = _primes_for_indices(cache, rp._p_index(k, max(n_list)))
-    out = []
-    for n in n_list:
-        rv = table.values[n - 1]
-        pv = pi.nth_prime(rp._p_index(k, n))
-        hit = rv <= pv if strict else rv < pv
-        out.append((n, rv, pv, hit))
-    return out, table
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +98,9 @@ def _run_sondow_gap(cache, limit, mmax, rng):
     n_max = limit if limit else 37097
     params = {"k": Fraction(2), "n_max": n_max}
     table = rp.ramanujan_prefix(2, n_max, cache)
-    pi = _primes_for_indices(cache, 2 * n_max)
+    pi = rp._table_to_index(cache, 2 * n_max)
     rv = np.asarray(table.values, dtype=np.int64)
-    p2n = _prime_values(pi, 2 * np.arange(1, n_max + 1, dtype=np.int64))
+    p2n = pi.nth_prime(2 * np.arange(1, n_max + 1, dtype=np.int64))
     gaps = rv - p2n
 
     failures, exceptions = [], []
@@ -151,9 +122,9 @@ def _run_upper_48_19(cache, limit, mmax, rng):
     table = rp.ramanujan_prefix(2, n_max, cache)
     rv = np.asarray(table.values, dtype=np.int64)
     n = np.arange(1, n_max + 1, dtype=np.int64)
-    idx = (48 * n + 18) // 19
-    pi = _primes_for_indices(cache, int(idx[-1]))
-    pv = _prime_values(pi, idx)
+    idx = ceil_div(48 * n, 19)
+    pi = rp._table_to_index(cache, int(idx[-1]))
+    pv = pi.nth_prime(idx)
 
     failures, exceptions = [], []
     bad = set(int(v) + 1 for v in np.flatnonzero(rv > pv))
@@ -167,8 +138,8 @@ def _run_upper_48_19(cache, limit, mmax, rng):
             failures.append("expected the single exception at n=19")
 
     # the t = 2.53 consequence has no exception at all
-    idx253 = (253 * n + 99) // 100
-    pv253 = _prime_values(_primes_for_indices(cache, int(idx253[-1])), idx253)
+    idx253 = ceil_div(253 * n, 100)
+    pv253 = rp._table_to_index(cache, int(idx253[-1])).nth_prime(idx253)
     for n_bad in (np.flatnonzero(rv > pv253) + 1):
         failures.append(f"n={n_bad}: R_n > p_ceil(2.53n)")
     return params, 2 * n_max, failures, exceptions
@@ -179,10 +150,8 @@ def _run_lemma34_sweep(cache, limit, mmax, rng):
     params = {"x_lo": 470077, "x_max": x_max}
     pi = cache.get(x_max + 500)
     i_lo, i_hi = pi.pi(470077), pi.pi(x_max)
-    primes = pi.primes_array()[i_lo - 1:]
-    if len(primes) < i_hi - i_lo + 2:
-        raise AssertionError("sieve window too small for the successor prime")
-    pnext = primes[1:i_hi - i_lo + 2].astype(np.float64)
+    pnext = pi.nth_prime(np.arange(i_lo + 1, i_hi + 2, dtype=np.int64))
+    pnext = pnext.astype(np.float64)
     i_arr = np.arange(i_lo, i_hi + 1, dtype=np.float64)
     lp = np.log(pnext)
     h = pnext / (lp - 1.0 - 1.0 / lp)
@@ -252,14 +221,14 @@ def _run_nk_closed_form(cache, limit, mmax, rng):
                             f"consistent={est.consistent}), want {target}")
 
     for k in lower_ks:
+        # k < 745.8, so N(k) is empirical: probe + 1 iff R_probe <= p_index
         probe = _pi_of_frac(pi, 3, k) - 2
-        rows, _ = _r_upper_violations(cache, k, [probe], strict=True)
+        est = rp.empirical_N(k, probe, cache)
         cases += 1
-        if rows and not rows[0][3]:
-            n, rv, pv, _ = rows[0]
-            failures.append(f"k={k}: no violation at n=pi(3k)-2={n} "
-                            f"(R_n={rv} > p={pv}), so N(k) >= pi(3k)-1 "
-                            "is not witnessed")
+        if est.value != probe + 1:
+            failures.append(f"k={k}: no violation at n=pi(3k)-2={probe} "
+                            f"(N(k) over n <= {probe} is {est.value}), so "
+                            "N(k) >= pi(3k)-1 is not witnessed")
 
     for k in remark_ks:
         n = _pi_of_frac(pi, 3, k)
@@ -295,14 +264,15 @@ def _run_n0k_closed_form(cache, limit, mmax, rng):
                             f"consistent={est.consistent}), want {target}")
 
     for k in lower_ks:
+        # k < 143.7, so N_0(k) is empirical: probe + 1 iff R_probe < p_index
         probe = _pi_of_frac(pi, 2, k) - 1
-        rows, _ = _r_upper_violations(cache, k, [probe], strict=False)
+        est = rp.empirical_N0(k, probe, cache)
         cases += 1
-        if rows and not rows[0][3]:
-            n, rv, pv, _ = rows[0]
-            failures.append(f"k={k}: no strict violation at n=pi(2k)-1={n} "
-                            f"(R_n={rv} >= p={pv}), so N_0(k) >= pi(2k) "
-                            "is not witnessed")
+        if est.value != probe + 1:
+            failures.append(f"k={k}: no strict violation at n=pi(2k)-1="
+                            f"{probe} (N_0(k) over n <= {probe} is "
+                            f"{est.value}), so N_0(k) >= pi(2k) is not "
+                            "witnessed")
 
     for k in prefix_ks:
         hi = _pi_of_frac(pi, 2, k) - 1
@@ -414,10 +384,8 @@ def _run_rho_upper(cache, limit, mmax, rng):
                             c2=c2)
     params.update(X26=float(x26), c1=float(c1), n3=int(n3))
 
-    n_lo = math.ceil(x26)
-    n_hi = int(pic[x_max])
-    pn = pi.primes_array()[n_lo - 1:n_hi]
-    nn = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    nn = np.arange(math.ceil(x26), int(pic[x_max]) + 1, dtype=np.int64)
+    pn = pi.nth_prime(nn)
     lhs = 0.5 - sufmin[nn] / nn           # pic[p_n] = n
     rhs = c1 / np.log(pn.astype(np.float64))
     for j in np.flatnonzero(lhs > rhs):
@@ -459,9 +427,9 @@ def _run_section2_properties(cache, limit, mmax, rng):
               "pair_bound": 1000}
     failures, cases = [], 0
     tables = {k: rp.ramanujan_prefix(k, n_max, cache) for k in ks}
-    _primes_for_indices(cache, n_max + 1)
+    rp._table_to_index(cache, n_max + 1)
     pi = cache.get(max(t.values[-1] for t in tables.values()) + 1)
-    pvals = _prime_values(pi, np.arange(1, n_max + 1, dtype=np.int64))
+    pvals = pi.nth_prime(np.arange(1, n_max + 1, dtype=np.int64))
     arrs = {k: np.asarray(t.values, dtype=np.int64)
             for k, t in tables.items()}
 
@@ -609,11 +577,10 @@ def _run_gamma_difference(cache, limit, mmax, rng):
                                        eps3=eps, delta1=eps, delta2=eps)
         n_hi = n2 + window
         table = rp.ramanujan_prefix(k, n_hi, cache)
-        idx = np.array([rp._p_index(k, n) for n in range(n2, n_hi + 1)],
-                       dtype=np.int64)
-        pidx = _prime_values(_primes_for_indices(cache, int(idx[-1])), idx)
-        rv = np.asarray(table.values[n2 - 1:], dtype=np.int64)
         nn = np.arange(n2, n_hi + 1, dtype=np.int64)
+        idx = rp._p_index(k, nn)
+        pidx = rp._table_to_index(cache, int(idx[-1])).nth_prime(idx)
+        rv = np.asarray(table.values[n2 - 1:], dtype=np.int64)
         diff = rv - pidx
         bad = np.flatnonzero(diff >= gamma * nn)
         failures += [f"k={k}, n={int(nn[j])}: R_n - p_ceil(kn/(k-1)) = "

@@ -474,6 +474,20 @@ def test_n_threshold_errors(cache):
         n_threshold("n0", pi, k=2, t=-2, profile="P1")
 
 
+def test_n_threshold_rejects_unknown_keys(cache):
+    """A misspelt key is an error, not a silent fall back to a default."""
+    pi = cache.get(10 ** 6)
+    assert n_threshold("n0", pi, k=2, t=1, profile="P2") == 12091
+    with pytest.raises(TypeError, match="prof"):
+        n_threshold("n0", pi, k=2, t=1, prof="P2")
+    with pytest.raises(TypeError, match="eps3"):
+        n_threshold("n1", pi, k=2, eps1=0, eps2=Fraction(5, 19), eps3=0)
+    e = 0.5
+    with pytest.raises(TypeError, match="bl"):
+        n_threshold("n2", pi, k=2, bl=1.2, eps1=e, eps2=e, eps3=e,
+                    delta1=e, delta2=e)
+
+
 def test_n3_needs_enough_primes(cache):
     small = cache.get(2)   # whatever the cache holds is fine; build tiny
     from ramanujan_primes import build_table

@@ -11,7 +11,9 @@ import json
 import subprocess
 import sys
 
-from ramanujan_primes import RamanujanTable
+import pytest
+
+from ramanujan_primes import RamanujanTable, bounds
 from ramanujan_primes import ramanujan as rp
 from ramanujan_primes.cli import ENV_CAP, ENV_THREADS, main
 
@@ -120,6 +122,25 @@ def test_const_wrong_param_names_the_key(capsys):
     code, _, err = run(capsys, "const", "--name", "X4", "--params", "q=3")
     assert code == 2
     assert "does not take parameter 'q'" in err
+
+
+def test_const_checks_params_against_the_signature(capsys, monkeypatch):
+    """pi is the table, not a parameter; a TypeError from inside the
+    package is a bug, not a usage error."""
+    code, _, err = run(capsys, "const", "--name", "X4", "--params", "pi=3")
+    assert code == 2
+    assert "does not take parameter 'pi'" in err
+    code, _, err = run(capsys, "const", "--name", "X22", "--params", "k=2")
+    assert code == 2
+    assert ("needs --params eps1=..., eps2=..., eps3=..., delta1=..., "
+            "delta2=...") in err
+
+    def broken(*args, **kwargs):
+        raise TypeError("internal")
+
+    monkeypatch.setattr(bounds, "named_threshold", broken)
+    with pytest.raises(TypeError, match="internal"):
+        main(["const", "--name", "X4", "--params", "k=2"])
 
 
 def test_const_sieves_only_as_far_as_the_threshold_needs(capsys,

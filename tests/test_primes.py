@@ -57,6 +57,8 @@ def test_pi_pins(table):
 def test_nth_prime_pins(table):
     for n, want in NTH_PINS.items():
         assert table.nth_prime(n) == want, f"p_{n}"
+    got = table.nth_prime(np.array(list(NTH_PINS), dtype=np.int64))
+    assert got.tolist() == list(NTH_PINS.values())
 
 
 def test_pi_against_oracle_random(table, oracle_primes):
@@ -95,9 +97,13 @@ def test_pi_is_nondecreasing_and_inverts_nth_prime(table):
 
 
 def test_nth_prime_matches_oracle_everywhere(table, oracle_primes):
-    """p_n from the cached primes array, for every n <= pi(10^6)."""
+    """p_n from the cached primes array, for every n <= pi(10^6), as ints
+    and as one index array; the array covers every index of the table."""
     assert [table.nth_prime(n) for n in range(1, len(oracle_primes) + 1)] \
         == oracle_primes
+    every = np.arange(1, table.prime_count + 1, dtype=np.int64)
+    assert table.nth_prime(every).tolist() \
+        == [table.nth_prime(int(n)) for n in every]
 
 
 def test_nth_prime_range_errors(table):
@@ -105,6 +111,12 @@ def test_nth_prime_range_errors(table):
         table.nth_prime(0)
     with pytest.raises(RangeQueryError):
         table.nth_prime(table.prime_count + 1)
+    # an index array never wraps 0 round to the largest prime
+    for bad in (0, table.prime_count + 1):
+        with pytest.raises(RangeQueryError):
+            table.nth_prime(np.array([5, bad, 7], dtype=np.int64))
+    empty = table.nth_prime(np.array([], dtype=np.int64))
+    assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
 def test_pi_and_is_prime_range_errors(table):

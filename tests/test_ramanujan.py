@@ -15,6 +15,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -313,6 +314,16 @@ def test_empirical_N0_closed_form_region(cache):
 def test_empirical_rejects_bad_probe(cache):
     with pytest.raises(ValueError):
         empirical_N(2, 0, cache)
+
+
+@pytest.mark.parametrize("k", [Fraction(11, 10), Fraction(3, 2), Fraction(2),
+                               Fraction(19, 3), Fraction(746)])
+def test_p_index_array_matches_scalar(k):
+    """ceil(kn/(k-1)) over an int64 array, as _empirical and the campaigns
+    use it, against the scalar form."""
+    n = np.arange(1, 3001, dtype=np.int64)
+    assert ramanujan._p_index(k, n).tolist() \
+        == [ramanujan._p_index(k, int(v)) for v in n]
 
 
 # ---------------------------------------------------------------------------
