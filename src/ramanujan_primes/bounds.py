@@ -23,7 +23,9 @@ Three layers:
  3. certify_tail: the computational certificate.  Given k and n it
     returns an integer X such that pi(x) - pi(x/k) > n for every real
     x >= X, by locating the monotone region of Upsilon_k and pushing
-    Upsilon_k above n + 1 there.
+    Upsilon_k above n + 1 there.  Equal-shape integer arrays of k and n
+    give an array of the same cutoffs from one call: the search steps
+    run in lockstep with numpy, over the same Upsilon expression.
 
 Everything is evaluated in double precision.  Any value used as a cutoff
 or compared against a guarantee is inflated first (relative 1e-9,
@@ -38,6 +40,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
+
+import numpy as np
 
 from .errors import ResourceBudgetError, ThresholdDomainError
 
@@ -60,6 +64,14 @@ def inflate(value: float) -> float:
 # ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------
+
+def _inv_log_sum(coeffs: tuple[float, ...], lg):
+    """sum c_j / lg^j over j >= 1: A or B at the point whose log is lg.
+
+    lg is a float or a float array; the sum runs elementwise alike.
+    """
+    return sum(c / lg ** (j + 1) for j, c in enumerate(coeffs))
+
 
 @dataclass(frozen=True)
 class BoundProfile:
@@ -105,12 +117,10 @@ class BoundProfile:
                              "be >= x0")
 
     def A(self, x: float) -> float:
-        lg = math.log(x)
-        return sum(aj / lg ** (j + 1) for j, aj in enumerate(self.a))
+        return _inv_log_sum(self.a, math.log(x))
 
     def B(self, x: float) -> float:
-        lg = math.log(x)
-        return sum(bj / lg ** (j + 1) for j, bj in enumerate(self.b))
+        return _inv_log_sum(self.b, math.log(x))
 
     def y_threshold(self, s: float) -> float:
         keys = [key for key in self.y_thresholds if key >= s]
@@ -314,14 +324,26 @@ def upsilon(x: float, k, profile: BoundProfile | str) -> float:
         raise ThresholdDomainError(
             f"upsilon: x={x} below validity threshold {lo} "
             f"({profile.name}, k={k})")
-    ax = profile.A(x)
-    bxk = profile.B(x / k)
-    d1 = math.log(x) - 1.0 - ax
-    d2 = math.log(x / k) - 1.0 - bxk
-    if d1 <= 0 or d2 <= 0:
+    return _upsilon_from_logs(x, k, math.log(x), math.log(x / k),
+                              math.log(k), profile)
+
+
+def _upsilon_from_logs(x, k, lx, lxk, lk, profile: BoundProfile):
+    """Upsilon_k(x) given lx = log x, lxk = log(x/k) and lk = log k.
+
+    x, k and the logs are floats or equal-shape float arrays, so the
+    scalar and the batched certificate evaluate one expression.  Raises
+    ThresholdDomainError where either denominator is nonpositive.
+    """
+    ax = _inv_log_sum(profile.a, lx)
+    bxk = _inv_log_sum(profile.b, lxk)
+    d1 = lx - 1.0 - ax
+    d2 = lxk - 1.0 - bxk
+    bad = (d1 <= 0) | (d2 <= 0)
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
         raise ThresholdDomainError(
             f"upsilon: nonpositive denominator at x={x} ({profile.name})")
-    return x / d1 * (1.0 - 1.0 / k - (math.log(k) - ax + bxk) / (k * d2))
+    return x / d1 * (1.0 - 1.0 / k - (lk - ax + bxk) / (k * d2))
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +761,7 @@ def _fprime_threshold(a: tuple[float, ...]) -> float:
     """
     def psi(x):
         lg = math.log(x)
-        return (lg - 2.0 - sum(aj / lg ** (j + 1) for j, aj in enumerate(a))
+        return (lg - 2.0 - _inv_log_sum(a, lg)
                 - sum((j + 1) * aj / lg ** (j + 2) for j, aj in enumerate(a)))
 
     lo, hi = 2.0, 16.0
@@ -754,30 +776,52 @@ def _fprime_threshold(a: tuple[float, ...]) -> float:
     return inflate(hi)
 
 
-def certify_tail(k, n: int, profile: BoundProfile | str = P4,
-                 hard_cap: int = 1 << 62) -> int:
+def _tail_start(kf: float, profile: BoundProfile) -> int:
+    """First integer of the region where Upsilon_k is nondecreasing."""
+    x_lo = max(profile.y_threshold(0.0), kf * profile.x0,
+               kf * x14(kf, profile.b[0]), _fprime_threshold(profile.a))
+    return math.ceil(inflate(x_lo))
+
+
+def _check_certifiable(profile: BoundProfile) -> None:
+    if any(aj < 0 for aj in profile.a) or len(profile.b) != 1:
+        raise ThresholdDomainError(
+            f"certify_tail: profile {profile.name} has no certified "
+            "monotonicity threshold (need a_j >= 0 and a single b term)")
+
+
+def _budget_error(k, n, hi, hard_cap) -> ResourceBudgetError:
+    return ResourceBudgetError(
+        f"certificate for k={k}, n={n} exceeds hard cap {hard_cap}",
+        required=2 * hi, cap=hard_cap)
+
+
+def certify_tail(k, n, profile: BoundProfile | str = P4,
+                 hard_cap: int = 1 << 62):
     """Integer X with pi(x) - pi(x/k) > n for every real x >= X.
 
     Works on profiles with all a_j >= 0 and a single b term, where the
     monotone region of Upsilon_k starts at
     max{Y_0, k*X_0, k*x14(k, b_1), F'-threshold}: there Upsilon_k is
     nondecreasing, so the first integer X with Upsilon_k(X) clearing
-    n + 1 (plus slack) certifies the whole tail.
+    n + 1 (plus slack) certifies the whole tail.  From that start point
+    the cutoff is bracketed by doubling, then found by bisection; past
+    hard_cap it raises ResourceBudgetError.
+
+    k and n may also be equal-shape integer arrays (integer k > 1 each):
+    the same search then runs for every element in lockstep, and an
+    int64 array of the same cutoffs comes back.
     """
     profile = get_profile(profile)
+    if isinstance(k, np.ndarray):
+        return _certify_tail_array(k, n, profile, hard_cap)
     kf = float(k)
     if kf <= 1:
         raise ValueError(f"need k > 1, got {k}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if any(aj < 0 for aj in profile.a) or len(profile.b) != 1:
-        raise ThresholdDomainError(
-            f"certify_tail: profile {profile.name} has no certified "
-            "monotonicity threshold (need a_j >= 0 and a single b term)")
-    b1 = profile.b[0]
-    x_lo = max(profile.y_threshold(0.0), kf * profile.x0,
-               kf * x14(kf, b1), _fprime_threshold(profile.a))
-    start = math.ceil(inflate(x_lo))
+    _check_certifiable(profile)
+    start = _tail_start(kf, profile)
 
     target = float(n + 1)
 
@@ -788,9 +832,7 @@ def certify_tail(k, n: int, profile: BoundProfile | str = P4,
     lo = hi = start
     while not clears(hi):
         if hi >= hard_cap:             # also when start is at or past the cap
-            raise ResourceBudgetError(
-                f"certificate for k={k}, n={n} exceeds hard cap {hard_cap}",
-                required=2 * hi, cap=hard_cap)
+            raise _budget_error(k, n, hi, hard_cap)
         lo = hi
         hi = min(max(2 * hi, 16), hard_cap)
     while hi - lo > 1:
@@ -800,3 +842,54 @@ def certify_tail(k, n: int, profile: BoundProfile | str = P4,
         else:
             lo = mid
     return hi
+
+
+def _certify_tail_array(k: np.ndarray, n: np.ndarray, profile: BoundProfile,
+                        hard_cap: int) -> np.ndarray:
+    """certify_tail at every (k[i], n[i]): each step of the scalar search
+    runs once over all elements still searching."""
+    if not isinstance(n, np.ndarray) or n.shape != k.shape:
+        raise ValueError("k and n must be arrays of one shape")
+    if not (np.issubdtype(k.dtype, np.integer)
+            and np.issubdtype(n.dtype, np.integer)):
+        raise ValueError(f"need integer arrays, got {k.dtype} and {n.dtype}")
+    shape = k.shape
+    k, n = k.astype(np.int64).ravel(), n.astype(np.int64).ravel()
+    if k.size and k.min() <= 1:
+        raise ValueError(f"need k > 1, got {k.min()}")
+    if n.size and n.min() < 0:
+        raise ValueError(f"need n >= 0, got {n.min()}")
+    _check_certifiable(profile)
+    kf = k.astype(np.float64)
+    # log k and the start points as the scalar path computes them
+    lk = np.array([math.log(v) for v in kf.tolist()])
+    start = np.array([_tail_start(v, profile) for v in kf.tolist()],
+                     dtype=np.int64)
+    target = (n + 1).astype(np.float64)
+
+    def clears(x: np.ndarray, sel: np.ndarray) -> np.ndarray:
+        xf = x.astype(np.float64)
+        u = _upsilon_from_logs(xf, kf[sel], np.log(xf), np.log(xf / kf[sel]),
+                               lk[sel], profile)
+        return u >= target[sel] + np.maximum(np.abs(u) * REL_SLACK, ABS_SLACK)
+
+    lo, hi = start.copy(), start.copy()
+    todo = np.arange(k.size)
+    while todo.size:
+        todo = todo[~clears(hi[todo], todo)]
+        capped = todo[hi[todo] >= hard_cap]
+        if capped.size:
+            i = capped[0]
+            raise _budget_error(k[i], n[i], int(hi[i]), hard_cap)
+        lo[todo] = hi[todo]
+        # min(max(2 hi, 16), cap), with 2 hi kept inside int64
+        hi[todo] = np.minimum(np.maximum(
+            2 * np.minimum(hi[todo], (hard_cap + 1) // 2), 16), hard_cap)
+    todo = np.flatnonzero(hi - lo > 1)
+    while todo.size:
+        mid = (lo[todo] + hi[todo]) // 2
+        ok = clears(mid, todo)
+        hi[todo[ok]] = mid[ok]
+        lo[todo[~ok]] = mid[~ok]
+        todo = todo[hi[todo] - lo[todo] > 1]
+    return hi.reshape(shape)

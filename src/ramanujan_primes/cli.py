@@ -14,6 +14,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import bounds, verify
 from . import ramanujan as rp
 from .errors import ResourceBudgetError, ThresholdDomainError
@@ -210,15 +212,10 @@ def _cmd_verify(args, config: CliConfig) -> int:
 def _cmd_mps(args, config: CliConfig) -> int:
     if (args.m is None) == (args.mmax is None):
         raise ValueError("give exactly one of --m or --mmax")
-    cache = rp.TableCache(hard_cap=config.cap)
-    ms = [args.m] if args.m is not None else range(1, args.mmax + 1)
-    worst = EXIT_OK
-    rows = []
-    for m in ms:
-        verdict = rp.mps_holds(m, cache)
-        rows.append(verdict)
-        if not verdict.holds:
-            worst = EXIT_FAILURE
+    ms = (np.array([args.m], dtype=np.int64) if args.m is not None
+          else np.arange(1, args.mmax + 1, dtype=np.int64))
+    rows = rp.mps_holds(ms, rp.TableCache(hard_cap=config.cap))
+    worst = EXIT_OK if all(v.holds for v in rows) else EXIT_FAILURE
     if config.fmt == "json":
         print(json.dumps([{"m": v.m, "verdict": v.verdict, "n0": v.n0,
                            "r_value": v.r_value,

@@ -26,11 +26,11 @@ whole scan:
 So each scan costs a few machine words per prime below X instead of
 per integer.  It need not start at j = 0 either: S[j] <= f*(c_j) <= j,
 so S[j] >= n forces j >= n, and the suffix minima over a window
-[first, J] are S itself there.  R_n for n >= n_min therefore needs f*
-only at the candidates j >= n_min (mps_holds reads R_{m-1}^(m) alone),
-and pi_k(x) only at j >= pi(x), where it is the window minimum.  A scan
-is complete only below a cutoff X for which the tail x >= X is PROVEN
-safe; bounds.certify_tail supplies that proof.
+[first, J] are S itself there.  pi_k(x) needs f* only at j >= pi(x),
+where it is the window minimum, and R_{m-1}^(m) only at j >= m - 1:
+mps_holds lays those windows for many m end to end and scans them in
+one pass.  A scan is complete only below a cutoff X for which the tail
+x >= X is PROVEN safe; bounds.certify_tail supplies that proof.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import bounds
 from .errors import ResourceBudgetError, ThresholdDomainError
-from .primes import PrimeTable, build_table
+from .primes import SEGMENT_SIZE, PrimeTable, build_table
 from .rational import ceil_div, parse_k
 
 __all__ = [
@@ -214,18 +214,14 @@ def _candidate_suffix_min(k: Fraction, cutoff: int, pi: PrimeTable,
     return primes, np.minimum.accumulate(fstar[::-1])[::-1]
 
 
-def _scan(k: Fraction, n_max: int, cutoff: int, pi: PrimeTable,
-          n_min: int = 1) -> list[int]:
-    """R_{n_min}..R_{n_max} assuming no m >= cutoff has f*(m) < n_max.
-
-    S[j] >= n forces j >= n, so the candidates below n_min never matter.
-    """
-    primes, sufmin = _candidate_suffix_min(k, cutoff, pi, n_min)
-    j = np.searchsorted(sufmin, np.arange(n_min, n_max + 1), side="left")
-    if n_max >= n_min and j[-1] == len(sufmin):
+def _scan(k: Fraction, n_max: int, cutoff: int, pi: PrimeTable) -> list[int]:
+    """R_1..R_{n_max} assuming no m >= cutoff has f*(m) < n_max."""
+    primes, sufmin = _candidate_suffix_min(k, cutoff, pi)
+    j = np.searchsorted(sufmin, np.arange(1, n_max + 1), side="left")
+    if j[-1] == len(sufmin):
         raise AssertionError(
             f"scan for k={k} hit its own cutoff {cutoff}; certificate broken")
-    return primes[j + n_min - 1].tolist()             # R_n = p_{n_min + j}
+    return primes[j - 1].tolist()                     # R_n = p_j
 
 
 def _pi_k_array(k: Fraction, x: int, cache: TableCache, profile,
@@ -395,22 +391,41 @@ def empirical_N0(k, n_probe: int, cache: TableCache | None = None,
 # the interval conjecture reduction
 # ---------------------------------------------------------------------------
 
-def mps_holds(m: int, cache: TableCache | None = None,
-              profile=bounds.P4) -> MpsVerdict:
+def mps_holds(m, cache: TableCache | None = None, profile=bounds.P4):
     """Verdict for: pi(m*n) - pi(n) >= m - 1 for every n >= ceil(1.1 log 2.5m).
 
     Reduction: if R_{m-1}^(m) <= m * n0 the claim holds for every
     n >= n0 at once; otherwise each n up to ceil(R/m) is checked
     directly and beyond that the definition of R_{m-1}^(m) takes over.
+
+    m is an int, giving one MpsVerdict, or an int64 array, giving a list
+    of verdicts in its order: all its m are certified by one
+    certify_tail call and scanned in one pass by _mps_r_values.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    n0 = math.ceil(1.1 * math.log(2.5 * m))
-    if m == 1:
-        return MpsVerdict(m=1, verdict="holds-certified", n0=n0)
+    if not isinstance(m, np.ndarray):
+        return mps_holds(np.array([m], dtype=np.int64), cache, profile)[0]
+    if not np.issubdtype(m.dtype, np.integer):
+        raise ValueError(f"need an integer array of m, got {m.dtype}")
+    ms = m.astype(np.int64).ravel()
+    if ms.size and ms.min() < 1:
+        raise ValueError(f"need m >= 1, got {ms.min()}")
     cache = _as_cache(cache)
-    cutoff = bounds.certify_tail(m, m - 1, profile, hard_cap=cache.hard_cap)
-    rv = _scan(Fraction(m), m - 1, cutoff, cache.get(cutoff), n_min=m - 1)[0]
+    rvals = np.zeros_like(ms)
+    big = ms > 1                      # m = 1 holds with nothing to scan
+    if big.any():
+        cutoffs = bounds.certify_tail(ms[big], ms[big] - 1, profile,
+                                      hard_cap=cache.hard_cap)
+        rvals[big] = _mps_r_values(ms[big], cutoffs,
+                                   cache.get(int(cutoffs.max())))
+    verdicts = []
+    for mv, rv in zip(ms.tolist(), rvals.tolist()):
+        n0 = math.ceil(1.1 * math.log(2.5 * mv))
+        verdicts.append(_mps_verdict(mv, n0, rv, cache) if mv > 1 else
+                        MpsVerdict(m=1, verdict="holds-certified", n0=n0))
+    return verdicts
+
+
+def _mps_verdict(m: int, n0: int, rv: int, cache: TableCache) -> MpsVerdict:
     if rv <= m * n0:
         return MpsVerdict(m=m, verdict="holds-certified", n0=n0, r_value=rv)
     n_hi = ceil_div(rv, m)
@@ -420,3 +435,41 @@ def mps_holds(m: int, cache: TableCache | None = None,
             return MpsVerdict(m=m, verdict="fails", n0=n0, r_value=rv,
                               counterexample=(m, n))
     return MpsVerdict(m=m, verdict="holds-scanned", n0=n0, r_value=rv)
+
+
+def _mps_r_values(ms: np.ndarray, cutoffs: np.ndarray,
+                  pi: PrimeTable) -> np.ndarray:
+    """R_{m-1}^(m) for each m >= 2, given cutoffs certified for n = m - 1.
+
+    m's window holds the candidates j in [m - 1, J_m], J_m = #{p < cutoff}
+    (c_j = p_{j+1} - 1, and cutoff - 1 for j = J_m).  R_{m-1}^(m) = p_j for
+    the first j with S[j] >= m - 1: one past the last candidate with
+    f*(c_j) < m - 1, or m - 1 if there is none.  The windows are laid end
+    to end and evaluated SEGMENT_SIZE candidates at a time.
+    """
+    top = int(cutoffs.max())
+    primes = pi.primes_array(0, top)
+    ends = np.append(primes, top)              # c_j + 1 = min(ends[j], cutoff)
+    size = np.searchsorted(primes, cutoffs) - ms + 2       # J_m - m + 2
+    stop = np.cumsum(size)
+    start, first = stop - size, ms - 1
+    bad = np.full(ms.size, -1)       # last window offset with f* < m - 1
+    for lo in range(0, int(stop[-1]), SEGMENT_SIZE):
+        i = np.arange(lo, min(lo + SEGMENT_SIZE, int(stop[-1])))
+        w = np.searchsorted(stop, i, side="right")          # window of i
+        i -= start[w]                                       # j - (m - 1)
+        q = np.minimum(ends[i + first[w]], cutoffs[w])
+        q -= 1
+        q //= ms[w]                   # f*(c_j) = j - pi(q) < m - 1 iff:
+        hit = np.flatnonzero(i < np.searchsorted(primes, q, side="right"))
+        if hit.size:
+            hw = w[hit]
+            tail = np.append(hw[1:] != hw[:-1], True)   # each window's last
+            bad[hw[tail]] = i[hit[tail]]
+    broken = np.flatnonzero(bad == size - 1)
+    if broken.size:
+        b = broken[0]
+        raise AssertionError(
+            f"scan for k={ms[b]} hit its own cutoff {cutoffs[b]}; "
+            "certificate broken")
+    return primes[first + bad]                 # R = p_{m + bad}

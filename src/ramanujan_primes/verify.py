@@ -406,8 +406,8 @@ def _run_mps_scan(cache, limit, mmax, rng):
     params = {"m_max": m_max}
     failures, exceptions = [], []
     certified = scanned = 0
-    for m in range(1, m_max + 1):
-        verdict = rp.mps_holds(m, cache)
+    ms = np.arange(1, m_max + 1, dtype=np.int64)
+    for verdict in rp.mps_holds(ms, cache):
         if verdict.verdict == "fails":
             cm, cn = verdict.counterexample
             failures.append(f"m={cm}: pi(mn)-pi(n) < m-1 at n={cn}")
@@ -427,7 +427,6 @@ def _run_section2_properties(cache, limit, mmax, rng):
               "pair_bound": 1000}
     failures, cases = [], 0
     tables = {k: rp.ramanujan_prefix(k, n_max, cache) for k in ks}
-    rp._table_to_index(cache, n_max + 1)
     pi = cache.get(max(t.values[-1] for t in tables.values()) + 1)
     pvals = pi.nth_prime(np.arange(1, n_max + 1, dtype=np.int64))
     arrs = {k: np.asarray(t.values, dtype=np.int64)

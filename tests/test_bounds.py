@@ -533,11 +533,18 @@ def test_certify_tail_rejects_unsupported_profiles():
         certify_tail(2, 10, P2)   # negative a_1
     with pytest.raises(ThresholdDomainError):
         certify_tail(2, 10, P1)   # two b terms
+    with pytest.raises(ThresholdDomainError):
+        certify_tail(np.array([2]), np.array([10]), P1)
 
 
 def test_certify_tail_budget():
     with pytest.raises(ResourceBudgetError) as info:
         certify_tail(2, 10 ** 6, hard_cap=10 ** 6)
+    assert info.value.cap == 10 ** 6
+    assert info.value.required > 10 ** 6
+    with pytest.raises(ResourceBudgetError) as info:
+        certify_tail(np.array([2, 2]), np.array([10, 10 ** 6]),
+                     hard_cap=10 ** 6)
     assert info.value.cap == 10 ** 6
     assert info.value.required > 10 ** 6
 
@@ -547,6 +554,30 @@ def test_certify_tail_input_validation():
         certify_tail(1, 5)
     with pytest.raises(ValueError):
         certify_tail(2, -1)
+    with pytest.raises(ValueError):
+        certify_tail(np.array([3, 1]), np.array([5, 5]))
+    with pytest.raises(ValueError):
+        certify_tail(np.array([2, 2]), np.array([5, -1]))
+    with pytest.raises(ValueError):
+        certify_tail(np.array([2, 2]), np.array([5]))
+    with pytest.raises(ValueError):
+        certify_tail(np.array([2.5]), np.array([5]))
+
+
+def test_certify_tail_array_matches_scalar():
+    """The batched search gives the scalar cutoff at every element: all
+    2 <= m <= 10^4 at n = m - 1, as mps_holds asks, and one k at many n."""
+    m = np.arange(2, 10001, dtype=np.int64)
+    got = certify_tail(m, m - 1)
+    assert got.dtype == np.int64
+    assert got.tolist() == [certify_tail(v, v - 1) for v in range(2, 10001)]
+    n = np.array([[0, 1, 100], [37097, 10 ** 5, 10 ** 6]])
+    got = certify_tail(np.full(n.shape, 2), n)
+    assert got.shape == n.shape
+    assert got.tolist() == [[certify_tail(2, int(v)) for v in row]
+                            for row in n]
+    empty = np.array([], dtype=np.int64)
+    assert certify_tail(empty, empty).tolist() == []
 
 
 def test_inflate_is_conservative():

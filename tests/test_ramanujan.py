@@ -26,7 +26,8 @@ from ramanujan_primes import (MpsVerdict, NEstimate, RamanujanTable,
                               empirical_N0, mps_holds, pi_k, ramanujan_prefix,
                               ramanujan_upto, rho_k)
 from ramanujan_primes.bounds import certify_tail
-from ramanujan_primes.ramanujan import PROOF_ANALYTIC, PROOF_SCAN, _scan
+from ramanujan_primes.ramanujan import (PROOF_ANALYTIC, PROOF_SCAN,
+                                        _candidate_suffix_min)
 
 
 def naive_table(k: Fraction, n_max: int, primes, bound: int) -> list[int]:
@@ -347,10 +348,39 @@ def test_mps_pins(cache):
 
 
 def test_mps_reads_the_last_prefix_value(cache):
-    """mps_holds's single-value scan gives R_{m-1}^(m) of the full prefix."""
-    for m in [*range(2, 301), 9973, 10000]:
-        assert mps_holds(m, cache).r_value \
-            == ramanujan_prefix(m, m - 1, cache).values[-1], m
+    """mps_holds's batched scan gives R_{m-1}^(m) of the full prefix."""
+    ms = np.array([*range(2, 301), 9973, 10000], dtype=np.int64)
+    verdicts = mps_holds(ms, cache)
+    assert [v.m for v in verdicts] == ms.tolist()
+    for v in verdicts:
+        assert v.r_value \
+            == ramanujan_prefix(v.m, v.m - 1, cache).values[-1], v.m
+
+
+def test_mps_array_edge_cases(cache):
+    """An empty array, and m = 1 among others, give the scalar answers."""
+    assert mps_holds(np.array([], dtype=np.int64), cache) == []
+    ms = [1, 168, 1, 2, 168]
+    assert mps_holds(np.array(ms, dtype=np.int64), cache) \
+        == [mps_holds(m, cache) for m in ms]
+    with pytest.raises(ValueError):
+        mps_holds(np.array([3, 0, 5], dtype=np.int64), cache)
+    with pytest.raises(ValueError):
+        mps_holds(np.array([2.5]), cache)
+
+
+def test_mps_chunks_give_the_same_verdicts(cache, monkeypatch):
+    """Segments of a few hundred candidates split windows across chunks."""
+    ms = np.arange(1, 3001, dtype=np.int64)
+    whole = mps_holds(ms, cache)
+    monkeypatch.setattr(ramanujan, "SEGMENT_SIZE", 300)
+    assert mps_holds(ms, cache) == whole
+
+
+def test_mps_budget_error():
+    with pytest.raises(ResourceBudgetError):
+        mps_holds(np.arange(2, 10001, dtype=np.int64),
+                  TableCache(hard_cap=10 ** 5))
 
 
 class _UndercountingCache:
@@ -368,7 +398,8 @@ class _UndercountingCache:
 
 def test_mps_scans_past_a_large_r(cache, monkeypatch):
     """R above m * n0 sends mps_holds to its direct check of each n."""
-    monkeypatch.setattr(ramanujan, "_scan", lambda *args, **kw: [1000])
+    monkeypatch.setattr(ramanujan, "_mps_r_values",
+                        lambda ms, *args: np.full(ms.shape, 1000))
     v = mps_holds(50, cache)
     assert (v.verdict, v.n0, v.r_value, v.counterexample) \
         == ("holds-scanned", 6, 1000, None)
@@ -380,15 +411,16 @@ def test_mps_scans_past_a_large_r(cache, monkeypatch):
 
 
 def test_windowed_scan_matches_full_scan(cache):
+    """The window's suffix minima equal the full S from first on."""
     for ks, n_max in (("11/10", 2000), ("3/2", 3000), ("2", 5000),
                       ("7", 500)):
         k = Fraction(ks)
         cutoff = certify_tail(k, n_max)
         pi = cache.get(cutoff)
-        full = _scan(k, n_max, cutoff, pi)
-        for n_min in (1, 2, n_max // 3, n_max - 1, n_max):
-            assert _scan(k, n_max, cutoff, pi, n_min) == full[n_min - 1:], \
-                (ks, n_min)
+        full = _candidate_suffix_min(k, cutoff, pi)[1]
+        for first in (1, 2, n_max // 3, n_max - 1, n_max):
+            window = _candidate_suffix_min(k, cutoff, pi, first)[1]
+            assert np.array_equal(window, full[first:]), (ks, first)
 
 
 def test_mps_against_direct_counts(cache, oracle_primes):

@@ -15,8 +15,9 @@ import re
 
 import pytest
 
-from ramanujan_primes import (CampaignReport, campaign_ids, reports_to_csv,
-                              reports_to_json, run_all, run_campaign)
+from ramanujan_primes import (CampaignReport, TableCache, campaign_ids,
+                              reports_to_csv, reports_to_json, run_all,
+                              run_campaign)
 
 ALL_IDS = [
     "sondow-gap", "upper-48-19", "lemma34-sweep", "eq431-range",
@@ -87,6 +88,14 @@ def test_mps_scan_accounts_for_every_m(cache):
     report = run_campaign("mps-scan", cache, mmax=40)
     assert report.passed and report.cases == 40
     assert report.params["certified"] + report.params["scanned"] == 40
+
+
+@pytest.mark.parametrize("limit", [None, 50, 2000])
+def test_section2_properties_table_limit(limit):
+    """On a fresh cache the campaign's prefixes need no more than the
+    initial 2^20 sieve."""
+    report = run_campaign("section2-properties", TableCache(), limit=limit)
+    assert report.passed and report.table_limit == 1 << 20
 
 
 def test_seed_controls_the_sampled_k(cache):
