@@ -1,16 +1,16 @@
-"""Segmented sieve of Eratosthenes with checkpointed prime counting.
+"""Segmented odd-only sieve of Eratosthenes with checkpointed prime counting.
 
-A PrimeTable stores one bit per integer in [0, limit] plus a cumulative
-prime count at every 2^16 boundary, so pi(x) is a checkpoint lookup plus
-an np.bitwise_count over at most 8 KiB.  The primes themselves sit in a
-single int64 array that the table builds on first use: nth_prime reads
-it by index (an int or an index array), primes_array by value range.
-Tables live in memory only: sieving costs a few nanoseconds per integer,
-so there is no file format to keep.  Tables are immutable once built and
-safe to share between threads; every query outside [0, limit] (or an
-index outside [1, prime_count]) is a hard error because silently
-extrapolating would invalidate the certificates built on top of these
-counts.
+A PrimeTable stores one bit per odd integer in [0, limit] (1/16 byte per
+integer; 2 is implicit) plus a cumulative prime count at every 2^16
+boundary, so pi(x) is a checkpoint lookup plus an np.bitwise_count over
+at most 4 KiB.  The primes themselves sit in a single int64 array that
+the table builds on first use: nth_prime reads it by index (an int or an
+index array), primes_array by value range.  Tables live in memory only:
+sieving costs a few nanoseconds per integer, so there is no file format
+to keep.  Tables are immutable once built and safe to share between
+threads; every query outside [0, limit] (or an index outside
+[1, prime_count]) is a hard error because silently extrapolating would
+invalidate the certificates built on top of these counts.
 """
 
 from __future__ import annotations
@@ -23,8 +23,16 @@ from .errors import RangeQueryError
 
 __all__ = ["PrimeTable", "build_table", "SEGMENT_SIZE", "CHECKPOINT_SPAN"]
 
-SEGMENT_SIZE = 1 << 20      # values sieved per segment
+# values per sieve segment: SEGMENT_SIZE / 2 odd slots, SEGMENT_SIZE / 16 table
+# bytes; ramanujan._mps_r_values also evaluates this many candidates at a time
+SEGMENT_SIZE = 1 << 20
 CHECKPOINT_SPAN = 1 << 16   # one cumulative pi checkpoint per this many values
+_BLOCK_BYTES = CHECKPOINT_SPAN >> 4   # table bytes per checkpoint block
+
+# row b: the 0/1 flags of the 16 values [16b, 16b + 16) whose odd bits are b
+_ODD_EXPAND = np.zeros((256, 16), dtype=np.uint8)
+_ODD_EXPAND[:, 1::2] = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 
 
 def _small_sieve(limit: int) -> np.ndarray:
@@ -40,19 +48,23 @@ def _small_sieve(limit: int) -> np.ndarray:
 class PrimeTable:
     """Immutable prime table over [0, limit] with O(checkpoint) pi queries.
 
-    nth_prime and primes_array read one read-only int64 array of every
-    prime <= limit, built segment by segment on first use, so a table
-    that only answers pi() never pays for it.  Two threads may build it
-    at the same time; both build identical arrays and either may be
-    kept, so the race is benign.
+    Bit i of the table stands for the odd integer 2i + 1; 2 is the one
+    even prime and is answered without a bit.  nth_prime and
+    primes_array read one read-only int64 array of every prime <= limit,
+    built segment by segment on first use, so a table that only answers
+    pi() never pays for it.  Two threads may build it at the same time;
+    both build identical arrays and either may be kept, so the race is
+    benign.
     """
 
     __slots__ = ("limit", "prime_count", "_bits", "_checkpoints", "_primes")
 
     def __init__(self, limit: int, bits: np.ndarray, checkpoints: np.ndarray):
         self.limit = limit
-        self._bits = bits              # packed little-endian, bit v of byte v>>3
-        self._checkpoints = checkpoints  # checkpoints[j] = #{p prime : p < j * 2^16}
+        # packed little-endian: bit i (bit i & 7 of byte i >> 3) is 2i + 1
+        self._bits = bits
+        # checkpoints[j] = #{p odd prime : p < j * 2^16}
+        self._checkpoints = checkpoints
         self.prime_count = self.pi(limit)
         self._primes: np.ndarray | None = None
 
@@ -65,18 +77,24 @@ class PrimeTable:
 
     def is_prime(self, x: int) -> bool:
         self._check_range(x)
-        return bool((self._bits[x >> 3] >> (x & 7)) & 1)
+        if not x & 1:
+            return x == 2
+        i = x >> 1
+        return bool((self._bits[i >> 3] >> (i & 7)) & 1)
 
     def pi(self, x: int) -> int:
         """Number of primes <= x."""
         self._check_range(x)
+        if x < 2:
+            return 0
         block = x >> 16
-        count = int(self._checkpoints[block])
-        lo_byte = block << 13          # (block * 2^16) / 8
-        hi_byte = (x + 1) >> 3
+        count = 1 + int(self._checkpoints[block])     # 1 for the prime 2
+        slots = (x + 1) >> 1                          # odd numbers <= x
+        lo_byte = block * _BLOCK_BYTES
+        hi_byte = slots >> 3
         if hi_byte > lo_byte:
             count += int(np.bitwise_count(self._bits[lo_byte:hi_byte]).sum())
-        rem = (x + 1) & 7
+        rem = slots & 7
         if rem:
             count += (int(self._bits[hi_byte]) & ((1 << rem) - 1)).bit_count()
         return count
@@ -102,9 +120,14 @@ class PrimeTable:
             raise RangeQueryError(f"[{lo}, {hi}) outside [0, {self.limit + 1})")
         if lo & 7:
             raise ValueError("lo must be byte-aligned (multiple of 8)")
-        nbytes = (hi - lo + 7) >> 3
-        chunk = self._bits[lo >> 3: (lo >> 3) + nbytes]
-        return np.unpackbits(chunk, bitorder="little")[: hi - lo]
+        # byte b expands to the 16 values [16b, 16b + 16); lo = 8 (mod 16)
+        # starts at bit 4 of its byte
+        chunk = self._bits[lo >> 4:(hi + 15) >> 4]
+        out = np.take(_ODD_EXPAND, chunk, axis=0).reshape(-1)
+        out = out[lo & 15:(lo & 15) + hi - lo]
+        if lo <= 2 < hi:
+            out[2 - lo] = 1
+        return out
 
     def pi_cumulative(self, hi: int, dtype=np.int64) -> np.ndarray:
         """Array A with A[x] = pi(x) for all 0 <= x < hi."""
@@ -126,10 +149,14 @@ class PrimeTable:
         primes = self._primes
         if primes is None:
             primes = np.empty(self.prime_count, dtype=np.int64)
-            pos = 0
-            for lo in range(0, self.limit + 1, SEGMENT_SIZE):
-                hi = min(lo + SEGMENT_SIZE, self.limit + 1)
-                seg = np.flatnonzero(self.indicator(lo, hi).view(bool)) + lo
+            primes[0] = 2
+            pos = 1
+            seg_bytes = SEGMENT_SIZE >> 4
+            for b_lo in range(0, len(self._bits), seg_bytes):
+                flags = np.unpackbits(self._bits[b_lo:b_lo + seg_bytes],
+                                      bitorder="little")
+                seg = np.flatnonzero(flags.view(bool))
+                seg = 2 * seg + (16 * b_lo + 1)
                 primes[pos:pos + len(seg)] = seg
                 pos += len(seg)
             primes.flags.writeable = False
@@ -141,38 +168,43 @@ class PrimeTable:
 
 
 def build_table(limit: int) -> PrimeTable:
-    """Sieve [0, limit] segment by segment and return an immutable table."""
+    """Sieve the odd numbers in [0, limit] segment by segment and return an
+    immutable table."""
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
 
-    base = _small_sieve(isqrt(limit))
-    bits = np.zeros(((limit + 1) + 7) >> 3, dtype=np.uint8)
+    odd_base = _small_sieve(isqrt(limit))[1:]
+    slots = (limit + 1) >> 1                 # odd numbers 1, 3, ..., <= limit
+    # byte b holds the odd numbers in [16b, 16b + 16); indicator expands
+    # whole bytes, so there is a byte for every value in [0, limit]
+    bits = np.zeros((limit >> 4) + 1, dtype=np.uint8)
+    checkpoints = np.zeros(-(-len(bits) // _BLOCK_BYTES) + 1, dtype=np.int64)
+    seg_slots = SEGMENT_SIZE >> 1
+    seg = np.empty(seg_slots, dtype=bool)
 
-    for lo in range(0, limit + 1, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE, limit + 1)
-        seg = np.ones(hi - lo, dtype=bool)
-        if lo == 0:
-            seg[:2] = False
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start >= hi:
-                continue
-            seg[start - lo:: p] = False
-        packed = np.packbits(seg, bitorder="little")
-        bits[lo >> 3: (lo >> 3) + len(packed)] = packed
+    for s_lo in range(0, slots, seg_slots):
+        n = min(seg_slots, slots - s_lo)
+        lo = 2 * s_lo                # the segment holds odd v in [lo, lo + 2n)
+        seg[:n] = True
+        if s_lo == 0:
+            seg[0] = False           # 1 is not prime
+        # first odd multiple of p at or past max(p^2, lo), as a slot offset;
+        # consecutive odd multiples sit p slots apart
+        first = -(-lo // odd_base) * odd_base
+        first += odd_base * (first % 2 == 0)
+        offsets = (np.maximum(odd_base * odd_base, first) - lo) >> 1
+        for p, off in zip(odd_base.tolist(), offsets.tolist()):
+            if off < n:
+                seg[off:n:p] = False
+        packed = np.packbits(seg[:n], bitorder="little")
+        b_lo = s_lo >> 3
+        bits[b_lo:b_lo + len(packed)] = packed
+        # seg_slots is a whole number of blocks, so each segment fills its own
+        blocks = np.add.reduceat(np.bitwise_count(packed),
+                                 np.arange(0, len(packed), _BLOCK_BYTES),
+                                 dtype=np.int64)
+        j = b_lo // _BLOCK_BYTES
+        checkpoints[j + 1:j + 1 + len(blocks)] = blocks
 
-    # mask stray bits beyond limit in the last byte
-    rem = (limit + 1) & 7
-    if rem:
-        bits[-1] &= (1 << rem) - 1
-
-    # one uint8 popcount per byte, zero-padded to whole blocks; the row sums
-    # cast to int64 in small buffered chunks, never the whole array at once
-    block_bytes = CHECKPOINT_SPAN >> 3
-    counts = np.zeros(-(-len(bits) // block_bytes) * block_bytes, dtype=np.uint8)
-    np.bitwise_count(bits, out=counts[:len(bits)])
-    checkpoints = np.zeros(len(counts) // block_bytes + 1, dtype=np.int64)
-    np.cumsum(counts.reshape(-1, block_bytes).sum(axis=1, dtype=np.int64),
-              out=checkpoints[1:])
+    np.cumsum(checkpoints, out=checkpoints)
     return PrimeTable(limit, bits, checkpoints)

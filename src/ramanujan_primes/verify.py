@@ -9,8 +9,11 @@ gap) are confirmed and recorded separately, and their absence is itself
 a failure.
 
 Campaigns are deterministic: given the same parameters they produce the
-same report regardless of thread count, because every runner is a pure
-computation over a shared grow-only prime table.
+same verdicts, cases, failures and params regardless of thread count,
+because every runner is a pure computation over a shared grow-only prime
+table.  Two fields are not: elapsed_s, and table_limit, which is the
+shared table's limit when the campaign ended, so with more than one
+thread it depends on how far the other campaigns had grown the table.
 """
 
 from __future__ import annotations

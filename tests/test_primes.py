@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
 import pytest
 
+from conftest import slow_primes
 from ramanujan_primes import RangeQueryError
-from ramanujan_primes.primes import CHECKPOINT_SPAN, build_table
+from ramanujan_primes.primes import CHECKPOINT_SPAN, SEGMENT_SIZE, build_table
 
 # pi(x) at the checkpoints the rest of the suite leans on, computed from
 # the oracle sieve and frozen
@@ -74,13 +76,68 @@ def test_pi_at_checkpoint_boundaries(table, oracle_primes):
             assert table.pi(x) == bisect_right(oracle_primes, x)
 
 
-@pytest.mark.parametrize("limit", [2, 9, 65535, 65536, 65537, 131079])
+@pytest.mark.parametrize("limit", [2, 3, 4, 9, 15, 16, 17, 65535, 65536,
+                                   65537, 131071, 131073, 131079])
 def test_pi_at_every_x_across_partial_bytes_and_blocks(limit, oracle_primes):
-    """A partial last byte, an exact 2^16 block end, a one-value last block."""
+    """A partial last byte (of 8 odd slots, 16 values), an exact 2^16 block
+    end, a one-value last block; pi, is_prime and pi_cumulative at every x."""
     t = build_table(limit)
     want = np.searchsorted(oracle_primes, np.arange(limit + 1), side="right")
     assert [t.pi(x) for x in range(limit + 1)] == want.tolist()
     assert t.prime_count == want[-1]
+    assert t.pi_cumulative(limit + 1).tolist() == want.tolist()
+    members = set(oracle_primes[:t.prime_count])
+    assert [t.is_prime(x) for x in range(limit + 1)] \
+        == [x in members for x in range(limit + 1)]
+
+
+@pytest.fixture(scope="module")
+def primes_past_two_segments():
+    return slow_primes(2 * SEGMENT_SIZE + 1)
+
+
+@pytest.mark.parametrize("limit", [SEGMENT_SIZE - 1, SEGMENT_SIZE,
+                                   SEGMENT_SIZE + 1, 2 * SEGMENT_SIZE - 1,
+                                   2 * SEGMENT_SIZE + 1])
+def test_limits_at_sieve_segment_boundaries(limit, primes_past_two_segments):
+    """A table ending on either side of a sieve segment end, against the
+    oracle sieve run past the package's oracle range."""
+    want = [p for p in primes_past_two_segments if p <= limit]
+    t = build_table(limit)
+    assert t.primes_array().tolist() == want
+    assert t.prime_count == len(want)
+    members = set(want)
+    edges = [b + d for b in range(0, limit + 1, SEGMENT_SIZE)
+             for d in (-1, 0, 1)] + [limit - 1, limit]
+    for x in (x for x in edges if 0 <= x <= limit):
+        assert t.pi(x) == bisect_right(want, x), f"pi({x})"
+        assert t.is_prime(x) == (x in members), f"is_prime({x})"
+
+
+def test_even_numbers_are_prime_only_at_two(table):
+    assert [x for x in range(0, 300, 2) if table.is_prime(x)] == [2]
+
+
+@pytest.mark.parametrize("lo", [0, 8, 16, 24, 65528, 65536])
+def test_indicator_at_half_byte_offsets(table, oracle_primes, lo):
+    """lo = 8 (mod 16) starts halfway through a table byte."""
+    members = set(oracle_primes)
+    for hi in (lo, lo + 1, lo + 2, lo + 3, lo + 9, lo + 17, lo + 1000):
+        want = [int(x in members) for x in range(lo, hi)]
+        assert table.indicator(lo, hi).tolist() == want, f"[{lo}, {hi})"
+
+
+def test_build_table_peak_memory_within_twice_the_table():
+    """The sieve's transients stay per segment: tracemalloc's peak over a
+    10^8 build is at most twice the table it returns."""
+    tracemalloc.start()
+    try:
+        t = build_table(10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.prime_count == 5761455
+    assert peak <= 2 * t._bits.nbytes
 
 
 def test_pi_is_nondecreasing_and_inverts_nth_prime(table):
