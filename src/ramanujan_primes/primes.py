@@ -29,7 +29,8 @@ SEGMENT_SIZE = 1 << 20
 CHECKPOINT_SPAN = 1 << 16   # one cumulative pi checkpoint per this many values
 _BLOCK_BYTES = CHECKPOINT_SPAN >> 4   # table bytes per checkpoint block
 
-# row b: the 0/1 flags of the 16 values [16b, 16b + 16) whose odd bits are b
+# _ODD_EXPAND[b]: the 0/1 flags of the 16 values a table byte with bits b
+# stands for; bit j flags value 2j + 1, and even values stay 0
 _ODD_EXPAND = np.zeros((256, 16), dtype=np.uint8)
 _ODD_EXPAND[:, 1::2] = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")

@@ -80,7 +80,8 @@ def test_pi_at_checkpoint_boundaries(table, oracle_primes):
                                    65537, 131071, 131073, 131079])
 def test_pi_at_every_x_across_partial_bytes_and_blocks(limit, oracle_primes):
     """A partial last byte (of 8 odd slots, 16 values), an exact 2^16 block
-    end, a one-value last block; pi, is_prime and pi_cumulative at every x."""
+    end, a one-value last block; pi, is_prime (every even x as well as the
+    odd bits) and pi_cumulative at every x."""
     t = build_table(limit)
     want = np.searchsorted(oracle_primes, np.arange(limit + 1), side="right")
     assert [t.pi(x) for x in range(limit + 1)] == want.tolist()
@@ -101,7 +102,7 @@ def primes_past_two_segments():
                                    2 * SEGMENT_SIZE + 1])
 def test_limits_at_sieve_segment_boundaries(limit, primes_past_two_segments):
     """A table ending on either side of a sieve segment end, against the
-    oracle sieve run past the package's oracle range."""
+    conftest sieve run past the shared oracle's 10^6."""
     want = [p for p in primes_past_two_segments if p <= limit]
     t = build_table(limit)
     assert t.primes_array().tolist() == want
@@ -112,10 +113,6 @@ def test_limits_at_sieve_segment_boundaries(limit, primes_past_two_segments):
     for x in (x for x in edges if 0 <= x <= limit):
         assert t.pi(x) == bisect_right(want, x), f"pi({x})"
         assert t.is_prime(x) == (x in members), f"is_prime({x})"
-
-
-def test_even_numbers_are_prime_only_at_two(table):
-    assert [x for x in range(0, 300, 2) if table.is_prime(x)] == [2]
 
 
 @pytest.mark.parametrize("lo", [0, 8, 16, 24, 65528, 65536])
