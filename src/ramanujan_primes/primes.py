@@ -5,12 +5,15 @@ integer; 2 is implicit) plus a cumulative prime count at every 2^16
 boundary, so pi(x) is a checkpoint lookup plus an np.bitwise_count over
 at most 4 KiB.  The primes themselves sit in a single int64 array that
 the table builds on first use: nth_prime reads it by index (an int or an
-index array), primes_array by value range.  Tables live in memory only:
-sieving costs a few nanoseconds per integer, so there is no file format
-to keep.  Tables are immutable once built and safe to share between
-threads; every query outside [0, limit] (or an index outside
-[1, prime_count]) is a hard error because silently extrapolating would
-invalidate the certificates built on top of these counts.
+index array), primes_array by value range.  A table can grow from a
+smaller one: build_table(limit, base) copies the base's bits, counts and
+primes below its last whole checkpoint block and sieves only the rest.
+Tables live in memory only: sieving costs a few nanoseconds per integer,
+so there is no file format to keep.  Tables are immutable once built and
+safe to share between threads; every query outside [0, limit] (or an
+index outside [1, prime_count]) is a hard error because silently
+extrapolating would invalidate the certificates built on top of these
+counts.
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ _ODD_EXPAND = np.zeros((256, 16), dtype=np.uint8)
 _ODD_EXPAND[:, 1::2] = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 
+# a fresh table's primes array starts with 2, the prime without a bit, and
+# unpacks the table from byte 0 on
+_FRESH_HEAD = (np.array([2], dtype=np.int64), 0)
+_FRESH_HEAD[0].flags.writeable = False
+
 
 def _small_sieve(limit: int) -> np.ndarray:
     """Plain sieve for the base primes up to sqrt of the table limit."""
@@ -58,9 +66,11 @@ class PrimeTable:
     benign.
     """
 
-    __slots__ = ("limit", "prime_count", "_bits", "_checkpoints", "_primes")
+    __slots__ = ("limit", "prime_count", "_bits", "_checkpoints", "_primes",
+                 "_head", "__weakref__")
 
-    def __init__(self, limit: int, bits: np.ndarray, checkpoints: np.ndarray):
+    def __init__(self, limit: int, bits: np.ndarray, checkpoints: np.ndarray,
+                 head: tuple[np.ndarray, int] = _FRESH_HEAD):
         self.limit = limit
         # packed little-endian: bit i (bit i & 7 of byte i >> 3) is 2i + 1
         self._bits = bits
@@ -68,6 +78,9 @@ class PrimeTable:
         self._checkpoints = checkpoints
         self.prime_count = self.pi(limit)
         self._primes: np.ndarray | None = None
+        # (every prime below 16 * b, b): the primes array starts with these
+        # and unpacks the table from byte b on
+        self._head = head
 
     # -- scalar queries ------------------------------------------------
 
@@ -147,13 +160,14 @@ class PrimeTable:
         return primes[np.searchsorted(primes, lo):np.searchsorted(primes, hi)]
 
     def _all_primes(self) -> np.ndarray:
+        head, start = self._head
         primes = self._primes
         if primes is None:
             primes = np.empty(self.prime_count, dtype=np.int64)
-            primes[0] = 2
-            pos = 1
+            pos = len(head)
+            primes[:pos] = head
             seg_bytes = SEGMENT_SIZE >> 4
-            for b_lo in range(0, len(self._bits), seg_bytes):
+            for b_lo in range(start, len(self._bits), seg_bytes):
                 flags = np.unpackbits(self._bits[b_lo:b_lo + seg_bytes],
                                       bitorder="little")
                 seg = np.flatnonzero(flags.view(bool))
@@ -162,15 +176,26 @@ class PrimeTable:
                 pos += len(seg)
             primes.flags.writeable = False
             self._primes = primes
+            # let go of the base's primes; _head is read before _primes
+            # above, so a racing call that sees this head sees the array
+            self._head = _FRESH_HEAD
         return primes
 
     def __repr__(self) -> str:
         return f"PrimeTable(limit={self.limit}, prime_count={self.prime_count})"
 
 
-def build_table(limit: int) -> PrimeTable:
+def build_table(limit: int, base: PrimeTable | None = None) -> PrimeTable:
     """Sieve the odd numbers in [0, limit] segment by segment and return an
-    immutable table."""
+    immutable table.
+
+    With a base table (any limit), the bits, checkpoint counts and primes
+    array below the base's last whole 2^16-value checkpoint block are
+    copied from it and only the rest is sieved: the base's last partial
+    block marks every value past its limit as composite.  The new table
+    never refers to the base, only to the base's primes array, and only
+    until its own is built.
+    """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
 
@@ -180,10 +205,19 @@ def build_table(limit: int) -> PrimeTable:
     # whole bytes, so there is a byte for every value in [0, limit]
     bits = np.zeros((limit >> 4) + 1, dtype=np.uint8)
     checkpoints = np.zeros(-(-len(bits) // _BLOCK_BYTES) + 1, dtype=np.int64)
+    # resume at block j0: the whole blocks the base and the new table share
+    j0 = 0 if base is None else min(base.limit + 1, limit + 1) >> 16
+    b0 = j0 * _BLOCK_BYTES
+    head = _FRESH_HEAD
+    if j0:
+        bits[:b0] = base._bits[:b0]
+        checkpoints[:j0 + 1] = base._checkpoints[:j0 + 1]
+        if base._primes is not None:
+            head = (base._primes[:1 + int(checkpoints[j0])], b0)
     seg_slots = SEGMENT_SIZE >> 1
     seg = np.empty(seg_slots, dtype=bool)
 
-    for s_lo in range(0, slots, seg_slots):
+    for s_lo in range(b0 << 3, slots, seg_slots):
         n = min(seg_slots, slots - s_lo)
         lo = 2 * s_lo                # the segment holds odd v in [lo, lo + 2n)
         seg[:n] = True
@@ -200,12 +234,14 @@ def build_table(limit: int) -> PrimeTable:
         packed = np.packbits(seg[:n], bitorder="little")
         b_lo = s_lo >> 3
         bits[b_lo:b_lo + len(packed)] = packed
-        # seg_slots is a whole number of blocks, so each segment fills its own
+        # segments start on block boundaries and seg_slots is a whole
+        # number of blocks, so each segment fills its own
         blocks = np.add.reduceat(np.bitwise_count(packed),
                                  np.arange(0, len(packed), _BLOCK_BYTES),
                                  dtype=np.int64)
         j = b_lo // _BLOCK_BYTES
         checkpoints[j + 1:j + 1 + len(blocks)] = blocks
 
-    np.cumsum(checkpoints, out=checkpoints)
-    return PrimeTable(limit, bits, checkpoints)
+    # checkpoints[j0] is already cumulative; the blocks past it add up
+    np.cumsum(checkpoints[j0:], out=checkpoints[j0:])
+    return PrimeTable(limit, bits, checkpoints, head)

@@ -152,9 +152,11 @@ class MpsVerdict:
 class TableCache:
     """Grow-on-demand PrimeTable shared between computations.
 
-    The table only ever grows (by doubling, so repeated small bumps do
-    not resieve), and swaps atomically under a lock; readers always see
-    a complete table.  hard_cap bounds the sieve limit.
+    The table only ever grows, by at least doubling so that repeated
+    small bumps rarely grow it, and each growth sieves only past the old
+    table's last whole checkpoint block (build_table's base).  It swaps
+    atomically under a lock; readers always see a complete table.
+    hard_cap bounds the sieve limit.
     """
 
     def __init__(self, hard_cap: int = 1 << 31,
@@ -184,7 +186,7 @@ class TableCache:
                          table.limit * 2 if table is not None else 0,
                          limit)
             target = min(target, self.hard_cap)
-            self._table = build_table(target)
+            self._table = build_table(target, table)
             return self._table
 
 
@@ -265,18 +267,22 @@ def _partial_error(err: ResourceBudgetError, k: Fraction, n_max: int,
     except ThresholdDomainError:        # the cap lies below every certificate
         u = 0.0
     n_ok = min(n_max, max(0, math.floor(u) - 2))
-    partial = None
+    partial, message = None, str(err)
     if n_ok >= 1:
         try:
             cutoff = bounds.certify_tail(k, n_ok, profile, hard_cap=cap)
-            pi = cache.get(cutoff)
         except ResourceBudgetError:
             pass
         else:
-            partial = RamanujanTable(k=k, values=_scan(k, n_ok, cutoff, pi),
-                                     cutoff=cutoff, proof=PROOF_ANALYTIC,
-                                     profile=profile.name)
-    return ResourceBudgetError(str(err), required=err.required,
+            try:
+                values = _scan(k, n_ok, cutoff, cache.get(cutoff))
+            except MemoryError:     # within the cap, but not in this memory
+                message += "; no partial prefix: out of memory"
+            else:
+                partial = RamanujanTable(k=k, values=values, cutoff=cutoff,
+                                         proof=PROOF_ANALYTIC,
+                                         profile=profile.name)
+    return ResourceBudgetError(message, required=err.required,
                                cap=err.cap, partial=partial)
 
 

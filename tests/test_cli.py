@@ -148,9 +148,9 @@ def test_const_sieves_only_as_far_as_the_threshold_needs(capsys,
     """X19 at k = 1000 needs pi at about 1.2e8, not a table up to the cap."""
     build = rp.build_table
 
-    def bounded_build(limit):
+    def bounded_build(limit, base=None):
         assert limit <= 1 << 28, f"sieved to {limit}"
-        return build(limit)
+        return build(limit, base)
 
     monkeypatch.setattr(rp, "build_table", bounded_build)
     params = "k=1000,eps2=0.1,delta1=0.1,delta2=0.1"
@@ -255,6 +255,21 @@ def test_resource_exit_when_cap_too_small(capsys):
                        "--n", "37097")
     assert code == 3
     assert "resource budget exceeded" in err
+
+
+def test_resource_exit_when_partial_prefix_runs_out_of_memory(capsys,
+                                                              monkeypatch):
+    """Past the cap, a partial prefix whose scan does not fit in memory is
+    left out; the run still ends in exit 3, not a MemoryError traceback."""
+    def scan_out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(rp, "_scan", scan_out_of_memory)
+    code, _, err = run(capsys, "--cap", "1000000", "compute", "--k", "2",
+                       "--n", "37097")
+    assert code == 3
+    assert "resource budget exceeded" in err
+    assert "no partial prefix: out of memory" in err
 
 
 def test_env_cap_applies_and_flag_wins(capsys, monkeypatch):

@@ -7,16 +7,19 @@ literals computed once from that oracle and frozen here.
 
 from __future__ import annotations
 
+import gc
+import random
 import sys
 import threading
 import tracemalloc
+import weakref
 from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from conftest import slow_primes
-from ramanujan_primes import RangeQueryError
+from ramanujan_primes import RangeQueryError, TableCache
 from ramanujan_primes.primes import CHECKPOINT_SPAN, SEGMENT_SIZE, build_table
 
 # pi(x) at the checkpoints the rest of the suite leans on, computed from
@@ -212,7 +215,17 @@ def test_primes_array_is_read_only(table):
 
 def test_primes_array_built_concurrently(oracle_primes):
     """Threads racing to build the lazy primes array all read the same."""
-    t = build_table(10 ** 6)
+    _race_primes_array(build_table(10 ** 6), oracle_primes)
+
+
+def test_grown_primes_array_built_concurrently(oracle_primes):
+    """The same race on a grown table, whose array starts from its base's."""
+    base = build_table(300_007)
+    base.primes_array()
+    _race_primes_array(build_table(10 ** 6, base), oracle_primes)
+
+
+def _race_primes_array(t, oracle_primes):
     want = oracle_primes[-1]
     results, errors = [], []
     start = threading.Barrier(8)
@@ -265,6 +278,85 @@ def _is_prime_trial(x: int) -> bool:
             return False
         d += 1
     return True
+
+
+# -- growth: build_table(limit, base) ----------------------------------------
+
+_SEGMENT_CHAINS = [
+    [2, 3, 17, 65535, 65537, 131073],
+    [65537, SEGMENT_SIZE - 1, SEGMENT_SIZE + 1, 2 * SEGMENT_SIZE + 17],
+]
+_rng = random.Random(20261018)
+GROWTH_CHAINS = _SEGMENT_CHAINS + [
+    sorted(_rng.sample(range(2, 3 * SEGMENT_SIZE), 2)) for _ in range(2)]
+
+
+def _assert_same_table(got, want):
+    assert got.limit == want.limit
+    assert got.prime_count == want.prime_count
+    assert np.array_equal(got._bits, want._bits)
+    assert np.array_equal(got._checkpoints, want._checkpoints)
+    assert np.array_equal(got.primes_array(), want.primes_array())
+    n = np.arange(1, want.prime_count + 1, dtype=np.int64)
+    assert np.array_equal(got.nth_prime(n), want.nth_prime(n))
+    assert got.nth_prime(want.prime_count) == want.nth_prime(want.prime_count)
+
+
+def _assert_same_near(got, want, seam):
+    """pi and is_prime at every x within two checkpoint blocks of seam."""
+    lo = max(0, seam - 2 * CHECKPOINT_SPAN)
+    hi = min(want.limit, seam + 2 * CHECKPOINT_SPAN)
+    xs = range(lo, hi + 1)
+    pic = want.pi_cumulative(hi + 1)
+    assert [got.pi(x) for x in xs] == pic[lo:].tolist()
+    assert [got.is_prime(x) for x in xs] == [want.is_prime(x) for x in xs]
+
+
+@pytest.mark.parametrize("base_primes", [False, True],
+                         ids=["bits-only", "primes-built"])
+@pytest.mark.parametrize("chain", GROWTH_CHAINS, ids=str)
+def test_grown_table_equals_fresh(chain, base_primes):
+    """A table grown through a chain of limits is the fresh table, bit for
+    bit, in its checkpoints and its primes.  The seams are the bases'
+    limits; pi and is_prime read only bits and checkpoints, so they are
+    checked near each seam once, in the run without the base's primes."""
+    t = build_table(chain[0])
+    for limit in chain[1:]:
+        if base_primes:
+            t.primes_array()
+        seam = t.limit
+        t = build_table(limit, t)
+        want = build_table(limit)
+        _assert_same_table(t, want)
+        if not base_primes:
+            _assert_same_near(t, want, seam)
+
+
+def test_grown_table_keeps_no_base_alive():
+    """Neither the base table nor, once its own array is built, the base's
+    primes array outlives a growth, so no chain of old tables stays."""
+    base = build_table(3 * CHECKPOINT_SPAN + 5)
+    table_ref = weakref.ref(base)
+    primes_ref = weakref.ref(base._all_primes())
+    grown = build_table(10 * CHECKPOINT_SPAN, base)
+    del base
+    gc.collect()
+    assert table_ref() is None
+    assert primes_ref() is not None          # the head of grown's array
+    grown.primes_array()
+    gc.collect()
+    assert primes_ref() is None
+
+    chain = TableCache(initial_limit=1 << 16)
+    refs = []
+    for limit in (1 << 16, 1 << 18, 1 << 20):
+        t = chain.get(limit)
+        t.primes_array()
+        refs.append(weakref.ref(t))
+    del t
+    gc.collect()
+    assert [r() is None for r in refs] == [True, True, False]
+    assert refs[-1]() is chain.current()
 
 
 def test_build_table_rejects_bad_limit():
