@@ -16,7 +16,7 @@ from .errors import RangeQueryError, ResourceBudgetError, ThresholdDomainError
 from .primes import PrimeTable, build_table
 from .ramanujan import (MpsVerdict, NEstimate, RamanujanTable, TableCache,
                         empirical_N, empirical_N0, mps_holds, pi_k,
-                        ramanujan_prefix, ramanujan_upto, rho_k)
+                        ramanujan_prefix, rho_k)
 from .rational import parse_k, parse_ratio
 from .verify import (CampaignReport, campaign_ids, reports_to_csv,
                      reports_to_json, run_all, run_campaign)
@@ -31,7 +31,7 @@ __all__ = [
     "PrimeTable", "build_table",
     "MpsVerdict", "NEstimate", "RamanujanTable", "TableCache",
     "empirical_N", "empirical_N0", "mps_holds", "pi_k",
-    "ramanujan_prefix", "ramanujan_upto", "rho_k",
+    "ramanujan_prefix", "rho_k",
     "parse_k", "parse_ratio",
     "CampaignReport", "campaign_ids", "reports_to_csv", "reports_to_json",
     "run_all", "run_campaign",

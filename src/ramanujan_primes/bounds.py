@@ -6,8 +6,8 @@ Three layers:
         pi(x) > x/(log x - 1 - A(x)) + s   for x >= Y_s,
         pi(x) < x/(log x - 1 - B(x))       for x >= X_0,
     where A(x) = sum a_j/log^j x and B(x) = sum b_j/log^j x.  The four
-    built-in profiles P1..P4 carry published constants; custom profiles
-    are for callers who trust their own (A, B, thresholds).
+    built-in profiles P1..P4 carry published constants and a closed form
+    for X_1; profile_p4 varies P4's b_1.  The certificate uses P4 alone.
 
     The b_1 = 1.17 upper estimate of P2, P3 and P4 is refuted on
     [59753, 2122756621] despite its floor X_0 = 5.43, so from 59753 on
@@ -22,10 +22,10 @@ Three layers:
 
  3. certify_tail: the computational certificate.  Given k and n it
     returns an integer X such that pi(x) - pi(x/k) > n for every real
-    x >= X, by locating the monotone region of Upsilon_k and pushing
-    Upsilon_k above n + 1 there.  Equal-shape integer arrays of k and n
-    give an array of the same cutoffs from one call: the search steps
-    run in lockstep with numpy, over the same Upsilon expression.
+    x >= X, by locating the monotone region of P4's Upsilon_k and
+    pushing Upsilon_k above n + 1 there.  Equal-shape integer arrays of
+    k and n give an array of the same cutoffs from one call: the search
+    steps run in lockstep with numpy, over the same Upsilon expression.
 
 Everything is evaluated in double precision.  Any value used as a cutoff
 or compared against a guarantee is inflated first (relative 1e-9,
@@ -35,7 +35,6 @@ conservative, never unsound.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,6 +81,9 @@ class BoundProfile:
     stored key >= s: a bound with a larger offset implies every smaller
     one, so this is always sound.
 
+    x1_closed maps k to X_1(k), the least x from which the log-gap
+    predicate log k - B(kx) + A(x) >= 0 holds (r, rtilde, z, ...).
+
     upper_refuted_from, when set, is the least x at which the upper
     estimate x/(log x - 1 - B(x)) is known to fail although x >= X_0.
     From there pi_upper falls back to max(own estimate, P1's), which is
@@ -94,7 +96,7 @@ class BoundProfile:
     b: tuple[float, ...]
     y_thresholds: Mapping[float, float]
     x0: float
-    x1_closed: Callable[[float], float] | None = None
+    x1_closed: Callable[[float], float]
     upper_refuted_from: float | None = None
 
     def __post_init__(self):
@@ -135,38 +137,7 @@ class BoundProfile:
         k = float(k)
         if k <= 1:
             raise ValueError(f"need k > 1, got {k}")
-        if self.x1_closed is not None:
-            return self.x1_closed(k)
-        return self._x1_bisect(k)
-
-    def _x1_bisect(self, k: float) -> float:
-        # Fallback for custom profiles.  Sound only when the predicate is
-        # nondecreasing in x, which holds whenever all a_j <= 0 (the b_j
-        # are already constrained to be >= 0).
-        if any(aj > 0 for aj in self.a):
-            raise ThresholdDomainError(
-                f"profile {self.name}: no closed form for X_1 and the "
-                "log-gap predicate is not provably monotone (positive a_j); "
-                "supply x1_closed")
-
-        def holds(x: float) -> bool:
-            return math.log(k) - self.B(k * x) + self.A(x) >= 0
-
-        lo, hi = 1.0 + 1e-9, 2.0
-        while not holds(hi):
-            lo, hi = hi, hi * 2
-            if hi > 1e300:
-                raise ThresholdDomainError(
-                    f"profile {self.name}: log-gap predicate never holds")
-        if holds(lo):
-            return lo
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if holds(mid):
-                hi = mid
-            else:
-                lo = mid
-        return inflate(hi)
+        return self.x1_closed(k)
 
 
 def _p4_x1(b1: float) -> Callable[[float], float]:
@@ -351,10 +322,17 @@ def _upsilon_from_logs(x, k, lx, lxk, lk, profile: BoundProfile):
 # ---------------------------------------------------------------------------
 
 def x14(k: float, b1: float = 1.17) -> float:
-    """Past k*x14(k) the second Upsilon factor is positive (A in {0, 1/log x})."""
+    """Past k*x14(k) the second Upsilon factor is positive (A in {0, 1/log x}).
+
+    ThresholdDomainError where the value overflows a float (k near 1).
+    """
     k = float(k)
     w = 0.5 + math.log(k) / (2.0 * (k - 1.0))
-    return math.exp(math.sqrt(b1 + b1 / (k - 1.0) + w * w) + w)
+    try:
+        return math.exp(math.sqrt(b1 + b1 / (k - 1.0) + w * w) + w)
+    except OverflowError:
+        raise ThresholdDomainError(
+            f"X14 overflows a float at k={k}") from None
 
 
 def _x13(k: float) -> float:
@@ -750,83 +728,49 @@ def n_threshold(kind: str, pi, **params) -> int:
 # the tail certificate
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _fprime_threshold(a: tuple[float, ...]) -> float:
-    """Least x (inflated) past which x/(log x - 1 - A(x)) is nondecreasing.
-
-    The derivative has the sign of
-        psi(x) = log x - 2 - A(x) - sum j*a_j/log^{j+1} x,
-    which is increasing in x when all a_j >= 0.  It depends on the a_j
-    alone, so it is computed once per coefficient tuple.
-    """
-    def psi(x):
-        lg = math.log(x)
-        return (lg - 2.0 - _inv_log_sum(a, lg)
-                - sum((j + 1) * aj / lg ** (j + 2) for j, aj in enumerate(a)))
-
-    lo, hi = 2.0, 16.0
-    while psi(hi) < 0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if psi(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return inflate(hi)
-
-
-def _tail_start(kf: float, profile: BoundProfile) -> int:
-    """First integer of the region where Upsilon_k is nondecreasing."""
-    x_lo = max(profile.y_threshold(0.0), kf * profile.x0,
-               kf * x14(kf, profile.b[0]), _fprime_threshold(profile.a))
-    return math.ceil(inflate(x_lo))
-
-
-def _check_certifiable(profile: BoundProfile) -> None:
-    if any(aj < 0 for aj in profile.a) or len(profile.b) != 1:
-        raise ThresholdDomainError(
-            f"certify_tail: profile {profile.name} has no certified "
-            "monotonicity threshold (need a_j >= 0 and a single b term)")
-
-
 def _budget_error(k, n, hi, hard_cap) -> ResourceBudgetError:
     return ResourceBudgetError(
         f"certificate for k={k}, n={n} exceeds hard cap {hard_cap}",
         required=2 * hi, cap=hard_cap)
 
 
-def certify_tail(k, n, profile: BoundProfile | str = P4,
-                 hard_cap: int = 1 << 62):
+def _tail_start(k, n, hard_cap) -> int:
+    """First integer of the region where P4's Upsilon_k is nondecreasing
+    (x/(log x - 1) increases from e^2 < Y_0 on); a budget error where
+    x14 overflows, since the region then starts past any cap."""
+    kf = float(k)
+    try:
+        x_lo = max(P4.y_threshold(0.0), kf * P4.x0, kf * x14(kf, P4.b[0]))
+    except ThresholdDomainError:
+        raise _budget_error(k, n, hard_cap, hard_cap) from None
+    return math.ceil(inflate(x_lo))
+
+
+def certify_tail(k, n, hard_cap: int = 1 << 62):
     """Integer X with pi(x) - pi(x/k) > n for every real x >= X.
 
-    Works on profiles with all a_j >= 0 and a single b term, where the
-    monotone region of Upsilon_k starts at
-    max{Y_0, k*X_0, k*x14(k, b_1), F'-threshold}: there Upsilon_k is
-    nondecreasing, so the first integer X with Upsilon_k(X) clearing
-    n + 1 (plus slack) certifies the whole tail.  From that start point
-    the cutoff is bracketed by doubling, then found by bisection; past
-    hard_cap it raises ResourceBudgetError.
+    Uses P4 (A = 0, B = 1.17/log x), whose Upsilon_k is nondecreasing
+    from max{Y_0, k*X_0, k*x14(k)} on, so the first integer X there with
+    Upsilon_k(X) clearing n + 1 (plus slack) certifies the whole tail.
+    From that start point the cutoff is bracketed by doubling, then
+    found by bisection; past hard_cap it raises ResourceBudgetError.
 
     k and n may also be equal-shape integer arrays (integer k > 1 each):
     the same search then runs for every element in lockstep, and an
     int64 array of the same cutoffs comes back.
     """
-    profile = get_profile(profile)
     if isinstance(k, np.ndarray):
-        return _certify_tail_array(k, n, profile, hard_cap)
+        return _certify_tail_array(k, n, hard_cap)
     kf = float(k)
     if kf <= 1:
         raise ValueError(f"need k > 1, got {k}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    _check_certifiable(profile)
-    start = _tail_start(kf, profile)
-
+    start = _tail_start(k, n, hard_cap)
     target = float(n + 1)
 
     def clears(x: int) -> bool:
-        u = upsilon(float(x), kf, profile)
+        u = upsilon(float(x), kf, P4)
         return u >= target + max(abs(u) * REL_SLACK, ABS_SLACK)
 
     lo = hi = start
@@ -844,7 +788,7 @@ def certify_tail(k, n, profile: BoundProfile | str = P4,
     return hi
 
 
-def _certify_tail_array(k: np.ndarray, n: np.ndarray, profile: BoundProfile,
+def _certify_tail_array(k: np.ndarray, n: np.ndarray,
                         hard_cap: int) -> np.ndarray:
     """certify_tail at every (k[i], n[i]): each step of the scalar search
     runs once over all elements still searching."""
@@ -859,18 +803,18 @@ def _certify_tail_array(k: np.ndarray, n: np.ndarray, profile: BoundProfile,
         raise ValueError(f"need k > 1, got {k.min()}")
     if n.size and n.min() < 0:
         raise ValueError(f"need n >= 0, got {n.min()}")
-    _check_certifiable(profile)
     kf = k.astype(np.float64)
     # log k and the start points as the scalar path computes them
     lk = np.array([math.log(v) for v in kf.tolist()])
-    start = np.array([_tail_start(v, profile) for v in kf.tolist()],
+    start = np.array([_tail_start(kv, nv, hard_cap)
+                      for kv, nv in zip(k.tolist(), n.tolist())],
                      dtype=np.int64)
     target = (n + 1).astype(np.float64)
 
     def clears(x: np.ndarray, sel: np.ndarray) -> np.ndarray:
         xf = x.astype(np.float64)
         u = _upsilon_from_logs(xf, kf[sel], np.log(xf), np.log(xf / kf[sel]),
-                               lk[sel], profile)
+                               lk[sel], P4)
         return u >= target[sel] + np.maximum(np.abs(u) * REL_SLACK, ABS_SLACK)
 
     lo, hi = start.copy(), start.copy()

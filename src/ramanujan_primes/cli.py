@@ -85,17 +85,17 @@ def _cmd_pik(args, config: CliConfig) -> int:
     cache = rp.TableCache(hard_cap=config.cap)
     count = rp.pi_k(k, args.x, cache)
     total = cache.get(max(args.x, 2)).pi(args.x)
+    rho = rp._rho(k, count, total) if total else None
     if config.fmt == "json":
         payload = {"k": str(k), "x": args.x, "pi_k": count, "pi": total}
-        if total:
-            rho = rp.rho_k(k, args.x, cache)
+        if rho is not None:
             payload["rho"] = f"{rho.numerator}/{rho.denominator}"
         print(json.dumps(payload))
         return EXIT_OK
     print(f"pi_k({args.x}) = {count}")
     print(f"pi({args.x}) = {total}")
-    if total:
-        print(f"rho_k({args.x}) = {format_fraction(rp.rho_k(k, args.x, cache))}")
+    if rho is not None:
+        print(f"rho_k({args.x}) = {format_fraction(rho)}")
     return EXIT_OK
 
 

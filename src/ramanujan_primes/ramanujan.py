@@ -50,12 +50,11 @@ from .rational import ceil_div, parse_k
 
 __all__ = [
     "RamanujanTable", "TableCache", "NEstimate", "MpsVerdict",
-    "ramanujan_prefix", "ramanujan_upto", "pi_k", "rho_k",
+    "ramanujan_prefix", "pi_k", "rho_k",
     "empirical_N", "empirical_N0", "mps_holds",
 ]
 
 PROOF_ANALYTIC = "analytic-certificate"
-PROOF_SCAN = "exhaustive-scan"
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +63,8 @@ PROOF_SCAN = "exhaustive-scan"
 
 @dataclass
 class RamanujanTable:
-    """R_1^(k)..R_N^(k) plus the cutoff that makes the scan a proof."""
+    """R_1^(k)..R_N^(k), the cutoff that makes the scan a proof, and the
+    profile behind that certificate (always "P4")."""
 
     k: Fraction
     values: list[int]
@@ -73,7 +73,7 @@ class RamanujanTable:
     profile: str
 
     def __post_init__(self):
-        if self.proof not in (PROOF_ANALYTIC, PROOF_SCAN):
+        if self.proof != PROOF_ANALYTIC:
             raise ValueError(f"unknown proof kind {self.proof!r}")
 
     def __len__(self) -> int:
@@ -86,21 +86,6 @@ class RamanujanTable:
                              f"[1, {len(self.values)}]")
         return self.values[n - 1]
 
-    def validate(self, pi: PrimeTable) -> None:
-        """Check the defining invariants against a prime table."""
-        num, den = self.k.numerator, self.k.denominator
-        prev = 1
-        for n, rv in enumerate(self.values, start=1):
-            if rv <= prev:
-                raise AssertionError(f"values not strictly increasing at n={n}")
-            if not pi.is_prime(rv):
-                raise AssertionError(f"R_{n} = {rv} is not prime")
-            if rv < pi.nth_prime(n):
-                raise AssertionError(f"R_{n} = {rv} below p_{n}")
-            if pi.pi(rv) - pi.pi(rv * den // num) != n:
-                raise AssertionError(f"pi(R_n) - pi(R_n/k) != n at n={n}")
-            prev = rv
-
     def to_json(self) -> str:
         return json.dumps({
             "k": f"{self.k.numerator}/{self.k.denominator}",
@@ -109,16 +94,6 @@ class RamanujanTable:
             "proof": self.proof,
             "profile": self.profile,
         })
-
-    @classmethod
-    def from_json(cls, text: str) -> "RamanujanTable":
-        raw = json.loads(text)
-        num, _, den = raw["k"].partition("/")
-        return cls(k=Fraction(int(num), int(den or 1)),
-                   values=[int(v) for v in raw["values"]],
-                   cutoff=int(raw["cutoff"]),
-                   proof=raw["proof"],
-                   profile=raw["profile"])
 
 
 @dataclass
@@ -226,51 +201,48 @@ def _scan(k: Fraction, n_max: int, cutoff: int, pi: PrimeTable) -> list[int]:
     return primes[j - 1].tolist()                     # R_n = p_j
 
 
-def _pi_k_array(k: Fraction, x: int, cache: TableCache, profile,
+def _pi_k_array(k: Fraction, x: int, cache: TableCache,
                 first: int = 0) -> tuple[PrimeTable, np.ndarray]:
     """A table and S[first:] with pi_k(y) = S[pi(y)] for every y <= x."""
     num, den = k.numerator, k.denominator
     pi = cache.get(x)
     fstar_x = pi.pi(x) - pi.pi(((x + 1) * den - 1) // num)
-    cutoff = bounds.certify_tail(k, fstar_x + 1, profile,
-                                 hard_cap=cache.hard_cap)
+    cutoff = bounds.certify_tail(k, fstar_x + 1, hard_cap=cache.hard_cap)
     hi = max(cutoff, x + 1)
     pi = cache.get(hi)
     return pi, _candidate_suffix_min(k, hi, pi, first)[1]
 
 
-def ramanujan_prefix(k, n_max: int, cache: TableCache | None = None,
-                     profile=bounds.P4) -> RamanujanTable:
+def ramanujan_prefix(k, n_max: int,
+                     cache: TableCache | None = None) -> RamanujanTable:
     """R_1^(k)..R_{n_max}^(k) with an analytically certified cutoff."""
     k = parse_k(k)
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     cache = _as_cache(cache)
-    profile = bounds.get_profile(profile)
     try:
-        cutoff = bounds.certify_tail(k, n_max, profile,
-                                     hard_cap=cache.hard_cap)
+        cutoff = bounds.certify_tail(k, n_max, hard_cap=cache.hard_cap)
         pi = cache.get(cutoff)
     except ResourceBudgetError as err:
-        raise _partial_error(err, k, n_max, cache, profile) from None
+        raise _partial_error(err, k, n_max, cache) from None
     values = _scan(k, n_max, cutoff, pi)
     return RamanujanTable(k=k, values=values, cutoff=cutoff,
-                          proof=PROOF_ANALYTIC, profile=profile.name)
+                          proof=PROOF_ANALYTIC, profile=bounds.P4.name)
 
 
 def _partial_error(err: ResourceBudgetError, k: Fraction, n_max: int,
-                   cache: TableCache, profile) -> ResourceBudgetError:
+                   cache: TableCache) -> ResourceBudgetError:
     """Attach whatever prefix is still certifiable within the cap."""
     cap = cache.hard_cap
     try:
-        u = bounds.upsilon(float(cap), k, profile)
+        u = bounds.upsilon(float(cap), k, bounds.P4)
     except ThresholdDomainError:        # the cap lies below every certificate
         u = 0.0
     n_ok = min(n_max, max(0, math.floor(u) - 2))
     partial, message = None, str(err)
     if n_ok >= 1:
         try:
-            cutoff = bounds.certify_tail(k, n_ok, profile, hard_cap=cap)
+            cutoff = bounds.certify_tail(k, n_ok, hard_cap=cap)
         except ResourceBudgetError:
             pass
         else:
@@ -281,53 +253,36 @@ def _partial_error(err: ResourceBudgetError, k: Fraction, n_max: int,
             else:
                 partial = RamanujanTable(k=k, values=values, cutoff=cutoff,
                                          proof=PROOF_ANALYTIC,
-                                         profile=profile.name)
+                                         profile=bounds.P4.name)
     return ResourceBudgetError(message, required=err.required,
                                cap=err.cap, partial=partial)
-
-
-def ramanujan_upto(k, x: int, cache: TableCache | None = None,
-                   profile=bounds.P4) -> RamanujanTable:
-    """All k-Ramanujan primes <= x (i.e. R_1..R_{pi_k(x)})."""
-    k = parse_k(k)
-    if x < 2:
-        return RamanujanTable(k=k, values=[], cutoff=max(2, x + 1),
-                              proof=PROOF_SCAN, profile="none")
-    cache = _as_cache(cache)
-    count = pi_k(k, x, cache, profile)
-    if count == 0:
-        return RamanujanTable(k=k, values=[], cutoff=x + 1,
-                              proof=PROOF_SCAN, profile="none")
-    table = ramanujan_prefix(k, count, cache, profile)
-    assert table.values[-1] <= x
-    return table
 
 
 # ---------------------------------------------------------------------------
 # counting and deficiency
 # ---------------------------------------------------------------------------
 
-def pi_k(k, x: int, cache: TableCache | None = None,
-         profile=bounds.P4) -> int:
+def pi_k(k, x: int, cache: TableCache | None = None) -> int:
     """#{n : R_n^(k) <= x}, equal to inf_{y >= x} (pi(y) - pi(y/k))."""
     k = parse_k(k)
     if x < 2:
         return 0
     cache = _as_cache(cache)
-    pi, sufmin = _pi_k_array(k, x, cache, bounds.get_profile(profile),
-                             first=cache.get(x).pi(x))
+    pi, sufmin = _pi_k_array(k, x, cache, first=cache.get(x).pi(x))
     return int(sufmin[0])
 
 
-def rho_k(k, x: int, cache: TableCache | None = None,
-          profile=bounds.P4) -> Fraction:
+def rho_k(k, x: int, cache: TableCache | None = None) -> Fraction:
     """(k-1)/k - pi_k(x)/pi(x), exact."""
     k = parse_k(k)
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
     cache = _as_cache(cache)
-    count = pi_k(k, x, cache, profile)
-    total = cache.get(x).pi(x)
+    return _rho(k, pi_k(k, x, cache), cache.get(x).pi(x))
+
+
+def _rho(k: Fraction, count: int, total: int) -> Fraction:
+    """(k-1)/k - count/total: rho_k(x) from pi_k(x) and pi(x) > 0."""
     return Fraction(k.numerator - k.denominator, k.numerator) \
         - Fraction(count, total)
 
@@ -354,13 +309,13 @@ def _table_to_index(cache: TableCache, idx: int) -> PrimeTable:
     return cache.get(int(x * 1.2) + 16)
 
 
-def _empirical(k, n_probe: int, cache: TableCache | None, strict: bool,
-               profile) -> NEstimate:
+def _empirical(k, n_probe: int, cache: TableCache | None,
+               strict: bool) -> NEstimate:
     k = parse_k(k)
     if n_probe < 1:
         raise ValueError(f"need n_probe >= 1, got {n_probe}")
     cache = _as_cache(cache)
-    table = ramanujan_prefix(k, n_probe, cache, profile)
+    table = ramanujan_prefix(k, n_probe, cache)
     pi = _table_to_index(cache, _p_index(k, n_probe))   # and >= cutoff
     rvals = np.asarray(table.values, dtype=np.int64)
     pvals = pi.nth_prime(_p_index(k, np.arange(1, n_probe + 1,
@@ -377,27 +332,27 @@ def _empirical(k, n_probe: int, cache: TableCache | None, strict: bool,
     return NEstimate(value=emp, kind="empirical", probe=n_probe)
 
 
-def empirical_N(k, n_probe: int, cache: TableCache | None = None,
-                profile=bounds.P4) -> NEstimate:
+def empirical_N(k, n_probe: int,
+                cache: TableCache | None = None) -> NEstimate:
     """Least m with R_n^(k) > p_{ceil(kn/(k-1))} for all m <= n <= n_probe.
 
     Closed form pi(3k) - 1 (exact, not just empirical) once k >= 745.8;
     there the probe acts as a consistency check.
     """
-    return _empirical(k, n_probe, cache, True, profile)
+    return _empirical(k, n_probe, cache, True)
 
 
-def empirical_N0(k, n_probe: int, cache: TableCache | None = None,
-                 profile=bounds.P4) -> NEstimate:
+def empirical_N0(k, n_probe: int,
+                 cache: TableCache | None = None) -> NEstimate:
     """Same with >= in place of >; closed form pi(2k) once k >= 143.7."""
-    return _empirical(k, n_probe, cache, False, profile)
+    return _empirical(k, n_probe, cache, False)
 
 
 # ---------------------------------------------------------------------------
 # the interval conjecture reduction
 # ---------------------------------------------------------------------------
 
-def mps_holds(m, cache: TableCache | None = None, profile=bounds.P4):
+def mps_holds(m, cache: TableCache | None = None):
     """Verdict for: pi(m*n) - pi(n) >= m - 1 for every n >= ceil(1.1 log 2.5m).
 
     Reduction: if R_{m-1}^(m) <= m * n0 the claim holds for every
@@ -409,7 +364,7 @@ def mps_holds(m, cache: TableCache | None = None, profile=bounds.P4):
     certify_tail call and scanned in one pass by _mps_r_values.
     """
     if not isinstance(m, np.ndarray):
-        return mps_holds(np.array([m], dtype=np.int64), cache, profile)[0]
+        return mps_holds(np.array([m], dtype=np.int64), cache)[0]
     if not np.issubdtype(m.dtype, np.integer):
         raise ValueError(f"need an integer array of m, got {m.dtype}")
     ms = m.astype(np.int64).ravel()
@@ -419,7 +374,7 @@ def mps_holds(m, cache: TableCache | None = None, profile=bounds.P4):
     rvals = np.zeros_like(ms)
     big = ms > 1                      # m = 1 holds with nothing to scan
     if big.any():
-        cutoffs = bounds.certify_tail(ms[big], ms[big] - 1, profile,
+        cutoffs = bounds.certify_tail(ms[big], ms[big] - 1,
                                       hard_cap=cache.hard_cap)
         rvals[big] = _mps_r_values(ms[big], cutoffs,
                                    cache.get(int(cutoffs.max())))

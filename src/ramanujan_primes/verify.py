@@ -340,7 +340,7 @@ def _run_cor316_pattern(cache, limit, mmax, rng):
 
 def _rho_arrays(cache, x_max: int):
     """(table, pi cumulative on 0..x_max, S) with pi_2(x) = S[pic[x]]."""
-    pi, sufmin = rp._pi_k_array(Fraction(2), x_max, cache, bounds.P4)
+    pi, sufmin = rp._pi_k_array(Fraction(2), x_max, cache)
     return pi, pi.pi_cumulative(x_max + 1), sufmin
 
 

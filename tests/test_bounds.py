@@ -39,12 +39,13 @@ def test_builtin_profiles_registry():
 def test_profile_validation_rejects_bad_constants():
     with pytest.raises(ValueError, match="B > A"):
         BoundProfile("bad", a=(2.0,), b=(1.0,), y_thresholds={0.0: 2.0},
-                     x0=2.0)
+                     x0=2.0, x1_closed=P4.x1_closed)
     with pytest.raises(ValueError, match="b_j"):
         BoundProfile("bad", a=(), b=(1.0, -1.0), y_thresholds={0.0: 2.0},
-                     x0=2.0)
+                     x0=2.0, x1_closed=P4.x1_closed)
     with pytest.raises(ValueError, match="thresholds"):
-        BoundProfile("bad", a=(), b=(1.0,), y_thresholds={0.0: 1.0}, x0=2.0)
+        BoundProfile("bad", a=(), b=(1.0,), y_thresholds={0.0: 1.0}, x0=2.0,
+                     x1_closed=P4.x1_closed)
 
 
 def test_y_threshold_lookup_uses_smallest_larger_offset():
@@ -145,7 +146,8 @@ def test_b117_profiles_fall_back_to_p1_past_first_failure():
     assert pi_upper(929872, custom) == raw(929872, custom)
     with pytest.raises(ValueError, match="upper_refuted_from"):
         BoundProfile("bad", a=(), b=(1.17,), y_thresholds={0.0: 2.0},
-                     x0=5.43, upper_refuted_from=3.0)
+                     x0=5.43, x1_closed=P4.x1_closed,
+                     upper_refuted_from=3.0)
 
 
 def test_pi_lower_offset_one_on_p1(cache):
@@ -243,25 +245,6 @@ def test_x1_closed_forms_flip_the_predicate():
             assert not log_gap_holds(x1 * 0.999, k, prof)
     for k in (1.5, 2.0, 5.0):
         assert log_gap_holds(max(P1.x1(k), 1.2) * 1.001, k, P1)
-
-
-def test_x1_bisection_fallback_matches_closed_form():
-    custom = BoundProfile("custom", a=(), b=(1.17,),
-                          y_thresholds={0.0: 5393.0}, x0=5.43)
-    for k in (1.5, 2.0, 7.0):
-        want = math.exp(1.17 / math.log(k)) / k
-        got = custom.x1(k)
-        if want <= 1.0 + 1e-9:
-            assert got <= 1.001
-        else:
-            assert got == pytest.approx(want, rel=1e-6)
-
-
-def test_x1_bisection_refuses_positive_a():
-    prof = BoundProfile("posa", a=(0.5,), b=(1.17,),
-                        y_thresholds={0.0: 2.0}, x0=2.0)
-    with pytest.raises(ThresholdDomainError, match="monotone"):
-        prof.x1(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +511,6 @@ def test_certificate_really_covers_the_scan(cache):
         assert pi.pi(m) - pi.pi((m + 1) // 2) >= n
 
 
-def test_certify_tail_rejects_unsupported_profiles():
-    with pytest.raises(ThresholdDomainError):
-        certify_tail(2, 10, P2)   # negative a_1
-    with pytest.raises(ThresholdDomainError):
-        certify_tail(2, 10, P1)   # two b terms
-    with pytest.raises(ThresholdDomainError):
-        certify_tail(np.array([2]), np.array([10]), P1)
-
-
 def test_certify_tail_budget():
     with pytest.raises(ResourceBudgetError) as info:
         certify_tail(2, 10 ** 6, hard_cap=10 ** 6)
@@ -585,13 +559,3 @@ def test_inflate_is_conservative():
     assert inflate(1e12) > 1e12
     for v in (1e-9, 1.0, 5393.0, -3.0):
         assert inflate(v) > v
-
-
-def test_custom_azero_profile_certifies(cache):
-    """A caller-supplied single-b profile goes end to end."""
-    prof = profile_p4(b1=1.2)
-    x = certify_tail(2, 50, prof)
-    assert upsilon(x, 2, prof) >= 51
-    pi = cache.get(x + 100)
-    for m in range(x, x + 100):
-        assert pi.pi(m) - pi.pi((m + 1) // 2) >= 50

@@ -7,13 +7,15 @@ reasonable; the exit-code contract (0 ok, 1 failed check, 2 usage,
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
-from ramanujan_primes import RamanujanTable, bounds
+from ramanujan_primes import bounds
 from ramanujan_primes import ramanujan as rp
 from ramanujan_primes.cli import ENV_CAP, ENV_THREADS, main
 
@@ -36,11 +38,12 @@ def test_compute_text(capsys):
 
 
 def test_compute_json_round_trips(capsys):
+    """The exact schema: key order, the P4 profile and the cutoff."""
     code, out, _ = run(capsys, "compute", "--k", "3/2", "--n", "10", "--json")
     assert code == 0
-    table = RamanujanTable.from_json(out)
-    assert table.values == [11, 29, 37, 47, 71, 73, 101, 127, 137, 173]
-    assert table.proof == "analytic-certificate"
+    assert out == ('{"k": "3/2", "values": [11, 29, 37, 47, 71, 73, 101, 127, '
+                   '137, 173], "cutoff": 5394, "proof": "analytic-certificate",'
+                   ' "profile": "P4"}\n')
 
 
 def test_pik_text_shows_exact_rho(capsys):
@@ -56,6 +59,23 @@ def test_pik_json(capsys):
     assert code == 0
     assert json.loads(out) == {"k": "2", "x": 41, "pi_k": 5, "pi": 13,
                                "rho": "3/26"}
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_pik_certifies_once(capsys, monkeypatch, fmt):
+    """rho comes from the pi_k count already in hand, not a second pi_k."""
+    calls = []
+
+    original = bounds.certify_tail
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "certify_tail", counted)
+    code, out, _ = run(capsys, "pik", "--k", "2", "--x", "41", *fmt)
+    assert code == 0 and "3/26" in out
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +263,27 @@ def test_k_must_exceed_one(capsys):
     assert "must exceed 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--k", "1.0000001", "--n", "3"),
+    ("pik", "--k", "1.0000001", "--x", "100"),
+    ("nk", "--k", "1.0000001"),
+])
+def test_k_near_one_is_a_resource_exit(capsys, argv):
+    """x14 overflows a float this close to 1: the certificate's start lies
+    past any cap, which is exit 3 and not a traceback."""
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("resource budget exceeded") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["X13", "X14"])
+def test_const_overflow_is_usage_error(capsys, name):
+    code, _, err = run(capsys, "const", "--name", name,
+                       "--params", "k=1.0000001")
+    assert code == 2
+    assert err.startswith("usage error") and len(err.splitlines()) == 1
+
+
 def test_cap_below_minimum_rejected(capsys):
     code, _, err = run(capsys, "--cap", "1000", "compute", "--k", "2",
                        "--n", "5")
@@ -299,3 +340,22 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "2 11 17 29 41"
+
+
+# ---------------------------------------------------------------------------
+# package surface
+# ---------------------------------------------------------------------------
+
+def test_every_export_resolves():
+    """Each name in the package's and each module's __all__ exists, so
+    `from ramanujan_primes import *` keeps working after a removal."""
+    import ramanujan_primes
+
+    modules = [ramanujan_primes] + [
+        importlib.import_module(f"ramanujan_primes.{info.name}")
+        for info in pkgutil.iter_modules(ramanujan_primes.__path__)
+        if info.name != "__main__"]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)

