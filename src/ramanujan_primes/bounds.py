@@ -662,7 +662,10 @@ def named_threshold(name: str, pi=None, **params) -> float:
     clean = {key: (value if isinstance(value, str)
                    or key == "profile" else float(value))
              for key, value in params.items()}
-    return formula(pi, **clean)
+    try:
+        return formula(pi, **clean)
+    except ThresholdDomainError as err:    # it may come from an inner one
+        raise ThresholdDomainError(f"{name}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -737,13 +740,16 @@ def _budget_error(k, n, hi, hard_cap) -> ResourceBudgetError:
 def _tail_start(k, n, hard_cap) -> int:
     """First integer of the region where P4's Upsilon_k is nondecreasing
     (x/(log x - 1) increases from e^2 < Y_0 on); a budget error where
-    x14 overflows, since the region then starts past any cap."""
+    that region starts past hard_cap, or x14 overflows (past any cap)."""
     kf = float(k)
     try:
         x_lo = max(P4.y_threshold(0.0), kf * P4.x0, kf * x14(kf, P4.b[0]))
     except ThresholdDomainError:
         raise _budget_error(k, n, hard_cap, hard_cap) from None
-    return math.ceil(inflate(x_lo))
+    start = math.ceil(inflate(x_lo))
+    if start > hard_cap:
+        raise _budget_error(k, n, start, hard_cap)
+    return start
 
 
 def certify_tail(k, n, hard_cap: int = 1 << 62):
@@ -775,7 +781,7 @@ def certify_tail(k, n, hard_cap: int = 1 << 62):
 
     lo = hi = start
     while not clears(hi):
-        if hi >= hard_cap:             # also when start is at or past the cap
+        if hi >= hard_cap:             # also when start is at the cap
             raise _budget_error(k, n, hi, hard_cap)
         lo = hi
         hi = min(max(2 * hi, 16), hard_cap)

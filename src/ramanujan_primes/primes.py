@@ -27,7 +27,7 @@ from .errors import RangeQueryError
 __all__ = ["PrimeTable", "build_table", "SEGMENT_SIZE", "CHECKPOINT_SPAN"]
 
 # values per sieve segment: SEGMENT_SIZE / 2 odd slots, SEGMENT_SIZE / 16 table
-# bytes; ramanujan._mps_r_values also evaluates this many candidates at a time
+# bytes; ramanujan._mps_r_values scans SEGMENT_SIZE >> 13 windows at a time
 SEGMENT_SIZE = 1 << 20
 CHECKPOINT_SPAN = 1 << 16   # one cumulative pi checkpoint per this many values
 _BLOCK_BYTES = CHECKPOINT_SPAN >> 4   # table bytes per checkpoint block

@@ -28,9 +28,9 @@ per integer.  It need not start at j = 0 either: S[j] <= f*(c_j) <= j,
 so S[j] >= n forces j >= n, and the suffix minima over a window
 [first, J] are S itself there.  pi_k(x) needs f* only at j >= pi(x),
 where it is the window minimum, and R_{m-1}^(m) only at j >= m - 1:
-mps_holds lays those windows for many m end to end and scans them in
-one pass.  A scan is complete only below a cutoff X for which the tail
-x >= X is PROVEN safe; bounds.certify_tail supplies that proof.
+mps_holds scans those windows 128 m at a time, one row per m.  A scan
+is complete only below a cutoff X for which the tail x >= X is PROVEN
+safe; bounds.certify_tail supplies that proof.
 """
 
 from __future__ import annotations
@@ -173,27 +173,37 @@ def _as_cache(cache: TableCache | None) -> TableCache:
 # the scan
 # ---------------------------------------------------------------------------
 
-def _candidate_suffix_min(k: Fraction, cutoff: int, pi: PrimeTable,
-                          first: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Primes below cutoff, and S[first:]; S[pi(m)] = min f* on [m, cutoff).
+def _suffix_min(num, den, cutoff, first, primes: np.ndarray) -> np.ndarray:
+    """S[pi(m)] = min f* on [m, cutoff) for k = num/den, one window a row.
 
-    Candidate j is c_j = p_{j+1} - 1, the last integer with pi = j, or
-    cutoff - 1 for the last j; f*(c_j) = j - pi(q(c_j)).  Only the
-    candidates j >= first are evaluated, so element i of the returned
-    suffix minimum is S[first + i]; the window's suffix minima equal S
-    on it because S looks only rightwards.
+    Each argument but primes is an int or an int array with one entry per
+    row; primes holds every prime below each cutoff.  Row w holds
+    S[first_w + i] while first_w + i <= J_w = #{p < cutoff_w}, the last
+    candidate, and len(primes) + 1, which no S reaches, past that.  The
+    window's suffix minima equal S on it because S looks only rightwards.
     """
-    num, den = k.numerator, k.denominator
-    primes = pi.primes_array(0, cutoff)
-    ends = np.append(primes[first:], cutoff)          # c_j + 1, j >= first
-    below = np.searchsorted(primes, (ends * den - 1) // num, side="right")
-    fstar = np.arange(first, first + len(ends)) - below
-    return primes, np.minimum.accumulate(fstar[::-1])[::-1]
+    # one window per column inside, so ints and arrays broadcast alike
+    span = primes.searchsorted(cutoff) - first              # J - first
+    spans = np.ravel(span).tolist()
+    i = np.arange(max(spans) + 1)[:, None]
+    j = first + i
+    q = primes.take(j, mode="clip")                         # c_j + 1, j < J
+    q[span, np.arange(q.shape[1])] = cutoff                 # c_J + 1
+    q *= den
+    q -= 1
+    q //= num                                               # q(c_j)
+    q = primes.searchsorted(q, side="right")                # pi(q(c_j))
+    fstar = np.subtract(j, q, out=q)
+    lo = min(spans) + 1                   # the shortest window ends here
+    if lo < len(i):
+        np.putmask(fstar[lo:], i[lo:] > span, len(primes) + 1)
+    return np.minimum.accumulate(fstar[::-1], axis=0)[::-1].T
 
 
 def _scan(k: Fraction, n_max: int, cutoff: int, pi: PrimeTable) -> list[int]:
     """R_1..R_{n_max} assuming no m >= cutoff has f*(m) < n_max."""
-    primes, sufmin = _candidate_suffix_min(k, cutoff, pi)
+    primes = pi.primes_array(0, cutoff)
+    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, primes)[0]
     j = np.searchsorted(sufmin, np.arange(1, n_max + 1), side="left")
     if j[-1] == len(sufmin):
         raise AssertionError(
@@ -210,7 +220,7 @@ def _pi_k_array(k: Fraction, x: int, cache: TableCache,
     cutoff = bounds.certify_tail(k, fstar_x + 1, hard_cap=cache.hard_cap)
     hi = max(cutoff, x + 1)
     pi = cache.get(hi)
-    return pi, _candidate_suffix_min(k, hi, pi, first)[1]
+    return pi, _suffix_min(num, den, hi, first, pi.primes_array(0, hi))[0]
 
 
 def ramanujan_prefix(k, n_max: int,
@@ -361,7 +371,7 @@ def mps_holds(m, cache: TableCache | None = None):
 
     m is an int, giving one MpsVerdict, or an int64 array, giving a list
     of verdicts in its order: all its m are certified by one
-    certify_tail call and scanned in one pass by _mps_r_values.
+    certify_tail call and scanned in row blocks by _mps_r_values.
     """
     if not isinstance(m, np.ndarray):
         return mps_holds(np.array([m], dtype=np.int64), cache)[0]
@@ -402,35 +412,24 @@ def _mps_r_values(ms: np.ndarray, cutoffs: np.ndarray,
                   pi: PrimeTable) -> np.ndarray:
     """R_{m-1}^(m) for each m >= 2, given cutoffs certified for n = m - 1.
 
-    m's window holds the candidates j in [m - 1, J_m], J_m = #{p < cutoff}
-    (c_j = p_{j+1} - 1, and cutoff - 1 for j = J_m).  R_{m-1}^(m) = p_j for
-    the first j with S[j] >= m - 1: one past the last candidate with
-    f*(c_j) < m - 1, or m - 1 if there is none.  The windows are laid end
-    to end and evaluated SEGMENT_SIZE candidates at a time.
+    m's row of _suffix_min starts at j = m - 1.  S is nondecreasing, so
+    with c cells below m - 1 the first j with S[j] >= m - 1 is m - 1 + c
+    and R_{m-1}^(m) = p_{m-1+c}; a j past the row's last candidate means
+    the scan hit its cutoff.  Blocks of SEGMENT_SIZE >> 13 (128) rows stay
+    in cache and pad little where widths change (about 700 candidates at
+    m <= 100, 20-104 at m in [10^3, 10^4]).
     """
-    top = int(cutoffs.max())
-    primes = pi.primes_array(0, top)
-    ends = np.append(primes, top)              # c_j + 1 = min(ends[j], cutoff)
-    size = np.searchsorted(primes, cutoffs) - ms + 2       # J_m - m + 2
-    stop = np.cumsum(size)
-    start, first = stop - size, ms - 1
-    bad = np.full(ms.size, -1)       # last window offset with f* < m - 1
-    for lo in range(0, int(stop[-1]), SEGMENT_SIZE):
-        i = np.arange(lo, min(lo + SEGMENT_SIZE, int(stop[-1])))
-        w = np.searchsorted(stop, i, side="right")          # window of i
-        i -= start[w]                                       # j - (m - 1)
-        q = np.minimum(ends[i + first[w]], cutoffs[w])
-        q -= 1
-        q //= ms[w]                   # f*(c_j) = j - pi(q) < m - 1 iff:
-        hit = np.flatnonzero(i < np.searchsorted(primes, q, side="right"))
-        if hit.size:
-            hw = w[hit]
-            tail = np.append(hw[1:] != hw[:-1], True)   # each window's last
-            bad[hw[tail]] = i[hit[tail]]
-    broken = np.flatnonzero(bad == size - 1)
+    primes = pi.primes_array(0, int(cutoffs.max()))
+    rows = max(1, SEGMENT_SIZE >> 13)
+    idx = np.empty_like(ms)                    # R = p_{m-1+c} = primes[idx]
+    for lo in range(0, ms.size, rows):
+        m, cut = ms[lo:lo + rows], cutoffs[lo:lo + rows]
+        c = (_suffix_min(m, 1, cut, m - 1, primes) < (m - 1)[:, None]).sum(1)
+        idx[lo:lo + rows] = m - 2 + c
+    broken = np.flatnonzero(idx >= np.searchsorted(primes, cutoffs))
     if broken.size:
         b = broken[0]
         raise AssertionError(
             f"scan for k={ms[b]} hit its own cutoff {cutoffs[b]}; "
             "certificate broken")
-    return primes[first + bad]                 # R = p_{m + bad}
+    return primes[idx]

@@ -521,6 +521,12 @@ def test_certify_tail_budget():
                      hard_cap=10 ** 6)
     assert info.value.cap == 10 ** 6
     assert info.value.required > 10 ** 6
+    # the start point 5394 clears n + 1 = 2 at once, but lies past the cap
+    for k, n in ((2, 1), (np.array([2, 3]), np.array([1, 1]))):
+        with pytest.raises(ResourceBudgetError) as info:
+            certify_tail(k, n, hard_cap=1000)
+        assert info.value.cap == 1000
+        assert info.value.required > 1000
 
 
 def test_certify_tail_input_validation():

@@ -7,9 +7,11 @@ reasonable; the exit-code contract (0 ok, 1 failed check, 2 usage,
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -244,6 +246,14 @@ def test_mps_range_json(capsys):
     assert all(row["verdict"].startswith("holds") for row in rows)
 
 
+def test_mps_json_output_is_frozen(capsys):
+    """Every verdict and R_{m-1}^(m) for m <= 10^4, byte for byte."""
+    code, out, _ = run(capsys, "mps", "--mmax", "10000", "--json")
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() \
+        == "bd969fb5638d3c042de7190958fde666"
+
+
 def test_mps_requires_exactly_one_selector(capsys):
     assert run(capsys, "mps", "--m", "2", "--mmax", "3")[0] == 2
     assert run(capsys, "mps")[0] == 2
@@ -267,21 +277,29 @@ def test_k_must_exceed_one(capsys):
     ("compute", "--k", "1.0000001", "--n", "3"),
     ("pik", "--k", "1.0000001", "--x", "100"),
     ("nk", "--k", "1.0000001"),
+    ("compute", "--k", "1.00001", "--n", "3"),
+    ("pik", "--k", "1.00001", "--x", "100"),
+    ("nk", "--k", "1.00001"),
 ])
 def test_k_near_one_is_a_resource_exit(capsys, argv):
-    """x14 overflows a float this close to 1: the certificate's start lies
-    past any cap, which is exit 3 and not a traceback."""
+    """This close to 1 the certificate's start lies past the cap (x14
+    overflows a float at 1 + 10^-7): exit 3 with the certificate's own
+    message, not a traceback or a sieve limit beyond the cap."""
     code, _, err = run(capsys, *argv)
     assert code == 3
-    assert err.startswith("resource budget exceeded") and "Traceback" not in err
+    assert err.startswith("resource budget exceeded: certificate for k=")
+    assert "Traceback" not in err
+    assert max(map(int, re.findall(r"\d+", err))) <= 2 ** 31
 
 
-@pytest.mark.parametrize("name", ["X13", "X14"])
+@pytest.mark.parametrize("name", ["X13", "X14", "X17"])
 def test_const_overflow_is_usage_error(capsys, name):
+    """X13 and X17 build on x14; the error names the constant asked for."""
     code, _, err = run(capsys, "const", "--name", name,
                        "--params", "k=1.0000001")
     assert code == 2
-    assert err.startswith("usage error") and len(err.splitlines()) == 1
+    assert err.startswith(f"usage error: {name}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_cap_below_minimum_rejected(capsys):

@@ -26,7 +26,7 @@ from ramanujan_primes import (MpsVerdict, NEstimate, RamanujanTable,
                               empirical_N0, mps_holds, pi_k, ramanujan_prefix,
                               rho_k)
 from ramanujan_primes.bounds import certify_tail
-from ramanujan_primes.ramanujan import PROOF_ANALYTIC, _candidate_suffix_min
+from ramanujan_primes.ramanujan import PROOF_ANALYTIC, _suffix_min
 
 
 def naive_table(k: Fraction, n_max: int, primes, bound: int) -> list[int]:
@@ -303,7 +303,8 @@ def test_mps_pins(cache):
 
 def test_mps_reads_the_last_prefix_value(cache):
     """mps_holds's batched scan gives R_{m-1}^(m) of the full prefix."""
-    ms = np.array([*range(2, 301), 9973, 10000], dtype=np.int64)
+    ms = np.array([*range(2, 301), *range(301, 10001, 97), 9973, 10000],
+                  dtype=np.int64)
     verdicts = mps_holds(ms, cache)
     assert [v.m for v in verdicts] == ms.tolist()
     for v in verdicts:
@@ -324,7 +325,8 @@ def test_mps_array_edge_cases(cache):
 
 
 def test_mps_chunks_give_the_same_verdicts(cache, monkeypatch):
-    """Segments of a few hundred candidates split windows across chunks."""
+    """Blocks of one row each (SEGMENT_SIZE >> 13 is 0 at 300) give the
+    verdicts of the default 128-row blocks."""
     ms = np.arange(1, 3001, dtype=np.int64)
     whole = mps_holds(ms, cache)
     monkeypatch.setattr(ramanujan, "SEGMENT_SIZE", 300)
@@ -369,12 +371,42 @@ def test_windowed_scan_matches_full_scan(cache):
     for ks, n_max in (("11/10", 2000), ("3/2", 3000), ("2", 5000),
                       ("7", 500)):
         k = Fraction(ks)
+        num, den = k.numerator, k.denominator
         cutoff = certify_tail(k, n_max)
-        pi = cache.get(cutoff)
-        full = _candidate_suffix_min(k, cutoff, pi)[1]
+        primes = cache.get(cutoff).primes_array(0, cutoff)
+        full = _suffix_min(num, den, cutoff, 0, primes)
+        assert full.shape == (1, len(primes) + 1)
         for first in (1, 2, n_max // 3, n_max - 1, n_max):
-            window = _candidate_suffix_min(k, cutoff, pi, first)[1]
-            assert np.array_equal(window, full[first:]), (ks, first)
+            window = _suffix_min(num, den, cutoff, first, primes)
+            assert np.array_equal(window, full[:, first:]), (ks, first)
+
+
+def test_suffix_min_rows_equal_rows_alone(cache):
+    """A many-row call gives each row's one-row result, then padding, and
+    both equal min f* on [p_j, cutoff) taken over every integer.
+
+    Rows mix integer and Fraction k, with 1 to 712 candidates; the last
+    prime below the largest cutoff is also the last of primes.
+    """
+    rows = [(Fraction(2), 5394, 0), (Fraction(2), 5394, 710),
+            (Fraction(3), 20000, 1700), (Fraction(11, 10), 40000, 3700),
+            (Fraction(7, 3), 6000, 400), (Fraction(100), 7919, 999)]
+    pi = cache.get(40000)
+    primes = pi.primes_array(0, 40000)
+    pic = pi.pi_cumulative(40000)
+    num, den, cutoff, first = (np.array(col, dtype=np.int64) for col in zip(
+        *((k.numerator, k.denominator, c, f) for k, c, f in rows)))
+    table = _suffix_min(num, den, cutoff, first, primes)
+    assert table.shape == (len(rows), 712)
+    for (k, c, f), row in zip(rows, table):
+        m = np.arange(c)
+        fstar = pic[m] - pic[((m + 1) * k.denominator - 1) // k.numerator]
+        tail_min = np.minimum.accumulate(fstar[::-1])[::-1]
+        want = tail_min[np.append(0, primes)[f:pic[c - 1] + 1]]  # m = p_j
+        alone = _suffix_min(k.numerator, k.denominator, c, f, primes)
+        assert np.array_equal(alone, want[None, :]), (k, c, f)
+        assert np.array_equal(row[:len(want)], want), (k, c, f)
+        assert (row[len(want):] == len(primes) + 1).all(), (k, c, f)
 
 
 def test_mps_against_direct_counts(cache, oracle_primes):
