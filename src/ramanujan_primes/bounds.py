@@ -23,9 +23,9 @@ Three layers:
  3. certify_tail: the computational certificate.  Given k and n it
     returns an integer X such that pi(x) - pi(x/k) > n for every real
     x >= X, by locating the monotone region of P4's Upsilon_k and
-    pushing Upsilon_k above n + 1 there.  Equal-shape integer arrays of
-    k and n give an array of the same cutoffs from one call: the search
-    steps run in lockstep with numpy, over the same Upsilon expression.
+    pushing Upsilon_k above n + 1 there: Newton's method proposes X and
+    an exact integer check settles it.  One body serves numbers and
+    equal-shape integer arrays of k and n alike.
 
 Everything is evaluated in double precision.  Any value used as a cutoff
 or compared against a guarantee is inflated first (relative 1e-9,
@@ -303,7 +303,7 @@ def _upsilon_from_logs(x, k, lx, lxk, lk, profile: BoundProfile):
     """Upsilon_k(x) given lx = log x, lxk = log(x/k) and lk = log k.
 
     x, k and the logs are floats or equal-shape float arrays, so the
-    scalar and the batched certificate evaluate one expression.  Raises
+    certificate evaluates one expression for numbers and arrays.  Raises
     ThresholdDomainError where either denominator is nonpositive.
     """
     ax = _inv_log_sum(profile.a, lx)
@@ -315,6 +315,19 @@ def _upsilon_from_logs(x, k, lx, lxk, lk, profile: BoundProfile):
         raise ThresholdDomainError(
             f"upsilon: nonpositive denominator at x={x} ({profile.name})")
     return x / d1 * (1.0 - 1.0 / k - (lk - ax + bxk) / (k * d2))
+
+
+def _upsilon_slope_from_logs(k, lx, lxk, profile: BoundProfile):
+    """dUpsilon_k/dx given lx = log x and lxk = log(x/k), floats or
+    equal-shape float arrays.  Upsilon_k(x) = g_A(x) - g_B(x/k), where
+    g_C(y) = y/d for d = log y - 1 - C(y) has slope
+    (d - 1 - sum j c_j/log^(j+1) y)/d^2."""
+    slopes = []
+    for coeffs, lg in ((profile.a, lx), (profile.b, lxk)):
+        d = lg - 1.0 - _inv_log_sum(coeffs, lg)
+        dc = sum(j * c / lg ** (j + 1) for j, c in enumerate(coeffs, 1))
+        slopes.append((d - 1.0 - dc) / (d * d))
+    return slopes[0] - slopes[1] / k
 
 
 # ---------------------------------------------------------------------------
@@ -739,9 +752,13 @@ def _budget_error(k, n, hi, hard_cap) -> ResourceBudgetError:
 
 def _tail_start(k, n, hard_cap) -> int:
     """First integer of the region where P4's Upsilon_k is nondecreasing
-    (x/(log x - 1) increases from e^2 < Y_0 on); a budget error where
-    that region starts past hard_cap, or x14 overflows (past any cap)."""
+    (x/(log x - 1) increases from e^2 < Y_0 on) for k > 1 and n >= 0; a
+    budget error where it starts past hard_cap or x14 overflows."""
     kf = float(k)
+    if kf <= 1:
+        raise ValueError(f"need k > 1, got {k}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     try:
         x_lo = max(P4.y_threshold(0.0), kf * P4.x0, kf * x14(kf, P4.b[0]))
     except ThresholdDomainError:
@@ -756,90 +773,72 @@ def certify_tail(k, n, hard_cap: int = 1 << 62):
     """Integer X with pi(x) - pi(x/k) > n for every real x >= X.
 
     Uses P4 (A = 0, B = 1.17/log x), whose Upsilon_k is nondecreasing
-    from max{Y_0, k*X_0, k*x14(k)} on, so the first integer X there with
-    Upsilon_k(X) clearing n + 1 (plus slack) certifies the whole tail.
-    From that start point the cutoff is bracketed by doubling, then
-    found by bisection; past hard_cap it raises ResourceBudgetError.
+    from start = max{Y_0, k*X_0, k*x14(k)} on, so an integer X there
+    with Upsilon_k(X) clearing n + 1 (plus slack) certifies the tail.
+    Newton's method on Upsilon_k = n + 1 + slack only proposes X; the
+    exact check alone settles it, by unit steps, where X clears and
+    X - 1 does not (or X = start): the least such X while Upsilon_k is
+    monotone in floats, still one that clears where rounding makes it
+    jitter (k near 1).  Past hard_cap it raises ResourceBudgetError.
 
-    k and n may also be equal-shape integer arrays (integer k > 1 each):
-    the same search then runs for every element in lockstep, and an
-    int64 array of the same cutoffs comes back.
+    k and n may also be equal-shape integer arrays (integer k > 1 each,
+    hard_cap <= 2^62): every element runs the same search at once, and
+    an int64 array of the cutoffs comes back.
     """
     if isinstance(k, np.ndarray):
-        return _certify_tail_array(k, n, hard_cap)
-    kf = float(k)
-    if kf <= 1:
-        raise ValueError(f"need k > 1, got {k}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    start = _tail_start(k, n, hard_cap)
-    target = float(n + 1)
+        if not isinstance(n, np.ndarray) or n.shape != k.shape:
+            raise ValueError("k and n must be arrays of one shape")
+        if not (np.issubdtype(k.dtype, np.integer)
+                and np.issubdtype(n.dtype, np.integer)):
+            raise ValueError(
+                f"need integer arrays, got {k.dtype} and {n.dtype}")
+        if hard_cap > 1 << 62:
+            raise ValueError(f"int64 cutoffs need hard_cap <= 2^62, "
+                             f"got {hard_cap}")
+        k, n = k.astype(np.int64), n.astype(np.int64)
+        start = np.array([_tail_start(kv, nv, hard_cap) for kv, nv
+                          in zip(k.ravel().tolist(), n.ravel().tolist())],
+                         dtype=np.int64).reshape(k.shape)
+        log, clip, some = np.log, np.clip, np.any
+        ceil = lambda v: np.ceil(v).astype(np.int64)
+    else:                   # plain floats: numpy scalars cost more here
+        start = _tail_start(k, n, hard_cap)
+        log, ceil, some = math.log, math.ceil, bool
+        clip = lambda v, lo, hi: min(max(v, lo), hi)
+    kf, target = k * 1.0, (n + 1) * 1.0
+    goal = target / (1.0 - REL_SLACK) + ABS_SLACK    # <= ABS_SLACK too high
+    lk = log(kf)
 
-    def clears(x: int) -> bool:
-        u = upsilon(float(x), kf, P4)
-        return u >= target + max(abs(u) * REL_SLACK, ABS_SLACK)
+    def clears(x):
+        xf = x * 1.0
+        u = _upsilon_from_logs(xf, kf, log(xf), log(xf / kf), lk, P4)
+        # u >= target + max(|u| REL_SLACK, ABS_SLACK), one bound at a time
+        return (u >= target + abs(u) * REL_SLACK) & (u >= target + ABS_SLACK)
 
-    lo = hi = start
-    while not clears(hi):
-        if hi >= hard_cap:             # also when start is at the cap
-            raise _budget_error(k, n, hi, hard_cap)
-        lo = hi
-        hi = min(max(2 * hi, 16), hard_cap)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if clears(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _certify_tail_array(k: np.ndarray, n: np.ndarray,
-                        hard_cap: int) -> np.ndarray:
-    """certify_tail at every (k[i], n[i]): each step of the scalar search
-    runs once over all elements still searching."""
-    if not isinstance(n, np.ndarray) or n.shape != k.shape:
-        raise ValueError("k and n must be arrays of one shape")
-    if not (np.issubdtype(k.dtype, np.integer)
-            and np.issubdtype(n.dtype, np.integer)):
-        raise ValueError(f"need integer arrays, got {k.dtype} and {n.dtype}")
-    shape = k.shape
-    k, n = k.astype(np.int64).ravel(), n.astype(np.int64).ravel()
-    if k.size and k.min() <= 1:
-        raise ValueError(f"need k > 1, got {k.min()}")
-    if n.size and n.min() < 0:
-        raise ValueError(f"need n >= 0, got {n.min()}")
-    kf = k.astype(np.float64)
-    # log k and the start points as the scalar path computes them
-    lk = np.array([math.log(v) for v in kf.tolist()])
-    start = np.array([_tail_start(kv, nv, hard_cap)
-                      for kv, nv in zip(k.tolist(), n.tolist())],
-                     dtype=np.int64)
-    target = (n + 1).astype(np.float64)
-
-    def clears(x: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        xf = x.astype(np.float64)
-        u = _upsilon_from_logs(xf, kf[sel], np.log(xf), np.log(xf / kf[sel]),
-                               lk[sel], P4)
-        return u >= target[sel] + np.maximum(np.abs(u) * REL_SLACK, ABS_SLACK)
-
-    lo, hi = start.copy(), start.copy()
-    todo = np.arange(k.size)
-    while todo.size:
-        todo = todo[~clears(hi[todo], todo)]
-        capped = todo[hi[todo] >= hard_cap]
-        if capped.size:
-            i = capped[0]
-            raise _budget_error(k[i], n[i], int(hi[i]), hard_cap)
-        lo[todo] = hi[todo]
-        # min(max(2 hi, 16), cap), with 2 hi kept inside int64
-        hi[todo] = np.minimum(np.maximum(
-            2 * np.minimum(hi[todo], (hard_cap + 1) // 2), 16), hard_cap)
-    todo = np.flatnonzero(hi - lo > 1)
-    while todo.size:
-        mid = (lo[todo] + hi[todo]) // 2
-        ok = clears(mid, todo)
-        hi[todo[ok]] = mid[ok]
-        lo[todo[~ok]] = mid[~ok]
-        todo = todo[hi[todo] - lo[todo] > 1]
-    return hi.reshape(shape)
+    cutoff = start
+    up = 1 - clears(cutoff)                # bools count as 0 and 1
+    if some(up):
+        x = start * 1.0                    # a start that clears stays put
+        for _ in range(64):                # under 10 steps wherever tried
+            lx, lxk = log(x), log(x / kf)
+            step = ((goal - _upsilon_from_logs(x, kf, lx, lxk, lk, P4))
+                    / _upsilon_slope_from_logs(kf, lx, lxk, P4))
+            x, last = clip(x + step, start, hard_cap), x
+            # past 2^53 the iterates swing by the float spacing
+            if not some(abs(x - last) > 0.5 + last * 1e-15):
+                break
+        cutoff = ceil(x)
+        up = 1 - clears(cutoff)
+    while some(up):
+        stuck = cutoff + up > hard_cap
+        if some(stuck):                    # name the first stuck element
+            raise _budget_error(np.extract(stuck, k)[0],
+                                np.extract(stuck, n)[0], hard_cap, hard_cap)
+        cutoff = cutoff + up
+        up = 1 - clears(cutoff)
+    down = cutoff > start
+    while some(down):
+        down = down & clears(cutoff - down)
+        cutoff = cutoff - down
+        down = down & (cutoff > start)
+    return cutoff

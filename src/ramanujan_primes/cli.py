@@ -40,6 +40,8 @@ class CliConfig:
     def __post_init__(self):
         if self.cap < 10 ** 6:
             raise ValueError(f"sieve cap must be at least 10^6, got {self.cap}")
+        if self.cap > 1 << 62:     # certify_tail's default; int64 cutoffs
+            raise ValueError(f"sieve cap must be at most 2^62, got {self.cap}")
         if self.threads < 1:
             raise ValueError(f"thread count must be >= 1, got {self.threads}")
         if self.fmt not in ("text", "json", "csv"):

@@ -9,6 +9,7 @@ flip the predicate they bound).
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -21,7 +22,8 @@ from ramanujan_primes import (P1, P2, P3, P4, BoundProfile,
                               certify_tail, get_profile, log_gap_holds,
                               n_threshold, named_threshold, pi_lower,
                               pi_upper, profile_p4, threshold_names, upsilon)
-from ramanujan_primes.bounds import inflate, r, rtilde, x14, z
+from ramanujan_primes.bounds import (_upsilon_slope_from_logs, inflate, r,
+                                     rtilde, x14, z)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +210,25 @@ def test_upsilon_monotone_past_certificate_threshold():
             assert cur > prev, (k, x)
             prev = cur
             step *= 10
+
+
+def test_upsilon_slope_matches_the_derivative():
+    """The Newton slope, for every profile's coefficient tuples, equals
+    the derivative of the difference form taken by mpmath at 30 digits."""
+    def form(t, coeffs):
+        lg = mpmath.log(t)
+        return t / (lg - 1 - sum(c / lg ** (j + 1)
+                                 for j, c in enumerate(coeffs)))
+
+    for prof in (P1, P2, P3, P4):
+        for k, x in ((2.0, 10 ** 6), (1.1, 3.0e7), (50.0, 4.0e9),
+                     (3.0, 1.0e15)):
+            with mpmath.workdps(30):
+                want = mpmath.diff(
+                    lambda t: form(t, prof.a) - form(t / k, prof.b), x)
+            got = _upsilon_slope_from_logs(k, math.log(x), math.log(x / k),
+                                           prof)
+            assert got == pytest.approx(float(want), rel=1e-9)
 
 
 def test_upsilon_rejects_bad_k():
@@ -488,6 +509,37 @@ def test_certify_tail_pins():
     assert certify_tail(2, 37097) == 1018297
     assert certify_tail(2, 1) == 5394
     assert certify_tail(Fraction(3, 2), 5) == 5394
+
+
+def test_certify_tail_pins_at_scale():
+    """Cutoffs found by bisection over the same exact check, at the
+    default cap 2^62, where Newton's proposal is fragile: past 2^53
+    (floats 16 apart), where the slack moves the goal by ~4e7 integers,
+    k near 1 (Upsilon cancels), and large k."""
+    pins = {(2, 10 ** 15): 77277424592846040,
+            (Fraction(1001, 1000), 10 ** 6): 2012210941793465,
+            (Fraction(101, 100), 10 ** 9): 3438745639439,
+            (3, 10 ** 12): 46612760080434,
+            (10 ** 6, 10 ** 9): 22852379683}
+    for (k, n), want in pins.items():
+        assert certify_tail(k, n) == want
+    got = certify_tail(np.array([2, 3]), np.array([10 ** 15, 10 ** 12]))
+    assert got.tolist() == [77277424592846040, 46612760080434]
+    with pytest.raises(ResourceBudgetError):
+        certify_tail(2, 10 ** 17)
+    # array cutoffs are int64, so no cap past 2^62 is taken for them
+    with pytest.raises(ValueError):
+        certify_tail(np.array([2]), np.array([5]), hard_cap=(1 << 62) + 1)
+
+
+def test_certify_tail_grid_digest():
+    """2,940 cutoffs over k = 1.1 .. 50 in tenths and n from 0 to 10^6
+    at cap 2^31: the md5 of the same cutoffs found by bisection over the
+    same exact check."""
+    vals = [certify_tail(Fraction(s, 10), n, hard_cap=2 ** 31)
+            for s in range(11, 501) for n in (0, 1, 10, 500, 10 ** 4, 10 ** 6)]
+    digest = hashlib.md5(",".join(map(str, vals)).encode()).hexdigest()
+    assert digest == "f00fb0753d604b01d759c74f6283aa75"
 
 
 def test_certificate_clears_target_minimally():

@@ -309,6 +309,33 @@ def test_cap_below_minimum_rejected(capsys):
     assert "at least 10^6" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--cap", str(10 ** 20), "mps", "--m", "5"),
+    ("--cap", str(10 ** 20), "verify", "--campaign", "mps-scan",
+     "--mmax", "10"),
+    ("--cap", str((1 << 62) + 1), "compute", "--k", "2", "--n", "5"),
+])
+def test_cap_above_maximum_rejected(capsys, argv):
+    """Past 2^62, certify_tail's own default, int64 cutoffs could overflow:
+    a usage error, not a traceback that exits 1 like a failed verdict."""
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("usage error: sieve cap must be at most 2^62")
+
+
+def test_env_cap_above_maximum_rejected(capsys, monkeypatch):
+    monkeypatch.setenv(ENV_CAP, str(10 ** 20))
+    code, _, err = run(capsys, "mps", "--m", "5")
+    assert code == 2
+    assert err.startswith("usage error: sieve cap must be at most 2^62")
+
+
+def test_cap_at_maximum_accepted(capsys):
+    code, out, _ = run(capsys, "--cap", str(1 << 62), "mps", "--m", "5")
+    assert code == 0
+    assert out.strip() == "m=5: holds-certified (n0 = 3, R = 11)"
+
+
 def test_resource_exit_when_cap_too_small(capsys):
     code, _, err = run(capsys, "--cap", "1000000", "compute", "--k", "2",
                        "--n", "37097")
