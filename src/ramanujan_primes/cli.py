@@ -76,7 +76,7 @@ def _cmd_compute(args, config: CliConfig) -> int:
     if config.fmt == "json":
         print(table.to_json())
     else:
-        print(" ".join(str(v) for v in table.values))
+        print(rp._format_ints(table.array, " "))
         print(f"cutoff {table.cutoff} ({table.proof}, profile "
               f"{table.profile})", file=sys.stderr)
     return EXIT_OK

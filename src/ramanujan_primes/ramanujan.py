@@ -24,7 +24,15 @@ whole scan:
     pi_k(x) = S[pi(x)].
 
 So each scan costs a few machine words per prime below X instead of
-per integer.  It need not start at j = 0 either: S[j] <= f*(c_j) <= j,
+per integer.  S also moves in unit steps.  S[0] = 0, since f* >= 0
+(q(m) <= m) and f*(c_0) = f*(1) = 0.  And
+f*(c_{j+1}) <= f*(c_j) + 1 because pi(q(c)) never decreases, so where
+S[j] < S[j+1] we have S[j] = f*(c_j) >= f*(c_{j+1}) - 1 >= S[j+1] - 1.
+Hence R_n = p_{j+1} for the n-th j with S[j] < S[j+1], and the prefix
+R_1..R_N is read off the steps of S before the first S[j] = N as one
+int64 array, with no search per n.
+
+A scan need not start at j = 0 either: S[j] <= f*(c_j) <= j,
 so S[j] >= n forces j >= n, and the suffix minima over a window
 [first, J] are S itself there.  pi_k(x) needs f* only at j >= pi(x),
 where it is the window minimum, and R_{m-1}^(m) only at j >= m - 1:
@@ -61,39 +69,96 @@ PROOF_ANALYTIC = "analytic-certificate"
 # result types
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RamanujanTable:
     """R_1^(k)..R_N^(k), the cutoff that makes the scan a proof, and the
-    profile behind that certificate (always "P4")."""
+    profile behind that certificate (always "P4").
 
-    k: Fraction
-    values: list[int]
-    cutoff: int
-    proof: str
-    profile: str
+    `array` is the read-only int64 array of the values; `values`, the
+    same as a list of ints, is built from it on first access.
+    """
 
-    def __post_init__(self):
-        if self.proof != PROOF_ANALYTIC:
-            raise ValueError(f"unknown proof kind {self.proof!r}")
+    def __init__(self, k: Fraction, values, cutoff: int, proof: str,
+                 profile: str):
+        if proof != PROOF_ANALYTIC:
+            raise ValueError(f"unknown proof kind {proof!r}")
+        self.k = k
+        self.cutoff = cutoff
+        self.proof = proof
+        self.profile = profile
+        self.array = np.asarray(values, dtype=np.int64).view()
+        self.array.flags.writeable = False
+        self._values: list[int] | None = None
+
+    @property
+    def values(self) -> list[int]:
+        # two threads may both build it; either list is the same
+        values = self._values
+        if values is None:
+            values = self._values = self.array.tolist()
+        return values
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.array)
 
     def value(self, n: int) -> int:
         """R_n^(k), 1-indexed."""
-        if n < 1 or n > len(self.values):
+        if n < 1 or n > len(self.array):
             raise IndexError(f"n={n} outside computed range "
-                             f"[1, {len(self.values)}]")
-        return self.values[n - 1]
+                             f"[1, {len(self.array)}]")
+        return int(self.array[n - 1])
 
     def to_json(self) -> str:
-        return json.dumps({
+        head, tail = json.dumps({
             "k": f"{self.k.numerator}/{self.k.denominator}",
-            "values": self.values,
+            "values": [],
             "cutoff": self.cutoff,
             "proof": self.proof,
             "profile": self.profile,
-        })
+        }).split("[]", 1)
+        return _format_ints(self.array, ", ", head + "[", "]" + tail)
+
+
+# the 4 ASCII digits of i, zero-padded, are the bytes of _DIGITS4[i]
+_DIGITS4 = sum((48 + np.arange(10000, dtype=np.uint32) // 10 ** (3 - p) % 10)
+               << 8 * p for p in range(4)).astype("<u4")
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)       # the width edges
+
+
+def _format_ints(values: np.ndarray, sep: str, head: str = "",
+                 tail: str = "") -> str:
+    """head + sep.join(map(str, values)) + tail for nondecreasing int64
+    values >= 0, written without a Python int per value.
+
+    Sorted values fall into one run per decimal width.  Each run is
+    written in blocks of at most SEGMENT_SIZE values: one row per value,
+    its base-10^4 digit groups looked up in _DIGITS4, trimmed to the
+    width and followed by sep, straight into the output buffer.
+    """
+    sep_b, head_b, tail_b = sep.encode(), head.encode(), tail.encode()
+    s = len(sep_b)
+    ends = np.append(np.searchsorted(values, _POW10), len(values))
+    starts = np.concatenate(([0], ends[:-1]))
+    widths = np.arange(1, len(ends) + 1)
+    size = (len(head_b) + int(((ends - starts) * (widths + s)).sum())
+            - (s if len(values) else 0) + len(tail_b))
+    buf = np.empty(size + s, np.uint8)          # room for the last sep
+    buf[:len(head_b)] = np.frombuffer(head_b, np.uint8)
+    pos = len(head_b)
+    for w, a, b in zip(widths.tolist(), starts.tolist(), ends.tolist()):
+        g = (w + 3) // 4
+        for lo in range(a, b, SEGMENT_SIZE):
+            x = values[lo:min(b, lo + SEGMENT_SIZE)]
+            groups = np.empty((len(x), g), "<u4")
+            for col in range(g - 1, 0, -1):
+                x, low = np.divmod(x, 10000)
+                groups[:, col] = _DIGITS4[low]
+            groups[:, 0] = _DIGITS4[x]
+            rows = buf[pos:pos + len(groups) * (w + s)].reshape(-1, w + s)
+            rows[:, :w] = groups.view(np.uint8)[:, 4 * g - w:]
+            rows[:, w:] = np.frombuffer(sep_b, np.uint8)
+            pos += rows.size
+    buf[size - len(tail_b):size] = np.frombuffer(tail_b, np.uint8)
+    return str(buf[:size], "ascii")
 
 
 @dataclass
@@ -200,15 +265,17 @@ def _suffix_min(num, den, cutoff, first, primes: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(fstar[::-1], axis=0)[::-1].T
 
 
-def _scan(k: Fraction, n_max: int, cutoff: int, pi: PrimeTable) -> list[int]:
-    """R_1..R_{n_max} assuming no m >= cutoff has f*(m) < n_max."""
+def _scan(k: Fraction, n_max: int, cutoff: int,
+          pi: PrimeTable) -> np.ndarray:
+    """R_1..R_{n_max} as int64, assuming no m >= cutoff has f*(m) < n_max."""
     primes = pi.primes_array(0, cutoff)
     sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, primes)[0]
-    j = np.searchsorted(sufmin, np.arange(1, n_max + 1), side="left")
-    if j[-1] == len(sufmin):
+    last = np.searchsorted(sufmin, n_max)            # first S[j] = n_max
+    if last == len(sufmin):
         raise AssertionError(
             f"scan for k={k} hit its own cutoff {cutoff}; certificate broken")
-    return primes[j - 1].tolist()                     # R_n = p_j
+    head = sufmin[:last + 1]
+    return primes[np.flatnonzero(head[1:] != head[:-1])]     # R_n = p_{j+1}
 
 
 def _pi_k_array(k: Fraction, x: int, cache: TableCache,
@@ -327,7 +394,7 @@ def _empirical(k, n_probe: int, cache: TableCache | None,
     cache = _as_cache(cache)
     table = ramanujan_prefix(k, n_probe, cache)
     pi = _table_to_index(cache, _p_index(k, n_probe))   # and >= cutoff
-    rvals = np.asarray(table.values, dtype=np.int64)
+    rvals = table.array
     pvals = pi.nth_prime(_p_index(k, np.arange(1, n_probe + 1,
                                                 dtype=np.int64)))
     violations = np.flatnonzero(rvals <= pvals if strict else rvals < pvals)

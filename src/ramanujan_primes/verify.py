@@ -102,7 +102,7 @@ def _run_sondow_gap(cache, limit, mmax, rng):
     params = {"k": Fraction(2), "n_max": n_max}
     table = rp.ramanujan_prefix(2, n_max, cache)
     pi = rp._table_to_index(cache, 2 * n_max)
-    rv = np.asarray(table.values, dtype=np.int64)
+    rv = table.array
     p2n = pi.nth_prime(2 * np.arange(1, n_max + 1, dtype=np.int64))
     gaps = rv - p2n
 
@@ -123,7 +123,7 @@ def _run_upper_48_19(cache, limit, mmax, rng):
     n_max = limit if limit else 19535
     params = {"k": Fraction(2), "t": Fraction(48, 19), "n_max": n_max}
     table = rp.ramanujan_prefix(2, n_max, cache)
-    rv = np.asarray(table.values, dtype=np.int64)
+    rv = table.array
     n = np.arange(1, n_max + 1, dtype=np.int64)
     idx = ceil_div(48 * n, 19)
     pi = rp._table_to_index(cache, int(idx[-1]))
@@ -432,8 +432,7 @@ def _run_section2_properties(cache, limit, mmax, rng):
     tables = {k: rp.ramanujan_prefix(k, n_max, cache) for k in ks}
     pi = cache.get(max(t.values[-1] for t in tables.values()) + 1)
     pvals = pi.nth_prime(np.arange(1, n_max + 1, dtype=np.int64))
-    arrs = {k: np.asarray(t.values, dtype=np.int64)
-            for k, t in tables.items()}
+    arrs = {k: t.array for k, t in tables.items()}
 
     # monotone in k, componentwise
     for i, k1 in enumerate(ks):
@@ -498,14 +497,12 @@ def _run_section2_properties(cache, limit, mmax, rng):
     for k in [Fraction(4, 3), Fraction(3, 2), Fraction(8, 5)]:
         rv = arrs.get(k)
         if rv is None:
-            rv = np.asarray(rp.ramanujan_prefix(k, n_max, cache).values,
-                            dtype=np.int64)
+            rv = rp.ramanujan_prefix(k, n_max, cache).array
         cases += n_max
         for j in np.flatnonzero(rv == pvals):
             failures.append(f"k={k}, n={j + 1}: R_n = p_n below 5/3")
     for k in [Fraction(5, 3), Fraction(9, 5), Fraction(19, 10)]:
-        rv = np.asarray(rp.ramanujan_prefix(k, n_max, cache).values,
-                        dtype=np.int64)
+        rv = rp.ramanujan_prefix(k, n_max, cache).array
         cases += n_max
         eq = rv == pvals
         if not eq[0] or np.any(eq[1:]):
@@ -515,8 +512,7 @@ def _run_section2_properties(cache, limit, mmax, rng):
     for k in [Fraction(2), Fraction(5, 2), Fraction(3), Fraction(10)]:
         rv = arrs.get(k)
         if rv is None:
-            rv = np.asarray(rp.ramanujan_prefix(k, n_max, cache).values,
-                            dtype=np.int64)
+            rv = rp.ramanujan_prefix(k, n_max, cache).array
         num, den = k.numerator, k.denominator
         cases += n_max
         for j in range(n_max):
@@ -534,7 +530,7 @@ def _run_nicholson_bound(cache, limit, mmax, rng):
     failures, cases = [], 0
 
     table = rp.ramanujan_prefix(2, n_max, cache)
-    rv = np.asarray(table.values, dtype=np.float64)
+    rv = table.array.astype(np.float64)
     n = np.arange(1, n_max + 1, dtype=np.float64)
     ok = rv < 2.0 * n * np.log(rv)
     for j in np.flatnonzero(~ok[32:]) + 33:
@@ -554,7 +550,7 @@ def _run_nicholson_bound(cache, limit, mmax, rng):
     params.update(spot_k=k, eps2=eps, delta1=eps, delta2=eps,
                   X19=float(x19), spot_n_hi=n_hi)
     table10 = rp.ramanujan_prefix(k, n_hi, cache)
-    rv10 = np.asarray(table10.values[n_lo - 1:], dtype=np.float64)
+    rv10 = table10.array[n_lo - 1:].astype(np.float64)
     nn = np.arange(n_lo, n_hi + 1, dtype=np.float64)
     ok10 = (10.0 / 9.0) * nn * np.log(rv10) > rv10
     for j in np.flatnonzero(~ok10):
@@ -582,7 +578,7 @@ def _run_gamma_difference(cache, limit, mmax, rng):
         nn = np.arange(n2, n_hi + 1, dtype=np.int64)
         idx = rp._p_index(k, nn)
         pidx = rp._table_to_index(cache, int(idx[-1])).nth_prime(idx)
-        rv = np.asarray(table.values[n2 - 1:], dtype=np.int64)
+        rv = table.array[n2 - 1:]
         diff = rv - pidx
         bad = np.flatnonzero(diff >= gamma * nn)
         failures += [f"k={k}, n={int(nn[j])}: R_n - p_ceil(kn/(k-1)) = "

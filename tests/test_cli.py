@@ -48,6 +48,17 @@ def test_compute_json_round_trips(capsys):
                    ' "profile": "P4"}\n')
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    (["--json"], "89e7e39551da57e908591a19ef969b91"),
+    ([], "59635124e3a0a5b51a37267356f444d8"),
+])
+def test_compute_output_is_frozen(capsys, fmt, digest):
+    """R_1..R_100000 at k = 2 in JSON and in text, byte for byte."""
+    code, out, _ = run(capsys, "compute", "--k", "2", "--n", "100000", *fmt)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
 def test_pik_text_shows_exact_rho(capsys):
     code, out, _ = run(capsys, "pik", "--k", "2", "--x", "41")
     assert code == 0

@@ -26,7 +26,8 @@ from ramanujan_primes import (MpsVerdict, NEstimate, RamanujanTable,
                               empirical_N0, mps_holds, pi_k, ramanujan_prefix,
                               rho_k)
 from ramanujan_primes.bounds import certify_tail
-from ramanujan_primes.ramanujan import PROOF_ANALYTIC, _suffix_min
+from ramanujan_primes.ramanujan import (PROOF_ANALYTIC, _format_ints,
+                                       _suffix_min)
 
 
 def naive_table(k: Fraction, n_max: int, primes, bound: int) -> list[int]:
@@ -131,6 +132,50 @@ def test_json_round_trip(cache):
     raw = json.loads(table.to_json())
     assert raw["k"] == "5/3"
     assert raw["proof"] == PROOF_ANALYTIC
+
+
+def test_table_keeps_an_int64_array(cache):
+    """The array is the table; the list is built from it on first use."""
+    table = ramanujan_prefix("3/2", 10, cache)
+    assert table.array.dtype == np.int64
+    assert not table.array.flags.writeable
+    assert table.to_json() and len(table) == 10 and table.value(3) == 37
+    assert table._values is None           # none of these built the list
+    assert table.values == PREFIXES["3/2"]
+    assert all(type(v) is int for v in table.values)
+    assert table.values is table.values
+    from_list = RamanujanTable(k=Fraction(3, 2), values=PREFIXES["3/2"],
+                               cutoff=table.cutoff, proof=PROOF_ANALYTIC,
+                               profile="P4")
+    assert from_list.array.dtype == np.int64
+    assert from_list.to_json() == table.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.lists(st.integers(0, 2 ** 63 - 1), max_size=60))
+def test_format_ints_equals_json_dumps(raw):
+    values = np.array(sorted(raw), dtype=np.int64)
+    assert _format_ints(values, ", ", "[", "]") == json.dumps(values.tolist())
+    assert _format_ints(values, " ") == " ".join(map(str, values.tolist()))
+
+
+@pytest.mark.parametrize("raw", [
+    [], [0], [7], [9, 10], [9999, 10000], [10 ** 8 - 1, 10 ** 8],
+    [2 ** 63 - 1], [10 ** 18 - 1, 10 ** 18, 2 ** 63 - 1],
+    [0, 0, 9, 10, 99, 100, 9999, 10000, 10 ** 8 - 1, 10 ** 8, 2 ** 63 - 1],
+])
+def test_format_ints_at_width_edges(raw):
+    values = np.array(raw, dtype=np.int64)
+    assert _format_ints(values, ", ", "[", "]") == json.dumps(raw)
+    assert _format_ints(values, " ", "<", ">") \
+        == "<" + " ".join(map(str, raw)) + ">"
+
+
+def test_format_ints_across_blocks(monkeypatch):
+    """Runs longer than SEGMENT_SIZE are written a block at a time."""
+    monkeypatch.setattr(ramanujan, "SEGMENT_SIZE", 7)
+    values = np.unique(np.geomspace(1, 10 ** 12, 500).astype(np.int64))
+    assert _format_ints(values, ", ", "[", "]") == json.dumps(values.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +424,37 @@ def test_windowed_scan_matches_full_scan(cache):
         for first in (1, 2, n_max // 3, n_max - 1, n_max):
             window = _suffix_min(num, den, cutoff, first, primes)
             assert np.array_equal(window, full[:, first:]), (ks, first)
+
+
+STEP_GRID = (("101/100", 1000), ("11/10", 2000), ("3/2", 3000),
+             ("2", 5000), ("10001", 9999))
+
+
+@pytest.mark.parametrize("ks, n_max", STEP_GRID)
+def test_suffix_min_steps_by_zero_or_one(cache, ks, n_max):
+    """S[0] = 0 and S steps by 0 or 1 over the whole certified scan."""
+    k = Fraction(ks)
+    cutoff = certify_tail(k, n_max)
+    primes = cache.get(cutoff).primes_array(0, cutoff)
+    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, primes)[0]
+    assert sufmin[0] == 0
+    assert set(np.diff(sufmin).tolist()) == {0, 1}
+    assert sufmin[-1] >= n_max
+
+
+@pytest.mark.parametrize("ks, n_max", STEP_GRID)
+def test_step_emit_equals_searchsorted_emit(cache, ks, n_max):
+    """R_n at the n-th step of S is p_j for the first j with S[j] >= n."""
+    k = Fraction(ks)
+    cutoff = certify_tail(k, n_max)
+    pi = cache.get(cutoff)
+    primes = pi.primes_array(0, cutoff)
+    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, primes)[0]
+    for n in (1, n_max // 2 + 1, n_max):
+        j = np.searchsorted(sufmin, np.arange(1, n + 1), side="left")
+        got = ramanujan._scan(k, n, cutoff, pi)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, primes[j - 1]), (ks, n)
 
 
 def test_suffix_min_rows_equal_rows_alone(cache):
