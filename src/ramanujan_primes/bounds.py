@@ -25,7 +25,9 @@ Three layers:
     x >= X, by locating the monotone region of P4's Upsilon_k and
     pushing Upsilon_k above n + 1 there: Newton's method proposes X and
     an exact integer check settles it.  One body serves numbers and
-    equal-shape integer arrays of k and n alike.
+    equal-shape integer arrays of k and n alike: the start of that
+    region, the input checks and the cap check run over a whole array
+    as they do on one number.
 
 Everything is evaluated in double precision.  Any value used as a cutoff
 or compared against a guarantee is inflated first (relative 1e-9,
@@ -334,15 +336,16 @@ def _upsilon_slope_from_logs(k, lx, lxk, profile: BoundProfile):
 # scalar closed forms
 # ---------------------------------------------------------------------------
 
-def x14(k: float, b1: float = 1.17) -> float:
+def x14(k, b1: float = 1.17):
     """Past k*x14(k) the second Upsilon factor is positive (A in {0, 1/log x}).
 
-    ThresholdDomainError where the value overflows a float (k near 1).
+    k is a float or a float array; the expression runs elementwise alike.
+    ThresholdDomainError where a float k overflows it (k near 1).
     """
-    k = float(k)
-    w = 0.5 + math.log(k) / (2.0 * (k - 1.0))
+    fn = np if isinstance(k, np.ndarray) else math
+    w = 0.5 + fn.log(k) / (2.0 * (k - 1.0))
     try:
-        return math.exp(math.sqrt(b1 + b1 / (k - 1.0) + w * w) + w)
+        return fn.exp(fn.sqrt(b1 + b1 / (k - 1.0) + w * w) + w)
     except OverflowError:
         raise ThresholdDomainError(
             f"X14 overflows a float at k={k}") from None
@@ -664,8 +667,9 @@ def named_threshold(name: str, pi=None, **params) -> float:
     """Evaluate a named threshold constant.
 
     Extra keyword arguments are the formula's parameters (k, eps1, ...);
-    Fractions are accepted and converted.  Thresholds that count primes
-    (c0, c1, X11, X19, X22, X25, X26) need a PrimeTable via pi.
+    Fractions are accepted and converted.  Every formula that takes k
+    needs k > 1.  Thresholds that count primes (c0, c1, X11, X19, X22,
+    X25, X26) need a PrimeTable via pi.
     """
     try:
         formula = _THRESHOLDS[name]
@@ -675,6 +679,8 @@ def named_threshold(name: str, pi=None, **params) -> float:
     clean = {key: (value if isinstance(value, str)
                    or key == "profile" else float(value))
              for key, value in params.items()}
+    if "k" in clean and not clean["k"] > 1:
+        raise ValueError(f"need k > 1, got {clean['k']}")
     try:
         return formula(pi, **clean)
     except ThresholdDomainError as err:    # it may come from an inner one
@@ -750,25 +756,6 @@ def _budget_error(k, n, hi, hard_cap) -> ResourceBudgetError:
         required=2 * hi, cap=hard_cap)
 
 
-def _tail_start(k, n, hard_cap) -> int:
-    """First integer of the region where P4's Upsilon_k is nondecreasing
-    (x/(log x - 1) increases from e^2 < Y_0 on) for k > 1 and n >= 0; a
-    budget error where it starts past hard_cap or x14 overflows."""
-    kf = float(k)
-    if kf <= 1:
-        raise ValueError(f"need k > 1, got {k}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    try:
-        x_lo = max(P4.y_threshold(0.0), kf * P4.x0, kf * x14(kf, P4.b[0]))
-    except ThresholdDomainError:
-        raise _budget_error(k, n, hard_cap, hard_cap) from None
-    start = math.ceil(inflate(x_lo))
-    if start > hard_cap:
-        raise _budget_error(k, n, start, hard_cap)
-    return start
-
-
 def certify_tail(k, n, hard_cap: int = 1 << 62):
     """Integer X with pi(x) - pi(x/k) > n for every real x >= X.
 
@@ -782,8 +769,10 @@ def certify_tail(k, n, hard_cap: int = 1 << 62):
     jitter (k near 1).  Past hard_cap it raises ResourceBudgetError.
 
     k and n may also be equal-shape integer arrays (integer k > 1 each,
-    hard_cap <= 2^62): every element runs the same search at once, and
-    an int64 array of the cutoffs comes back.
+    hard_cap <= 2^62): every element gets its start and runs the same
+    search at once, and an int64 array of the cutoffs comes back.  An
+    error names the first offending element in ravel order; every k is
+    checked before any n.
     """
     if isinstance(k, np.ndarray):
         if not isinstance(n, np.ndarray) or n.shape != k.shape:
@@ -796,16 +785,36 @@ def certify_tail(k, n, hard_cap: int = 1 << 62):
             raise ValueError(f"int64 cutoffs need hard_cap <= 2^62, "
                              f"got {hard_cap}")
         k, n = k.astype(np.int64), n.astype(np.int64)
-        start = np.array([_tail_start(kv, nv, hard_cap) for kv, nv
-                          in zip(k.ravel().tolist(), n.ravel().tolist())],
-                         dtype=np.int64).reshape(k.shape)
-        log, clip, some = np.log, np.clip, np.any
+        log, clip, some, big = np.log, np.clip, np.any, np.maximum
         ceil = lambda v: np.ceil(v).astype(np.int64)
+        first = lambda bad, v: np.extract(bad, v)[0].item()
+        # numpy rounds hard_cap to a float; x > cap with the largest
+        # float <= hard_cap is exact for every float x
+        cap = float(hard_cap)
+        cap = math.nextafter(cap, 0.0) if cap > hard_cap else cap
     else:                   # plain floats: numpy scalars cost more here
-        start = _tail_start(k, n, hard_cap)
-        log, ceil, some = math.log, math.ceil, bool
+        log, ceil, some, big = math.log, math.ceil, bool, max
         clip = lambda v, lo, hi: min(max(v, lo), hi)
+        first = lambda bad, v: v
+        cap = hard_cap
     kf, target = k * 1.0, (n + 1) * 1.0
+    if some(kf <= 1):
+        raise ValueError(f"need k > 1, got {first(kf <= 1, k)}")
+    if some(n < 0):
+        raise ValueError(f"need n >= 0, got {first(n < 0, n)}")
+    # P4's Upsilon_k is nondecreasing from here on (x/(log x - 1)
+    # increases from e^2 < Y_0 on): X17 at P4, inflated
+    try:
+        x_lo = big(big(P4.y_threshold(0.0), kf * P4.x0),
+                   kf * x14(kf, P4.b[0]))
+    except ThresholdDomainError:           # x14 overflows: k near 1
+        raise _budget_error(k, n, hard_cap, hard_cap) from None
+    x_lo = x_lo + big(x_lo * REL_SLACK, ABS_SLACK)  # inflate(x_lo > 0)
+    over = x_lo > cap                      # iff ceil(x_lo) > hard_cap
+    if some(over):                         # name the first element past it
+        raise _budget_error(first(over, k), first(over, n),
+                            math.ceil(first(over, x_lo)), hard_cap)
+    start = ceil(x_lo)
     goal = target / (1.0 - REL_SLACK) + ABS_SLACK    # <= ABS_SLACK too high
     lk = log(kf)
 
@@ -832,8 +841,8 @@ def certify_tail(k, n, hard_cap: int = 1 << 62):
     while some(up):
         stuck = cutoff + up > hard_cap
         if some(stuck):                    # name the first stuck element
-            raise _budget_error(np.extract(stuck, k)[0],
-                                np.extract(stuck, n)[0], hard_cap, hard_cap)
+            raise _budget_error(first(stuck, k), first(stuck, n), hard_cap,
+                                hard_cap)
         cutoff = cutoff + up
         up = 1 - clears(cutoff)
     down = cutoff > start

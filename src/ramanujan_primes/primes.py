@@ -128,24 +128,16 @@ class PrimeTable:
 
     # -- bulk access ---------------------------------------------------
 
-    def indicator(self, lo: int, hi: int) -> np.ndarray:
-        """0/1 uint8 array over values in [lo, hi); lo must be a multiple of 8."""
-        if lo < 0 or hi > self.limit + 1 or lo > hi:
-            raise RangeQueryError(f"[{lo}, {hi}) outside [0, {self.limit + 1})")
-        if lo & 7:
-            raise ValueError("lo must be byte-aligned (multiple of 8)")
-        # byte b expands to the 16 values [16b, 16b + 16); lo = 8 (mod 16)
-        # starts at bit 4 of its byte
-        chunk = self._bits[lo >> 4:(hi + 15) >> 4]
-        out = np.take(_ODD_EXPAND, chunk, axis=0).reshape(-1)
-        out = out[lo & 15:(lo & 15) + hi - lo]
-        if lo <= 2 < hi:
-            out[2 - lo] = 1
-        return out
-
-    def pi_cumulative(self, hi: int, dtype=np.int64) -> np.ndarray:
+    def pi_cumulative(self, hi: int) -> np.ndarray:
         """Array A with A[x] = pi(x) for all 0 <= x < hi."""
-        return np.cumsum(self.indicator(0, hi), dtype=dtype)
+        if hi < 0 or hi > self.limit + 1:
+            raise RangeQueryError(f"[0, {hi}) outside [0, {self.limit + 1})")
+        # byte b expands to the 0/1 flags of the 16 values [16b, 16b + 16)
+        flags = np.take(_ODD_EXPAND, self._bits[:(hi + 15) >> 4],
+                        axis=0).reshape(-1)[:hi]
+        if hi > 2:
+            flags[2] = 1                     # the prime without a bit
+        return np.cumsum(flags, dtype=np.int64)
 
     def primes_array(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """All primes with lo <= p < hi as int64, ascending: a read-only view.
@@ -201,7 +193,7 @@ def build_table(limit: int, base: PrimeTable | None = None) -> PrimeTable:
 
     odd_base = _small_sieve(isqrt(limit))[1:]
     slots = (limit + 1) >> 1                 # odd numbers 1, 3, ..., <= limit
-    # byte b holds the odd numbers in [16b, 16b + 16); indicator expands
+    # byte b holds the odd numbers in [16b, 16b + 16); pi_cumulative expands
     # whole bytes, so there is a byte for every value in [0, limit]
     bits = np.zeros((limit >> 4) + 1, dtype=np.uint8)
     checkpoints = np.zeros(-(-len(bits) // _BLOCK_BYTES) + 1, dtype=np.int64)

@@ -70,21 +70,20 @@ PROOF_ANALYTIC = "analytic-certificate"
 # ---------------------------------------------------------------------------
 
 class RamanujanTable:
-    """R_1^(k)..R_N^(k), the cutoff that makes the scan a proof, and the
-    profile behind that certificate (always "P4").
+    """R_1^(k)..R_N^(k) and the cutoff that makes the scan a proof.
 
-    `array` is the read-only int64 array of the values; `values`, the
-    same as a list of ints, is built from it on first access.
+    Every cutoff comes from bounds.certify_tail, so `proof` and `profile`,
+    the estimates behind it, are the same for every table.  `array` is
+    the read-only int64 array of the values; `values`, the same as a list
+    of ints, is built from it on first access.
     """
 
-    def __init__(self, k: Fraction, values, cutoff: int, proof: str,
-                 profile: str):
-        if proof != PROOF_ANALYTIC:
-            raise ValueError(f"unknown proof kind {proof!r}")
+    proof = PROOF_ANALYTIC
+    profile = bounds.P4.name
+
+    def __init__(self, k: Fraction, values, cutoff: int):
         self.k = k
         self.cutoff = cutoff
-        self.proof = proof
-        self.profile = profile
         self.array = np.asarray(values, dtype=np.int64).view()
         self.array.flags.writeable = False
         self._values: list[int] | None = None
@@ -303,8 +302,7 @@ def ramanujan_prefix(k, n_max: int,
     except ResourceBudgetError as err:
         raise _partial_error(err, k, n_max, cache) from None
     values = _scan(k, n_max, cutoff, pi)
-    return RamanujanTable(k=k, values=values, cutoff=cutoff,
-                          proof=PROOF_ANALYTIC, profile=bounds.P4.name)
+    return RamanujanTable(k=k, values=values, cutoff=cutoff)
 
 
 def _partial_error(err: ResourceBudgetError, k: Fraction, n_max: int,
@@ -328,9 +326,7 @@ def _partial_error(err: ResourceBudgetError, k: Fraction, n_max: int,
             except MemoryError:     # within the cap, but not in this memory
                 message += "; no partial prefix: out of memory"
             else:
-                partial = RamanujanTable(k=k, values=values, cutoff=cutoff,
-                                         proof=PROOF_ANALYTIC,
-                                         profile=bounds.P4.name)
+                partial = RamanujanTable(k=k, values=values, cutoff=cutoff)
     return ResourceBudgetError(message, required=err.required,
                                cap=err.cap, partial=partial)
 

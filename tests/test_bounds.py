@@ -10,6 +10,7 @@ flip the predicate they bound).
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 from fractions import Fraction
 
@@ -22,8 +23,8 @@ from ramanujan_primes import (P1, P2, P3, P4, BoundProfile,
                               certify_tail, get_profile, log_gap_holds,
                               n_threshold, named_threshold, pi_lower,
                               pi_upper, profile_p4, threshold_names, upsilon)
-from ramanujan_primes.bounds import (_upsilon_slope_from_logs, inflate, r,
-                                     rtilde, x14, z)
+from ramanujan_primes.bounds import (_THRESHOLDS, _upsilon_slope_from_logs,
+                                     inflate, r, rtilde, x14, z)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +387,21 @@ def test_every_threshold_name_evaluates(cache):
         assert math.isfinite(value) and value > 0, name
 
 
+def test_named_threshold_needs_k_above_one():
+    """Every formula that takes k refuses k <= 1 with the message X2's
+    x1 gave already (r(1) divided by log 1; X13 returned a value at
+    k = 0.5)."""
+    takes_k = [name for name in threshold_names()
+               if "k" in inspect.signature(_THRESHOLDS[name]).parameters]
+    assert {"r", "rtilde", "S", "X2", "X13", "X14", "X23"} <= set(takes_k)
+    for name in takes_k:
+        for k in (1, 0.5, Fraction(1)):
+            with pytest.raises(ValueError, match=r"^need k > 1, got "):
+                named_threshold(name, k=k)
+    with pytest.raises(ValueError, match=r"^need k > 1, got 1\.0$"):
+        named_threshold("X14", k=1)
+
+
 def test_named_threshold_unknown_name():
     with pytest.raises(ValueError, match="unknown threshold"):
         named_threshold("X99", k=2)
@@ -564,21 +580,42 @@ def test_certificate_really_covers_the_scan(cache):
 
 
 def test_certify_tail_budget():
+    """Past the cap an array names its first offending element in ravel
+    order, with the message and the int required a number gets."""
     with pytest.raises(ResourceBudgetError) as info:
         certify_tail(2, 10 ** 6, hard_cap=10 ** 6)
     assert info.value.cap == 10 ** 6
     assert info.value.required > 10 ** 6
     with pytest.raises(ResourceBudgetError) as info:
-        certify_tail(np.array([2, 2]), np.array([10, 10 ** 6]),
-                     hard_cap=10 ** 6)
-    assert info.value.cap == 10 ** 6
-    assert info.value.required > 10 ** 6
+        certify_tail(np.array([[2, 3], [4, 5]]),
+                     np.array([[10, 1], [10 ** 6, 10 ** 6]]), hard_cap=10 ** 6)
+    assert str(info.value) == ("certificate for k=4, n=1000000 exceeds hard "
+                               "cap 1000000")
+    assert type(info.value.required) is int and info.value.required > 10 ** 6
     # the start point 5394 clears n + 1 = 2 at once, but lies past the cap
-    for k, n in ((2, 1), (np.array([2, 3]), np.array([1, 1]))):
-        with pytest.raises(ResourceBudgetError) as info:
-            certify_tail(k, n, hard_cap=1000)
-        assert info.value.cap == 1000
-        assert info.value.required > 1000
+    for k, n in ((2, 1), (np.array([3, 2]), np.array([1, 1]))):
+        for cap in (1000, 5393):
+            with pytest.raises(ResourceBudgetError) as info:
+                certify_tail(k, n, hard_cap=cap)
+            assert str(info.value).startswith("certificate for k=")
+            assert info.value.cap == cap
+            assert type(info.value.required) is int
+            assert info.value.required == 2 * 5394
+    # past 2^53 the cap start - 1 is the float start, still below start
+    k = 10 ** 17
+    with pytest.raises(ResourceBudgetError) as info:
+        certify_tail(k, 1, hard_cap=1)
+    start = info.value.required // 2
+    assert float(start - 1) == start
+    with pytest.raises(ResourceBudgetError) as info:
+        certify_tail(np.array([2, k]), np.array([1, 1]), hard_cap=start - 1)
+    assert str(info.value).startswith(f"certificate for k={k}, n=1 ")
+    assert certify_tail(np.array([k]), np.array([1]),
+                        hard_cap=start).tolist() == [certify_tail(k, 1)]
+    # a start past 2^63 does not wrap in int64
+    with pytest.raises(ResourceBudgetError) as info:
+        certify_tail(np.array([2, 10 ** 18]), np.array([1, 1]))
+    assert str(info.value).startswith(f"certificate for k={10 ** 18}, n=1 ")
 
 
 def test_certify_tail_input_validation():
@@ -586,10 +623,13 @@ def test_certify_tail_input_validation():
         certify_tail(1, 5)
     with pytest.raises(ValueError):
         certify_tail(2, -1)
-    with pytest.raises(ValueError):
-        certify_tail(np.array([3, 1]), np.array([5, 5]))
-    with pytest.raises(ValueError):
-        certify_tail(np.array([2, 2]), np.array([5, -1]))
+    with pytest.raises(ValueError, match=r"^need k > 1, got 1$"):
+        certify_tail(np.array([3, 1, 0]), np.array([5, 5, 5]))
+    with pytest.raises(ValueError, match=r"^need n >= 0, got -1$"):
+        certify_tail(np.array([2, 2, 2]), np.array([5, -1, -2]))
+    # every k is checked before any n
+    with pytest.raises(ValueError, match=r"^need k > 1, got 1$"):
+        certify_tail(np.array([2, 1]), np.array([-1, 5]))
     with pytest.raises(ValueError):
         certify_tail(np.array([2, 2]), np.array([5]))
     with pytest.raises(ValueError):
@@ -598,11 +638,17 @@ def test_certify_tail_input_validation():
 
 def test_certify_tail_array_matches_scalar():
     """The batched search gives the scalar cutoff at every element: all
-    2 <= m <= 10^4 at n = m - 1, as mps_holds asks, and one k at many n."""
+    2 <= m <= 10^4 at n = m - 1, as mps_holds asks, and one k at many n.
+    Up to m = 10^5 the cutoffs are frozen as an md5, recorded when every
+    start came from the scalar math code."""
     m = np.arange(2, 10001, dtype=np.int64)
     got = certify_tail(m, m - 1)
     assert got.dtype == np.int64
     assert got.tolist() == [certify_tail(v, v - 1) for v in range(2, 10001)]
+    m = np.arange(2, 10 ** 5 + 1)
+    digest = hashlib.md5(",".join(map(str, certify_tail(m, m - 1).tolist()))
+                         .encode()).hexdigest()
+    assert digest == "e090553760015b40ca9919c023e6f901"
     n = np.array([[0, 1, 100], [37097, 10 ** 5, 10 ** 6]])
     got = certify_tail(np.full(n.shape, 2), n)
     assert got.shape == n.shape

@@ -265,6 +265,18 @@ def test_mps_json_output_is_frozen(capsys):
         == "bd969fb5638d3c042de7190958fde666"
 
 
+def test_verify_all_output_is_frozen(capsys):
+    """Every campaign report of verify --campaign all at seed 7, byte for
+    byte but for the timings."""
+    code, out, _ = run(capsys, "--threads", "1", "verify", "--campaign",
+                       "all", "--json", "--seed", "7")
+    assert code == 1                       # nicholson-bound fails, as ever
+    kept = "".join(line for line in out.splitlines(keepends=True)
+                   if "elapsed_s" not in line)
+    assert hashlib.md5(kept.encode()).hexdigest() \
+        == "3da35ecf1cf84ebcd6c55e2a81ac3bf1"
+
+
 def test_mps_requires_exactly_one_selector(capsys):
     assert run(capsys, "mps", "--m", "2", "--mmax", "3")[0] == 2
     assert run(capsys, "mps")[0] == 2
@@ -301,6 +313,20 @@ def test_k_near_one_is_a_resource_exit(capsys, argv):
     assert err.startswith("resource budget exceeded: certificate for k=")
     assert "Traceback" not in err
     assert max(map(int, re.findall(r"\d+", err))) <= 2 ** 31
+
+
+@pytest.mark.parametrize("name, params, got", [
+    ("X14", "k=1", "1.0"), ("r", "k=1", "1.0"), ("rtilde", "k=1", "1.0"),
+    ("X2", "k=1", "1.0"), ("X13", "k=1/2", "0.5"),
+    ("S", "k=1,eps1=0.5,eps2=0.5", "1.0"), ("X23", "k=1,eps=0.5", "1.0"),
+])
+def test_const_k_must_exceed_one(capsys, name, params, got):
+    """k = 1 used to end in a ZeroDivisionError traceback, and X13 printed
+    a number at k = 1/2; X2's message was already this one."""
+    code, out, err = run(capsys, "const", "--name", name, "--params", params)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: need k > 1, got {got}\n"
 
 
 @pytest.mark.parametrize("name", ["X13", "X14", "X17"])

@@ -119,12 +119,13 @@ def test_limits_at_sieve_segment_boundaries(limit, primes_past_two_segments):
 
 
 @pytest.mark.parametrize("lo", [0, 8, 16, 24, 65528, 65536])
-def test_indicator_at_half_byte_offsets(table, oracle_primes, lo):
-    """lo = 8 (mod 16) starts halfway through a table byte."""
-    members = set(oracle_primes)
+def test_pi_cumulative_at_byte_offsets(table, oracle_primes, lo):
+    """hi = lo + d ends anywhere in a table byte (lo = 8 (mod 16) is
+    halfway through one), well inside a larger table."""
+    primes = np.asarray(oracle_primes)
     for hi in (lo, lo + 1, lo + 2, lo + 3, lo + 9, lo + 17, lo + 1000):
-        want = [int(x in members) for x in range(lo, hi)]
-        assert table.indicator(lo, hi).tolist() == want, f"[{lo}, {hi})"
+        want = np.searchsorted(primes, np.arange(hi), side="right")
+        assert table.pi_cumulative(hi).tolist() == want.tolist(), hi
 
 
 def test_build_table_peak_memory_within_twice_the_table():
@@ -253,20 +254,13 @@ def _race_primes_array(t, oracle_primes):
     assert results == [(want, True)] * 8
 
 
-def test_indicator_alignment_and_range(table):
-    ind = table.indicator(0, 20)
-    assert ind.tolist() == [0, 0, 1, 1, 0, 1, 0, 1, 0, 0,
-                            0, 1, 0, 1, 0, 0, 0, 1, 0, 1]
-    with pytest.raises(ValueError):
-        table.indicator(3, 20)
-    with pytest.raises(RangeQueryError):
-        table.indicator(0, table.limit + 2)
-
-
 def test_pi_cumulative_matches_scalar(table):
     pic = table.pi_cumulative(5000)
     for x in (0, 1, 2, 1023, 4096, 4999):
         assert int(pic[x]) == table.pi(x)
+    assert len(table.pi_cumulative(table.limit + 1)) == table.limit + 1
+    with pytest.raises(RangeQueryError):
+        table.pi_cumulative(table.limit + 2)
 
 
 def _is_prime_trial(x: int) -> bool:
