@@ -728,8 +728,10 @@ def n_threshold(kind: str, pi, **params) -> int:
     n0 and n1 are rational-prefactor-times-integer expressions and their
     ceilings are taken exactly; n2 and n3 round a float threshold up.
     A key the threshold does not take raises TypeError, as in
-    named_threshold.
+    named_threshold, and every kind needs k > 1.
     """
+    if "k" in params and not params["k"] > 1:
+        raise ValueError(f"need k > 1, got {params['k']}")
     if kind == "n0":
         return _n0(pi, **params)
     if kind == "n1":

@@ -18,6 +18,8 @@ counts.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from math import isqrt
 
 import numpy as np
@@ -37,6 +39,28 @@ _BLOCK_BYTES = CHECKPOINT_SPAN >> 4   # table bytes per checkpoint block
 _ODD_EXPAND = np.zeros((256, 16), dtype=np.uint8)
 _ODD_EXPAND[:, 1::2] = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+
+# numpy's searchsorted, take, unpackbits and ufuncs release the GIL, so
+# array work split into blocks runs on up to 4 cores; block edges never
+# depend on the worker count, so neither do the results
+_WORKERS = min(4, len(os.sched_getaffinity(0)))
+_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="primes-block")
+_POOLED_FROM = 4                       # fewer blocks run on the caller
+
+
+def _run_blocks(fn, items) -> None:
+    """fn(item) for every item: on the pool from _POOLED_FROM items on,
+    else on the calling thread.  Every block finishes before the first
+    error in item order is raised, so none is left writing."""
+    if len(items) < _POOLED_FROM or _WORKERS < 2:
+        for item in items:
+            fn(item)
+        return
+    futures = [_POOL.submit(fn, item) for item in items]
+    wait(futures)
+    for future in futures:
+        future.result()
+
 
 # a fresh table's primes array starts with 2, the prime without a bit, and
 # unpacks the table from byte 0 on
@@ -60,10 +84,10 @@ class PrimeTable:
     Bit i of the table stands for the odd integer 2i + 1; 2 is the one
     even prime and is answered without a bit.  nth_prime and
     primes_array read one read-only int64 array of every prime <= limit,
-    built segment by segment on first use, so a table that only answers
-    pi() never pays for it.  Two threads may build it at the same time;
-    both build identical arrays and either may be kept, so the race is
-    benign.
+    built on first use, one sieve segment a block on the block pool, so
+    a table that only answers pi() never pays for it.  Two threads may
+    build it at the same time; both build identical arrays and either may
+    be kept, so the race is benign.
     """
 
     __slots__ = ("limit", "prime_count", "_bits", "_checkpoints", "_primes",
@@ -156,16 +180,20 @@ class PrimeTable:
         primes = self._primes
         if primes is None:
             primes = np.empty(self.prime_count, dtype=np.int64)
-            pos = len(head)
-            primes[:pos] = head
+            primes[:len(head)] = head
             seg_bytes = SEGMENT_SIZE >> 4
-            for b_lo in range(start, len(self._bits), seg_bytes):
+
+            def unpack(b_lo: int) -> None:
+                # segments start on checkpoint blocks, so each one's primes
+                # start after 2 and the odd primes of the blocks below it
                 flags = np.unpackbits(self._bits[b_lo:b_lo + seg_bytes],
                                       bitorder="little")
                 seg = np.flatnonzero(flags.view(bool))
-                seg = 2 * seg + (16 * b_lo + 1)
-                primes[pos:pos + len(seg)] = seg
-                pos += len(seg)
+                pos = 1 + int(self._checkpoints[b_lo // _BLOCK_BYTES])
+                out = np.multiply(seg, 2, out=primes[pos:pos + len(seg)])
+                out += 16 * b_lo + 1
+
+            _run_blocks(unpack, range(start, len(self._bits), seg_bytes))
             primes.flags.writeable = False
             self._primes = primes
             # let go of the base's primes; _head is read before _primes

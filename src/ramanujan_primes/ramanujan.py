@@ -53,7 +53,7 @@ import numpy as np
 
 from . import bounds
 from .errors import ResourceBudgetError, ThresholdDomainError
-from .primes import SEGMENT_SIZE, PrimeTable, build_table
+from .primes import SEGMENT_SIZE, PrimeTable, _run_blocks, build_table
 from .rational import ceil_div, parse_k
 
 __all__ = [
@@ -237,6 +237,9 @@ def _as_cache(cache: TableCache | None) -> TableCache:
 # the scan
 # ---------------------------------------------------------------------------
 
+_BLOCK = 1 << 16             # candidate offsets per block of _suffix_min
+
+
 def _suffix_min(num, den, cutoff, first, primes: np.ndarray) -> np.ndarray:
     """S[pi(m)] = min f* on [m, cutoff) for k = num/den, one window a row.
 
@@ -245,23 +248,46 @@ def _suffix_min(num, den, cutoff, first, primes: np.ndarray) -> np.ndarray:
     S[first_w + i] while first_w + i <= J_w = #{p < cutoff_w}, the last
     candidate, and len(primes) + 1, which no S reaches, past that.  The
     window's suffix minima equal S on it because S looks only rightwards.
+
+    The offsets i run in blocks of _BLOCK (_fstar_block), on the block
+    pool once there are 4 or more of them.  Each block writes its own
+    suffix minima; one pass from the top then carries each block's first
+    entry, by then the minimum of everything above, into the block below.
     """
     # one window per column inside, so ints and arrays broadcast alike
     span = primes.searchsorted(cutoff) - first              # J - first
     spans = np.ravel(span).tolist()
-    i = np.arange(max(spans) + 1)[:, None]
+    out = np.empty((max(spans) + 1, len(spans)), dtype=np.int64)
+    starts = range(0, len(out), _BLOCK)
+    _run_blocks(lambda lo: _fstar_block(lo, num, den, cutoff, first, span,
+                                        min(spans), primes, out), starts)
+    for lo in reversed(starts[1:]):
+        np.minimum(out[lo - _BLOCK:lo], out[lo], out=out[lo - _BLOCK:lo])
+    return out.T
+
+
+def _fstar_block(lo, num, den, cutoff, first, span, shortest, primes,
+                 out) -> None:
+    """Rows [lo, lo + _BLOCK) of _suffix_min's out, one window a column:
+    the suffix minima of f* over the block alone.  shortest is the least
+    span; past it some window has ended."""
+    hi = min(lo + _BLOCK, len(out))
+    i = np.arange(lo, hi)[:, None]
     j = first + i
     q = primes.take(j, mode="clip")                         # c_j + 1, j < J
-    q[span, np.arange(q.shape[1])] = cutoff                 # c_J + 1
+    np.copyto(q, cutoff, where=i >= span)   # c_J + 1, and on, so q ascends
     q *= den
     q -= 1
     q //= num                                               # q(c_j)
-    q = primes.searchsorted(q, side="right")                # pi(q(c_j))
-    fstar = np.subtract(j, q, out=q)
-    lo = min(spans) + 1                   # the shortest window ends here
-    if lo < len(i):
-        np.putmask(fstar[lo:], i[lo:] > span, len(primes) + 1)
-    return np.minimum.accumulate(fstar[::-1], axis=0)[::-1].T
+    # numpy's searchsorted starts each of ascending keys at the last key's
+    # place but ends it at the end of the array: end that at pi of the
+    # last row's largest q, past every pi(q) in the block
+    top = primes.searchsorted(max(q[-1].tolist()), side="right")
+    fstar = primes[:top].searchsorted(q, side="right")      # pi(q(c_j))
+    np.subtract(j, fstar, out=fstar)
+    if hi - 1 > shortest:                 # a window ends inside the block
+        np.putmask(fstar, i > span, len(primes) + 1)
+    np.minimum.accumulate(fstar[::-1], axis=0, out=out[lo:hi][::-1])
 
 
 def _scan(k: Fraction, n_max: int, cutoff: int,
@@ -480,7 +506,8 @@ def _mps_r_values(ms: np.ndarray, cutoffs: np.ndarray,
     and R_{m-1}^(m) = p_{m-1+c}; a j past the row's last candidate means
     the scan hit its cutoff.  Blocks of SEGMENT_SIZE >> 13 (128) rows stay
     in cache and pad little where widths change (about 700 candidates at
-    m <= 100, 20-104 at m in [10^3, 10^4]).
+    m <= 100, 20-104 at m in [10^3, 10^4]); so narrow a window is one
+    _BLOCK of _suffix_min, scanned on the calling thread.
     """
     primes = pi.primes_array(0, int(cutoffs.max()))
     rows = max(1, SEGMENT_SIZE >> 13)

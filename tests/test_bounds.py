@@ -494,6 +494,14 @@ def test_n_threshold_errors(cache):
         n_threshold("n0", pi, k=2, t=-2, profile="P1")
 
 
+@pytest.mark.parametrize("kind", ["n0", "n1"])
+@pytest.mark.parametrize("k", [1, Fraction(1, 2)])
+def test_n_threshold_needs_k_above_one(cache, kind, k):
+    """n0 and n1 refuse k <= 1 as n2 and n3 do (k = 1 divided by zero)."""
+    with pytest.raises(ValueError, match=r"^need k > 1, got "):
+        n_threshold(kind, cache.get(10 ** 6), k=k)
+
+
 def test_n_threshold_rejects_unknown_keys(cache):
     """A misspelt key is an error, not a silent fall back to a default."""
     pi = cache.get(10 ** 6)

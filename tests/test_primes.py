@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import slow_primes
-from ramanujan_primes import RangeQueryError, TableCache
+from ramanujan_primes import RangeQueryError, TableCache, primes
 from ramanujan_primes.primes import CHECKPOINT_SPAN, SEGMENT_SIZE, build_table
 
 # pi(x) at the checkpoints the rest of the suite leans on, computed from
@@ -224,6 +224,18 @@ def test_grown_primes_array_built_concurrently(oracle_primes):
     base = build_table(300_007)
     base.primes_array()
     _race_primes_array(build_table(10 ** 6, base), oracle_primes)
+
+
+def test_primes_array_unpacked_on_the_pool(oracle_primes, monkeypatch):
+    """Segments of one checkpoint block each, 16 to a 10^6 table, unpack
+    on the block pool at their checkpoint offsets, on a fresh table and
+    after a base's primes alike."""
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", CHECKPOINT_SPAN)
+    monkeypatch.setattr(primes, "_WORKERS", 2)      # pooled on one CPU too
+    base = build_table(300_007)
+    base.primes_array()
+    for t in (build_table(10 ** 6), build_table(10 ** 6, base)):
+        assert t.primes_array().tolist() == oracle_primes
 
 
 def _race_primes_array(t, oracle_primes):

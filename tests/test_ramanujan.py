@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
 from bisect import bisect_left, bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ramanujan_primes import primes as primes_module
 from ramanujan_primes import ramanujan
 from ramanujan_primes import (MpsVerdict, NEstimate, RamanujanTable,
                               ResourceBudgetError, TableCache, empirical_N,
@@ -477,6 +481,112 @@ def test_suffix_min_rows_equal_rows_alone(cache):
         assert np.array_equal(alone, want[None, :]), (k, c, f)
         assert np.array_equal(row[:len(want)], want), (k, c, f)
         assert (row[len(want):] == len(primes) + 1).all(), (k, c, f)
+
+
+def window_by_integers(k, cutoff, first, pic, primes):
+    """S[first..J] as min f* on [p_j, cutoff) over every integer (p_0 = 0)."""
+    m = np.arange(cutoff)
+    fstar = pic[m] - pic[((m + 1) * k.denominator - 1) // k.numerator]
+    tail_min = np.minimum.accumulate(fstar[::-1])[::-1]
+    return tail_min[np.append(0, primes)[first:pic[cutoff - 1] + 1]]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_blocks_are_exact_across_edges(cache, monkeypatch, block):
+    """Blocks of 1, 7 and 64 candidates give S exactly: whole scans,
+    windows from pi(x), windows whose last candidate J opens or closes a
+    block, one-candidate windows, a 128-row mps block of rows 583 to 710
+    candidates wide, and a window padded after its J in one block."""
+    pi = cache.get(40000)
+    primes = pi.primes_array(0, 40000)
+    pic = pi.pi_cumulative(40000)
+    monkeypatch.setattr(ramanujan, "_BLOCK", block)
+    for k, cutoff in ((Fraction(2), 30011), (Fraction(11, 10), 40000)):
+        last = int(pic[cutoff - 1])                         # J
+        for first in (0, int(pic[10007]), last - 3 * block,
+                      last - 3 * block + 1, last):
+            got = _suffix_min(k.numerator, k.denominator, cutoff, first,
+                              primes)
+            want = window_by_integers(k, cutoff, first, pic, primes)
+            assert np.array_equal(got, want[None, :]), (k, first)
+
+    def rows_alone(rows):
+        num, den, cutoff, first = (np.array(col, dtype=np.int64) for col in
+                                   zip(*((k.numerator, k.denominator, c, f)
+                                         for k, c, f in rows)))
+        table = _suffix_min(num, den, cutoff, first, primes)
+        for (k, c, f), row in zip(rows, table):
+            want = window_by_integers(k, c, f, pic, primes)
+            assert np.array_equal(row[:len(want)], want), (k, c, f)
+            assert (row[len(want):] == len(primes) + 1).all(), (k, c, f)
+        return table
+
+    ms = np.arange(2, 130, dtype=np.int64)
+    cutoffs = certify_tail(ms, ms - 1)
+    assert rows_alone([(Fraction(m), c, m - 1) for m, c in
+                       zip(ms.tolist(), cutoffs.tolist())]).shape == (128, 711)
+    # a window past the last of primes whose J = 4203 is followed by
+    # padding in its block: c_J + 1 = 40000 gives the block's largest q,
+    # and the prime 19997 lies between q(39989 - 1) and q(40000 - 1)
+    rows_alone([(Fraction(2), 40000, len(primes) - 700),
+                (Fraction(3), 20000, 0)])
+
+
+def _pooled(monkeypatch, block):
+    """Blocks of 64 candidates on the block pool, even with one CPU; block
+    runs in place of _fstar_block."""
+    monkeypatch.setattr(ramanujan, "_BLOCK", 64)
+    monkeypatch.setattr(primes_module, "_WORKERS", 2)
+    monkeypatch.setattr(ramanujan, "_fstar_block", block)
+
+
+def test_pooled_blocks_agree_from_two_threads(cache, monkeypatch):
+    """Two threads calling ramanujan_prefix at once, as verify --threads 2
+    does, share the block pool and get the one-block scan's values, with
+    the interpreter switching threads as often as it can."""
+    ks = ["11/10", "3/2", "2", "7", "100"]
+    serial = [ramanujan_prefix(k, 3000, cache).values for k in ks]
+    names, block = set(), ramanujan._fstar_block
+
+    def spy(*args):
+        names.add(threading.current_thread().name)
+        block(*args)
+
+    _pooled(monkeypatch, spy)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as callers:
+            futures = [callers.submit(ramanujan_prefix, k, 3000, cache)
+                       for k in ks]
+            got = [f.result(timeout=60).values for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert got == serial
+    assert {name.split("_")[0] for name in names} == {"primes-block"}
+
+
+def test_pooled_block_errors_reach_the_caller(cache, monkeypatch):
+    """A MemoryError in one pooled block reaches _suffix_min's caller once
+    every other block has finished, and _partial_error still turns it into
+    a budget error without a partial prefix."""
+    done, block = [], ramanujan._fstar_block
+
+    def failing(lo, *args):
+        if lo == 5 * 64:
+            raise MemoryError
+        block(lo, *args)
+        done.append(lo)
+
+    _pooled(monkeypatch, failing)
+    primes = cache.get(40000).primes_array(0, 40000)
+    with pytest.raises(MemoryError):
+        _suffix_min(2, 1, 40000, 0, primes)
+    assert len(done) == -(-(len(primes) + 1) // 64) - 1
+    with pytest.raises(ResourceBudgetError) as err:
+        ramanujan_prefix(2, 10_000, TableCache(hard_cap=200_000))
+    assert err.value.partial is None
+    assert "no partial prefix: out of memory" in str(err.value)
 
 
 def test_mps_against_direct_counts(cache, oracle_primes):
