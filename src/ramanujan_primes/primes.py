@@ -3,11 +3,16 @@
 A PrimeTable stores one bit per odd integer in [0, limit] (1/16 byte per
 integer; 2 is implicit) plus a cumulative prime count at every 2^16
 boundary, so pi(x) is a checkpoint lookup plus an np.bitwise_count over
-at most 4 KiB.  The primes themselves sit in a single int64 array that
-the table builds on first use: nth_prime reads it by index (an int or an
-index array), primes_array by value range.  A table can grow from a
-smaller one: build_table(limit, base) copies the base's bits, counts and
-primes below its last whole checkpoint block and sieves only the rest.
+at most 4 KiB.  pi_array answers pi for a whole int64 array with a rank
+over just the 64-bit words its values span, built per call.  The primes
+themselves sit in a single int64 array that the table builds on first
+use: nth_prime reads it by index (an int or an index array),
+primes_array by value range.  The sieve clears the multiples of the 17
+odd primes below 64 by ANDing each packed segment with five fixed byte
+patterns, and only the primes from 67 on by slices.  A table can grow
+from a smaller one: build_table(limit, base) copies the base's bits,
+counts and primes below its last whole checkpoint block and sieves only
+the rest.
 Tables live in memory only: sieving costs a few nanoseconds per integer,
 so there is no file format to keep.  Tables are immutable once built and
 safe to share between threads; every query outside [0, limit] (or an
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -39,6 +44,30 @@ _BLOCK_BYTES = CHECKPOINT_SPAN >> 4   # table bytes per checkpoint block
 _ODD_EXPAND = np.zeros((256, 16), dtype=np.uint8)
 _ODD_EXPAND[:, 1::2] = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+
+
+def _pattern(group: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    """(period, bytes): table bytes with the odd multiples of group's primes
+    cleared, from byte 0 on and one segment past a whole period.  The
+    multiples repeat every prod(group) bytes because 16 values, a byte,
+    are prime to each p, so a segment at table byte b ANDs the slice at
+    phase b mod period."""
+    period = prod(group)
+    slots = np.ones(8 * (period + (SEGMENT_SIZE >> 4)), dtype=bool)
+    for p in group:
+        slots[p >> 1::p] = False          # slot i is 2i + 1
+    return period, np.packbits(slots, bitorder="little")
+
+
+# the 17 odd primes below 64, in five patterns of 71 to 250 KiB (0.66 MB):
+# they make most of a sieve's slice writes, and one AND a pattern clears
+# their multiples in a whole packed segment.  The slices clear the rest.
+_PATTERN_GROUPS = ((3, 5, 7, 11, 13), (17, 19, 23), (29, 31, 37),
+                   (41, 43, 47), (53, 59, 61))
+_PATTERNS = [_pattern(g) for g in _PATTERN_GROUPS]
+_PATTERN_SLOTS = np.array([p >> 1 for g in _PATTERN_GROUPS for p in g])
+_SLICED_FROM = 64
+_FALSE = np.zeros((), dtype=bool)   # a ready numpy value: cheaper slice writes
 
 # numpy's searchsorted, take, unpackbits and ufuncs release the GIL, so
 # array work split into blocks runs on up to 4 cores; block edges never
@@ -137,6 +166,43 @@ class PrimeTable:
             count += (int(self._bits[hi_byte]) & ((1 << rem) - 1)).bit_count()
         return count
 
+    def pi_array(self, x: np.ndarray) -> np.ndarray:
+        """pi at every entry of an int64 array x, each in [0, limit].
+
+        A rank over the table words that x spans, local to the call: the
+        cumulative popcount of those 64-bit words from a checkpoint on,
+        less the popcount of each value's own word from its bit on.  So
+        the cost is a few passes over x and over (max x - min x) / 128
+        words, with no index kept in the table.
+        """
+        lo, hi = (int(x.min()), int(x.max())) if x.size else (0, 0)
+        if lo < 0 or hi > self.limit:
+            raise RangeQueryError(
+                f"x in [{lo}, {hi}] outside sieved range [0, {self.limit}]")
+        # v has (v + 1) >> 1 odd numbers up to it, the slots below
+        # s = (v + 1) >> 1: the words up to s >> 6 but for the bits of word
+        # s >> 6 from s & 63 on; words past the table read 0
+        w_lo, w_hi = (lo + 1) >> 7, (hi + 1) >> 7
+        words = np.zeros(w_hi - w_lo + 1, dtype="<u8")
+        span = self._bits[8 * w_lo:8 * w_hi + 8]
+        words.view(np.uint8)[:len(span)] = span
+        counts = np.empty(len(words), dtype=np.int64)
+        np.cumsum(np.bitwise_count(words), out=counts)
+        b_lo, b_block = 8 * w_lo, (w_lo >> 9) * _BLOCK_BYTES
+        counts += 1 + int(self._checkpoints[w_lo >> 9]) + int(  # 1 for 2
+            np.bitwise_count(self._bits[b_block:b_lo].view("<u8")).sum())
+        s = x + (1 - 128 * w_lo)
+        s >>= 1                                  # slots from word w_lo on
+        word = s >> 6
+        count = counts.take(word)
+        word = words.take(word)
+        s &= 63
+        word >>= s.view(np.uint64)               # the bits from the slot on
+        count -= np.bitwise_count(word)
+        if lo < 2:
+            count -= x < 2                       # no prime 2 below 2
+        return count
+
     def nth_prime(self, n: int | np.ndarray) -> int | np.ndarray:
         """p_n for an int n or an int64 index array; 1 <= n <= prime_count."""
         if isinstance(n, np.ndarray):
@@ -169,6 +235,8 @@ class PrimeTable:
         This reads primes by value; nth_prime reads them by index.
         """
         if hi is None:
+            if lo == 0:                  # every prime: no search to make
+                return self._all_primes()
             hi = self.limit + 1
         if lo < 0 or hi > self.limit + 1 or lo > hi:
             raise RangeQueryError(f"[{lo}, {hi}) outside [0, {self.limit + 1})")
@@ -219,7 +287,8 @@ def build_table(limit: int, base: PrimeTable | None = None) -> PrimeTable:
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
 
-    odd_base = _small_sieve(isqrt(limit))[1:]
+    base_primes = _small_sieve(isqrt(limit))
+    odd_base = base_primes[np.searchsorted(base_primes, _SLICED_FROM):]
     slots = (limit + 1) >> 1                 # odd numbers 1, 3, ..., <= limit
     # byte b holds the odd numbers in [16b, 16b + 16); pi_cumulative expands
     # whole bytes, so there is a byte for every value in [0, limit]
@@ -250,9 +319,16 @@ def build_table(limit: int, base: PrimeTable | None = None) -> PrimeTable:
         offsets = (np.maximum(odd_base * odd_base, first) - lo) >> 1
         for p, off in zip(odd_base.tolist(), offsets.tolist()):
             if off < n:
-                seg[off:n:p] = False
+                seg[off:n:p] = _FALSE
         packed = np.packbits(seg[:n], bitorder="little")
         b_lo = s_lo >> 3
+        for period, pattern in _PATTERNS:
+            phase = b_lo % period
+            packed &= pattern[phase:phase + len(packed)]
+        if s_lo == 0:                # the pattern primes are not multiples
+            keep = _PATTERN_SLOTS[_PATTERN_SLOTS < n]
+            np.bitwise_or.at(packed, keep >> 3,
+                             np.left_shift(1, keep & 7).astype(np.uint8))
         bits[b_lo:b_lo + len(packed)] = packed
         # segments start on block boundaries and seg_slots is a whole
         # number of blocks, so each segment fills its own

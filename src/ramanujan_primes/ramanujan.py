@@ -39,6 +39,13 @@ where it is the window minimum, and R_{m-1}^(m) only at j >= m - 1:
 mps_holds scans those windows 128 m at a time, one row per m.  A scan
 is complete only below a cutoff X for which the tail x >= X is PROVEN
 safe; bounds.certify_tail supplies that proof.
+
+The scan runs in blocks of 2^16 candidates, on a small thread pool from
+4 blocks on.  A block takes pi(q(c_j)) from a rank over the table words
+its q span (PrimeTable.pi_array), or, for few keys or keys denser than
+the integers they span, from a binary search in the primes.  R_n is
+written block by block at the steps of S, and the output digits in
+jobs of 2^16 values, on the same pool.
 """
 
 from __future__ import annotations
@@ -126,36 +133,53 @@ _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)       # the width edges
 def _format_ints(values: np.ndarray, sep: str, head: str = "",
                  tail: str = "") -> str:
     """head + sep.join(map(str, values)) + tail for nondecreasing int64
-    values >= 0, written without a Python int per value.
+    values >= 0 and a sep of at most 4 ASCII bytes, written without a
+    Python int per value.
 
-    Sorted values fall into one run per decimal width.  Each run is
-    written in blocks of at most SEGMENT_SIZE values: one row per value,
-    its base-10^4 digit groups looked up in _DIGITS4, trimmed to the
-    width and followed by sep, straight into the output buffer.
+    Sorted values fall into one run per decimal width, so each run's
+    byte offset is known up front.  The values are cut into jobs of
+    _BLOCK, on the block pool once there are 4 or more (more than
+    3 * 2^16 values): each writes its part of every run it meets.  A
+    value's base-10^4 digit groups, looked up in _DIGITS4, and sep fill
+    a row of 4-byte cells; its last w + s bytes, the digits trimmed to
+    the width and sep, are copied into the buffer as one item.
     """
     sep_b, head_b, tail_b = sep.encode(), head.encode(), tail.encode()
     s = len(sep_b)
+    sep_cell = np.frombuffer(sep_b.ljust(4, b"\0"), "<u4")[0]
     ends = np.append(np.searchsorted(values, _POW10), len(values))
     starts = np.concatenate(([0], ends[:-1]))
     widths = np.arange(1, len(ends) + 1)
-    size = (len(head_b) + int(((ends - starts) * (widths + s)).sum())
-            - (s if len(values) else 0) + len(tail_b))
+    run_bytes = (ends - starts) * (widths + s)
+    size = (len(head_b) + int(run_bytes.sum()) - (s if len(values) else 0)
+            + len(tail_b))
     buf = np.empty(size + s, np.uint8)          # room for the last sep
     buf[:len(head_b)] = np.frombuffer(head_b, np.uint8)
-    pos = len(head_b)
-    for w, a, b in zip(widths.tolist(), starts.tolist(), ends.tolist()):
-        g = (w + 3) // 4
-        for lo in range(a, b, SEGMENT_SIZE):
-            x = values[lo:min(b, lo + SEGMENT_SIZE)]
-            groups = np.empty((len(x), g), "<u4")
+    offsets = len(head_b) + np.cumsum(run_bytes) - run_bytes
+    runs = [run for run in zip(widths.tolist(), starts.tolist(),
+                               ends.tolist(), offsets.tolist())
+            if run[1] < run[2]]                 # (width, start, end, offset)
+
+    def write(lo: int) -> None:
+        hi = min(lo + _BLOCK, len(values))
+        for w, a, b, pos in runs:
+            x = values[max(a, lo):min(b, hi)]
+            if not len(x):
+                continue
+            pos += (max(a, lo) - a) * (w + s)
+            g = (w + 3) // 4
+            cells = np.empty((len(x), g + 1), "<u4")  # digit groups, sep
             for col in range(g - 1, 0, -1):
                 x, low = np.divmod(x, 10000)
-                groups[:, col] = _DIGITS4[low]
-            groups[:, 0] = _DIGITS4[x]
-            rows = buf[pos:pos + len(groups) * (w + s)].reshape(-1, w + s)
-            rows[:, :w] = groups.view(np.uint8)[:, 4 * g - w:]
-            rows[:, w:] = np.frombuffer(sep_b, np.uint8)
-            pos += rows.size
+                cells[:, col] = _DIGITS4[low]
+            cells[:, 0] = _DIGITS4[x]
+            cells[:, g] = sep_cell
+            # each value's w digits and sep as one w + s byte item
+            row = f"V{w + s}"
+            buf[pos:pos + len(cells) * (w + s)].view(row)[:] = \
+                cells.view(np.uint8)[:, 4 * g - w:4 * g + s].view(row)[:, 0]
+
+    _run_blocks(write, range(0, len(values), _BLOCK))
     buf[size - len(tail_b):size] = np.frombuffer(tail_b, np.uint8)
     return str(buf[:size], "ascii")
 
@@ -237,53 +261,79 @@ def _as_cache(cache: TableCache | None) -> TableCache:
 # the scan
 # ---------------------------------------------------------------------------
 
-_BLOCK = 1 << 16             # candidate offsets per block of _suffix_min
+# candidate offsets per block of _suffix_min and _scan, values per job of
+# _format_ints
+_BLOCK = 1 << 16
+_RANK_FROM = 1 << 12         # keys from which pi_array can beat searchsorted
 
 
-def _suffix_min(num, den, cutoff, first, primes: np.ndarray) -> np.ndarray:
+def _suffix_min(num, den, cutoff, first, pi: PrimeTable) -> np.ndarray:
     """S[pi(m)] = min f* on [m, cutoff) for k = num/den, one window a row.
 
-    Each argument but primes is an int or an int array with one entry per
-    row; primes holds every prime below each cutoff.  Row w holds
+    Each argument but the table pi is an int or an int array with one
+    entry per row, and pi covers every cutoff.  Row w holds
     S[first_w + i] while first_w + i <= J_w = #{p < cutoff_w}, the last
-    candidate, and len(primes) + 1, which no S reaches, past that.  The
-    window's suffix minima equal S on it because S looks only rightwards.
+    candidate, and pi.prime_count + 1, which no S reaches, past that.
+    The window's suffix minima equal S on it because S looks only
+    rightwards.
 
     The offsets i run in blocks of _BLOCK (_fstar_block), on the block
     pool once there are 4 or more of them.  Each block writes its own
     suffix minima; one pass from the top then carries each block's first
     entry, by then the minimum of everything above, into the block below.
+    q(c) = ((c + 1) den - 1) // num is formed in int64, so a den with
+    den * cutoff >= 2^63 is refused with a ValueError.
     """
+    top = max(np.ravel(cutoff).tolist())
+    den_max = max(np.ravel(den).tolist())
+    if den_max * top >= 1 << 63:
+        raise ValueError(
+            f"k with denominator {den_max} and cutoff {top}: (c + 1) * den "
+            "would pass 2^63 in the scan")
+    primes = pi.primes_array()
     # one window per column inside, so ints and arrays broadcast alike
     span = primes.searchsorted(cutoff) - first              # J - first
     spans = np.ravel(span).tolist()
     out = np.empty((max(spans) + 1, len(spans)), dtype=np.int64)
     starts = range(0, len(out), _BLOCK)
     _run_blocks(lambda lo: _fstar_block(lo, num, den, cutoff, first, span,
-                                        min(spans), primes, out), starts)
+                                        min(spans), primes, pi, out), starts)
     for lo in reversed(starts[1:]):
         np.minimum(out[lo - _BLOCK:lo], out[lo], out=out[lo - _BLOCK:lo])
     return out.T
 
 
-def _fstar_block(lo, num, den, cutoff, first, span, shortest, primes,
+def _fstar_block(lo, num, den, cutoff, first, span, shortest, primes, pi,
                  out) -> None:
     """Rows [lo, lo + _BLOCK) of _suffix_min's out, one window a column:
     the suffix minima of f* over the block alone.  shortest is the least
-    span; past it some window has ended."""
+    span; past it some window has ended.
+
+    pi(q(c_j)) comes from pi.pi_array, a rank over the table words that
+    the block's q span: a fixed set-up and a few passes per key.  A
+    binary search in primes costs about log2 of the primes between one
+    key's answer and the block's largest, per key.  So the rank runs
+    from _RANK_FROM keys on, where its set-up pays, and only where the
+    q spread over at least as many integers as there are keys; mps
+    blocks and large k, with many keys to a prime, keep the search.
+    numpy's searchsorted starts each of ascending keys at the last key's
+    place but ends it at the end of the array, so the search ends at pi
+    of the last row's largest q."""
     hi = min(lo + _BLOCK, len(out))
     i = np.arange(lo, hi)[:, None]
     j = first + i
     q = primes.take(j, mode="clip")                         # c_j + 1, j < J
-    np.copyto(q, cutoff, where=i >= span)   # c_J + 1, and on, so q ascends
+    if hi > shortest:                     # c_J + 1, and on, so q ascends
+        np.copyto(q, cutoff, where=i >= span)
     q *= den
     q -= 1
     q //= num                                               # q(c_j)
-    # numpy's searchsorted starts each of ascending keys at the last key's
-    # place but ends it at the end of the array: end that at pi of the
-    # last row's largest q, past every pi(q) in the block
-    top = primes.searchsorted(max(q[-1].tolist()), side="right")
-    fstar = primes[:top].searchsorted(q, side="right")      # pi(q(c_j))
+    q_top = max(q[-1].tolist())
+    if q.size >= _RANK_FROM and q_top - min(q[0].tolist()) >= q.size:
+        fstar = pi.pi_array(q)                              # pi(q(c_j))
+    else:
+        top = primes.searchsorted(q_top, side="right")
+        fstar = primes[:top].searchsorted(q, side="right")
     np.subtract(j, fstar, out=fstar)
     if hi - 1 > shortest:                 # a window ends inside the block
         np.putmask(fstar, i > span, len(primes) + 1)
@@ -292,15 +342,29 @@ def _fstar_block(lo, num, den, cutoff, first, span, shortest, primes,
 
 def _scan(k: Fraction, n_max: int, cutoff: int,
           pi: PrimeTable) -> np.ndarray:
-    """R_1..R_{n_max} as int64, assuming no m >= cutoff has f*(m) < n_max."""
-    primes = pi.primes_array(0, cutoff)
-    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, primes)[0]
-    last = np.searchsorted(sufmin, n_max)            # first S[j] = n_max
+    """R_1..R_{n_max} as int64, assuming no m >= cutoff has f*(m) < n_max.
+
+    The n-th step of S, S[j] = n - 1 < S[j + 1], gives R_n = p_{j+1}.
+    S steps by one, so the steps of a block of _BLOCK j's below the first
+    S[j] = n_max fill out from its first S on: each block writes its own
+    part, on the block pool like the scan's blocks.
+    """
+    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, pi)[0]
+    last = int(np.searchsorted(sufmin, n_max))       # first S[j] = n_max
     if last == len(sufmin):
         raise AssertionError(
             f"scan for k={k} hit its own cutoff {cutoff}; certificate broken")
-    head = sufmin[:last + 1]
-    return primes[np.flatnonzero(head[1:] != head[:-1])]     # R_n = p_{j+1}
+    primes = pi.primes_array()
+    out = np.empty(n_max, dtype=np.int64)
+
+    def emit(lo: int) -> None:
+        s = sufmin[lo:min(lo + _BLOCK, last) + 1]
+        j = np.flatnonzero(s[1:] != s[:-1])
+        n = int(s[0])
+        np.take(primes[lo:], j, out=out[n:n + len(j)])
+
+    _run_blocks(emit, range(0, last, _BLOCK))
+    return out
 
 
 def _pi_k_array(k: Fraction, x: int, cache: TableCache,
@@ -312,7 +376,7 @@ def _pi_k_array(k: Fraction, x: int, cache: TableCache,
     cutoff = bounds.certify_tail(k, fstar_x + 1, hard_cap=cache.hard_cap)
     hi = max(cutoff, x + 1)
     pi = cache.get(hi)
-    return pi, _suffix_min(num, den, hi, first, pi.primes_array(0, hi))[0]
+    return pi, _suffix_min(num, den, hi, first, pi)[0]
 
 
 def ramanujan_prefix(k, n_max: int,
@@ -514,7 +578,7 @@ def _mps_r_values(ms: np.ndarray, cutoffs: np.ndarray,
     idx = np.empty_like(ms)                    # R = p_{m-1+c} = primes[idx]
     for lo in range(0, ms.size, rows):
         m, cut = ms[lo:lo + rows], cutoffs[lo:lo + rows]
-        c = (_suffix_min(m, 1, cut, m - 1, primes) < (m - 1)[:, None]).sum(1)
+        c = (_suffix_min(m, 1, cut, m - 1, pi) < (m - 1)[:, None]).sum(1)
         idx[lo:lo + rows] = m - 2 + c
     broken = np.flatnonzero(idx >= np.searchsorted(primes, cutoffs))
     if broken.size:

@@ -315,6 +315,21 @@ def test_k_near_one_is_a_resource_exit(capsys, argv):
     assert max(map(int, re.findall(r"\d+", err))) <= 2 ** 31
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--k", "2999999999999999/999999999999999", "--n", "1000"),
+    ("pik", "--k", "2999999999999999/999999999999999", "--x", "14000"),
+])
+def test_k_whose_scan_would_pass_int64_is_usage_error(capsys, argv):
+    """den * cutoff >= 2^63 here (cutoff 14022): (c + 1) * den wrapped in
+    the scan, which printed R_1000 = 7919 where k = 3 gives 13691, and
+    pi_k(14000) = pi(14000) with a negative rho_k."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: k with denominator 999999999999999")
+    assert "2^63" in err
+
+
 @pytest.mark.parametrize("name, params, got", [
     ("X14", "k=1", "1.0"), ("r", "k=1", "1.0"), ("rtilde", "k=1", "1.0"),
     ("X2", "k=1", "1.0"), ("X13", "k=1/2", "0.5"),

@@ -128,6 +128,97 @@ def test_pi_cumulative_at_byte_offsets(table, oracle_primes, lo):
         assert table.pi_cumulative(hi).tolist() == want.tolist(), hi
 
 
+# -- the sieve's small-prime patterns and the rank -------------------------
+
+@pytest.fixture(scope="module")
+def small_primes():
+    return slow_primes(2000)
+
+
+def test_every_small_limit_matches_a_plain_sieve(small_primes):
+    """Every limit 2..2000, 60..68 among them, where the pattern primes
+    (3..61) end and the sliced ones (67 on) begin: the pattern primes
+    are restored, and no bit past the limit is set."""
+    for limit in range(2, 2001):
+        t = build_table(limit)
+        want = small_primes[:bisect_right(small_primes, limit)]
+        assert t.primes_array().tolist() == want, limit
+        assert t.prime_count == len(want), limit
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 4, 15, 17, 26])
+def test_grown_table_at_pattern_phases(blocks, primes_past_two_segments):
+    """Growth resumes at checkpoint block `blocks`, byte 4096 * blocks,
+    whose phase differs in each pattern's period (15015, 7429, 33263,
+    82861 and 190747 bytes), and grows by more than a segment, so a
+    second segment starts at another phase; the grown table's bits equal
+    the fresh table's, and its primes the conftest sieve's as far as
+    that goes."""
+    base = build_table(blocks * CHECKPOINT_SPAN + 5)
+    limit = base.limit + SEGMENT_SIZE + 3 * CHECKPOINT_SPAN + 11
+    grown, fresh = build_table(limit, base), build_table(limit)
+    assert np.array_equal(grown._bits, fresh._bits)
+    assert np.array_equal(grown._checkpoints, fresh._checkpoints)
+    want = primes_past_two_segments
+    got = grown.primes_array(0, min(limit, want[-1]) + 1).tolist()
+    assert got == want[:bisect_right(want, limit)]
+
+
+def _rank_edges(limit):
+    """x at 0..3, at byte (16), word (128), checkpoint and segment edges
+    +-1 and 2, and at the limit."""
+    edges = {0, 1, 2, 3, limit - 1, limit}
+    for step in (16, 128, CHECKPOINT_SPAN, SEGMENT_SIZE):
+        for b in range(step, limit + 1, step):
+            edges.update(b + d for d in (-2, -1, 0, 1, 2))
+            if len(edges) > 4000:
+                break
+    return sorted(x for x in edges if 0 <= x <= limit)
+
+
+def test_pi_array_equals_pi_at_edges(table):
+    """The rank of one array over all edges, of each edge alone and of
+    each edge with its neighbours, so each edge also opens and closes
+    the span of words it reads."""
+    xs = np.array(_rank_edges(table.limit), dtype=np.int64)
+    want = np.array([table.pi(x) for x in xs.tolist()])
+    assert np.array_equal(table.pi_array(xs), want)
+    for i, x in enumerate(xs.tolist()):
+        assert table.pi_array(xs[i:i + 1]).tolist() == [want[i]], x
+        assert np.array_equal(table.pi_array(xs[i:i + 3]), want[i:i + 3]), x
+    assert table.pi_array(np.array([], dtype=np.int64)).tolist() == []
+
+
+@pytest.mark.parametrize("limit", [2, 3, 15, 16, 17, 127, 128, 129, 255,
+                                   65535, 65536, 65663, 131072])
+def test_pi_array_at_every_x_up_to_the_limit(limit):
+    """Tables ending inside, or at the end of, a byte, a 64-bit word and a
+    checkpoint block, where the last word reads past the table."""
+    t = build_table(limit)
+    pic = t.pi_cumulative(limit + 1)
+    xs = np.arange(limit + 1, dtype=np.int64)
+    assert np.array_equal(t.pi_array(xs), pic)
+    for lo in sorted({0, 1, 2, limit // 2, max(0, limit - 130), limit}):
+        assert np.array_equal(t.pi_array(xs[lo:]), pic[lo:]), lo
+
+
+def test_pi_array_on_mps_shaped_blocks(table):
+    """2-D arrays, each column ascending as in a block of f* rows, and
+    columns from far apart parts of the table."""
+    rng = np.random.default_rng(20261019)
+    pic = table.pi_cumulative(table.limit + 1)
+    for shape, hi in (((700, 128), 3000), ((583, 128), table.limit),
+                      ((64, 5), 300_000)):
+        x = np.sort(rng.integers(0, hi + 1, shape), axis=0)
+        assert np.array_equal(table.pi_array(x), pic[x]), shape
+
+
+def test_pi_array_range_errors(table):
+    for bad in ([-1], [0, -5], [table.limit + 1], [3, table.limit + 1]):
+        with pytest.raises(RangeQueryError):
+            table.pi_array(np.array(bad, dtype=np.int64))
+
+
 def test_build_table_peak_memory_within_twice_the_table():
     """The sieve's transients stay per segment: tracemalloc's peak over a
     10^8 build is at most twice the table it returns."""

@@ -9,6 +9,7 @@ this reference.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -30,6 +31,7 @@ from ramanujan_primes import (MpsVerdict, NEstimate, RamanujanTable,
                               empirical_N0, mps_holds, pi_k, ramanujan_prefix,
                               rho_k)
 from ramanujan_primes.bounds import certify_tail
+from ramanujan_primes.primes import PrimeTable, build_table
 from ramanujan_primes.ramanujan import (PROOF_ANALYTIC, _format_ints,
                                        _suffix_min)
 
@@ -170,10 +172,29 @@ def test_format_ints_at_width_edges(raw):
 
 
 def test_format_ints_across_blocks(monkeypatch):
-    """Runs longer than SEGMENT_SIZE are written a block at a time."""
-    monkeypatch.setattr(ramanujan, "SEGMENT_SIZE", 7)
+    """Runs longer than _BLOCK are written a job of _BLOCK values at a
+    time."""
+    monkeypatch.setattr(ramanujan, "_BLOCK", 7)
     values = np.unique(np.geomspace(1, 10 ** 12, 500).astype(np.int64))
     assert _format_ints(values, ", ", "[", "]") == json.dumps(values.tolist())
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_format_ints_on_the_pool(monkeypatch, block):
+    """Jobs on the block pool, 4 or more of them even with one CPU, each
+    writing its own part of the buffer: runs cut inside and at a job's
+    end, one-value jobs, repeated values and every width up to 19."""
+    monkeypatch.setattr(ramanujan, "_BLOCK", block)
+    monkeypatch.setattr(primes_module, "_WORKERS", 2)
+    rng = np.random.default_rng(block)
+    raw = [0, 0, 9, 10] + [10 ** w + d for w in range(1, 19) for d in
+                            (-1, 0, 1)] + [2 ** 63 - 1]
+    raw += rng.integers(0, 10 ** 7, 3 * block + 1).tolist()
+    values = np.array(sorted(raw), dtype=np.int64)
+    assert _format_ints(values, ", ", "[", "]") == json.dumps(values.tolist())
+    assert _format_ints(values, " ") == " ".join(map(str, values.tolist()))
+    assert _format_ints(values[:4 * block], " ", "<", ">") \
+        == "<" + " ".join(map(str, values[:4 * block].tolist())) + ">"
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +437,12 @@ def test_windowed_scan_matches_full_scan(cache):
         k = Fraction(ks)
         num, den = k.numerator, k.denominator
         cutoff = certify_tail(k, n_max)
-        primes = cache.get(cutoff).primes_array(0, cutoff)
-        full = _suffix_min(num, den, cutoff, 0, primes)
+        pi = cache.get(cutoff)
+        primes = pi.primes_array(0, cutoff)
+        full = _suffix_min(num, den, cutoff, 0, pi)
         assert full.shape == (1, len(primes) + 1)
         for first in (1, 2, n_max // 3, n_max - 1, n_max):
-            window = _suffix_min(num, den, cutoff, first, primes)
+            window = _suffix_min(num, den, cutoff, first, pi)
             assert np.array_equal(window, full[:, first:]), (ks, first)
 
 
@@ -433,8 +455,8 @@ def test_suffix_min_steps_by_zero_or_one(cache, ks, n_max):
     """S[0] = 0 and S steps by 0 or 1 over the whole certified scan."""
     k = Fraction(ks)
     cutoff = certify_tail(k, n_max)
-    primes = cache.get(cutoff).primes_array(0, cutoff)
-    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, primes)[0]
+    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0,
+                         cache.get(cutoff))[0]
     assert sufmin[0] == 0
     assert set(np.diff(sufmin).tolist()) == {0, 1}
     assert sufmin[-1] >= n_max
@@ -447,12 +469,55 @@ def test_step_emit_equals_searchsorted_emit(cache, ks, n_max):
     cutoff = certify_tail(k, n_max)
     pi = cache.get(cutoff)
     primes = pi.primes_array(0, cutoff)
-    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, primes)[0]
+    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, pi)[0]
     for n in (1, n_max // 2 + 1, n_max):
         j = np.searchsorted(sufmin, np.arange(1, n + 1), side="left")
         got = ramanujan._scan(k, n, cutoff, pi)
         assert got.dtype == np.int64
         assert np.array_equal(got, primes[j - 1]), (ks, n)
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_pooled_emission_equals_whole_row_emission(cache, monkeypatch,
+                                                    block):
+    """R_n written block by block on the pool equals R_n read off the
+    whole row's steps: steps on either side of a block edge, and the
+    first S[j] = n_max on the first and on the last row of a block."""
+    monkeypatch.setattr(ramanujan, "_BLOCK", block)
+    monkeypatch.setattr(primes_module, "_WORKERS", 2)
+    for ks, n_max in (("11/10", 300), ("2", 1000), ("10001", 400)):
+        k = Fraction(ks)
+        cutoff = certify_tail(k, n_max)
+        pi = cache.get(cutoff)
+        primes = pi.primes_array(0, cutoff)
+        sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, pi)[0]
+        lasts = np.searchsorted(sufmin, np.arange(1, n_max + 1))
+        ns = {n_max}
+        for r in {0, 1, block - 1}:
+            ns.update(np.flatnonzero(lasts % block == r)[:2] + 1)
+        for n in sorted(ns):
+            head = sufmin[:lasts[n - 1] + 1]
+            want = primes[np.flatnonzero(head[1:] != head[:-1])]
+            assert np.array_equal(ramanujan._scan(k, n, cutoff, pi), want), \
+                (ks, n)
+
+
+def test_scan_at_the_int64_edge_equals_python_ints(cache):
+    """A k whose den * cutoff lies just below 2^63 scans exactly: R_n
+    against f* formed in Python ints at every m below the cutoff.  One
+    more unit of den * cutoff is refused."""
+    n_max, den = 1000, (2 ** 63 - 1) // 14022
+    k = Fraction(3 * den - 1, den)
+    cutoff = certify_tail(k, n_max)
+    assert k.denominator * cutoff < 2 ** 63 <= (k.denominator + 1) * cutoff
+    pic = cache.get(cutoff).pi_cumulative(cutoff).tolist()
+    num = k.numerator
+    fstar = [pic[m] - pic[((m + 1) * den - 1) // num] for m in range(cutoff)]
+    tail = list(itertools.accumulate(reversed(fstar), min))[::-1]
+    want = [bisect_left(tail, n) for n in range(1, n_max + 1)]  # R_n
+    assert ramanujan_prefix(k, n_max, cache).values == want
+    with pytest.raises(ValueError, match="would pass 2\\^63"):
+        _suffix_min(num, den + 1, cutoff, 0, cache.get(cutoff))
 
 
 def test_suffix_min_rows_equal_rows_alone(cache):
@@ -465,19 +530,19 @@ def test_suffix_min_rows_equal_rows_alone(cache):
     rows = [(Fraction(2), 5394, 0), (Fraction(2), 5394, 710),
             (Fraction(3), 20000, 1700), (Fraction(11, 10), 40000, 3700),
             (Fraction(7, 3), 6000, 400), (Fraction(100), 7919, 999)]
-    pi = cache.get(40000)
+    pi = build_table(40000)               # padding is pi.prime_count + 1
     primes = pi.primes_array(0, 40000)
     pic = pi.pi_cumulative(40000)
     num, den, cutoff, first = (np.array(col, dtype=np.int64) for col in zip(
         *((k.numerator, k.denominator, c, f) for k, c, f in rows)))
-    table = _suffix_min(num, den, cutoff, first, primes)
+    table = _suffix_min(num, den, cutoff, first, pi)
     assert table.shape == (len(rows), 712)
     for (k, c, f), row in zip(rows, table):
         m = np.arange(c)
         fstar = pic[m] - pic[((m + 1) * k.denominator - 1) // k.numerator]
         tail_min = np.minimum.accumulate(fstar[::-1])[::-1]
         want = tail_min[np.append(0, primes)[f:pic[c - 1] + 1]]  # m = p_j
-        alone = _suffix_min(k.numerator, k.denominator, c, f, primes)
+        alone = _suffix_min(k.numerator, k.denominator, c, f, pi)
         assert np.array_equal(alone, want[None, :]), (k, c, f)
         assert np.array_equal(row[:len(want)], want), (k, c, f)
         assert (row[len(want):] == len(primes) + 1).all(), (k, c, f)
@@ -497,7 +562,29 @@ def test_blocks_are_exact_across_edges(cache, monkeypatch, block):
     windows from pi(x), windows whose last candidate J opens or closes a
     block, one-candidate windows, a 128-row mps block of rows 583 to 710
     candidates wide, and a window padded after its J in one block."""
-    pi = cache.get(40000)
+    _check_blocks_across_edges(monkeypatch, block)
+
+
+@pytest.mark.parametrize("block", [7, 64, 1024])
+def test_rank_blocks_are_exact_across_edges(monkeypatch, block):
+    """The same scans with pi(q(c_j)) from PrimeTable.pi_array in every
+    block whose q spread over as many integers as it has keys, which at
+    k = 2 and 11/10 is every block of a row."""
+    calls = []
+    pi_array = PrimeTable.pi_array
+
+    def spy(self, x):
+        calls.append(x.shape)
+        return pi_array(self, x)
+
+    monkeypatch.setattr(ramanujan, "_RANK_FROM", 0)
+    monkeypatch.setattr(PrimeTable, "pi_array", spy)
+    _check_blocks_across_edges(monkeypatch, block)
+    assert len(calls) > 40000 // block // 8
+
+
+def _check_blocks_across_edges(monkeypatch, block):
+    pi = build_table(40000)               # padding is pi.prime_count + 1
     primes = pi.primes_array(0, 40000)
     pic = pi.pi_cumulative(40000)
     monkeypatch.setattr(ramanujan, "_BLOCK", block)
@@ -505,8 +592,7 @@ def test_blocks_are_exact_across_edges(cache, monkeypatch, block):
         last = int(pic[cutoff - 1])                         # J
         for first in (0, int(pic[10007]), last - 3 * block,
                       last - 3 * block + 1, last):
-            got = _suffix_min(k.numerator, k.denominator, cutoff, first,
-                              primes)
+            got = _suffix_min(k.numerator, k.denominator, cutoff, first, pi)
             want = window_by_integers(k, cutoff, first, pic, primes)
             assert np.array_equal(got, want[None, :]), (k, first)
 
@@ -514,7 +600,7 @@ def test_blocks_are_exact_across_edges(cache, monkeypatch, block):
         num, den, cutoff, first = (np.array(col, dtype=np.int64) for col in
                                    zip(*((k.numerator, k.denominator, c, f)
                                          for k, c, f in rows)))
-        table = _suffix_min(num, den, cutoff, first, primes)
+        table = _suffix_min(num, den, cutoff, first, pi)
         for (k, c, f), row in zip(rows, table):
             want = window_by_integers(k, c, f, pic, primes)
             assert np.array_equal(row[:len(want)], want), (k, c, f)
@@ -579,9 +665,10 @@ def test_pooled_block_errors_reach_the_caller(cache, monkeypatch):
         done.append(lo)
 
     _pooled(monkeypatch, failing)
-    primes = cache.get(40000).primes_array(0, 40000)
+    pi = cache.get(40000)
+    primes = pi.primes_array(0, 40000)
     with pytest.raises(MemoryError):
-        _suffix_min(2, 1, 40000, 0, primes)
+        _suffix_min(2, 1, 40000, 0, pi)
     assert len(done) == -(-(len(primes) + 1) // 64) - 1
     with pytest.raises(ResourceBudgetError) as err:
         ramanujan_prefix(2, 10_000, TableCache(hard_cap=200_000))
