@@ -185,19 +185,19 @@ P3 = BoundProfile("P3", a=(-3.3,), b=(1.17,), y_thresholds={0.0: 2.0},
                   upper_refuted_from=_B117_FIRST_FAILURE)
 
 
-def profile_p4(b1: float = 1.17, x0: float = 5.43) -> BoundProfile:
-    """A = 0 profile.  The default (b1, x0) pair is the published one;
-    callers overriding b1 are responsible for a matching x0.
+def profile_p4(b1: float = 1.17) -> BoundProfile:
+    """A = 0 profile with floor x0 = 5.43.  The default b1 is the
+    published one.
 
     The offset-1 threshold 7477 is the machine-checked extension of the
-    offset-0 bound and does not involve b1.  The published pair also
+    offset-0 bound and does not involve b1.  The published b1 also
     carries the sieved first failure 59753 of its upper estimate, from
-    which pi_upper falls back to P1's; other pairs carry none.
+    which pi_upper falls back to P1's; other b1 carry none.
     """
-    refuted = _B117_FIRST_FAILURE if (b1, x0) == (1.17, 5.43) else None
+    refuted = _B117_FIRST_FAILURE if b1 == 1.17 else None
     return BoundProfile("P4", a=(), b=(b1,),
                         y_thresholds={0.0: 5393.0, 1.0: 7477.0},
-                        x0=x0, x1_closed=_p4_x1(b1),
+                        x0=5.43, x1_closed=_p4_x1(b1),
                         upper_refuted_from=refuted)
 
 

@@ -212,8 +212,8 @@ def _cmd_verify(args, config: CliConfig) -> int:
 
 
 def _cmd_mps(args, config: CliConfig) -> int:
-    if (args.m is None) == (args.mmax is None):
-        raise ValueError("give exactly one of --m or --mmax")
+    if args.mmax is not None and args.mmax < 1:
+        raise ValueError(f"need --mmax >= 1, got {args.mmax}")
     ms = (np.array([args.m], dtype=np.int64) if args.m is not None
           else np.arange(1, args.mmax + 1, dtype=np.int64))
     rows = rp.mps_holds(ms, rp.TableCache(hard_cap=config.cap))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 class RangeQueryError(ValueError):
-    """A query (pi, nth_prime, primes_array) fell outside the sieved range.
+    """A table query (pi, pi_array, nth_prime, ...) fell outside its range.
 
     Raised instead of extrapolating: answers outside the table would not be
     certified and must never be guessed.

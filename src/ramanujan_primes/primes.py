@@ -6,8 +6,8 @@ boundary, so pi(x) is a checkpoint lookup plus an np.bitwise_count over
 at most 4 KiB.  pi_array answers pi for a whole int64 array with a rank
 over just the 64-bit words its values span, built per call.  The primes
 themselves sit in a single int64 array that the table builds on first
-use: nth_prime reads it by index (an int or an index array),
-primes_array by value range.  The sieve clears the multiples of the 17
+use: nth_prime reads it by index (an int or an index array), and
+primes_array returns it whole.  The sieve clears the multiples of the 17
 odd primes below 64 by ANDing each packed segment with five fixed byte
 patterns, and only the primes from 67 on by slices.  A table can grow
 from a smaller one: build_table(limit, base) copies the base's bits,
@@ -33,8 +33,7 @@ from .errors import RangeQueryError
 
 __all__ = ["PrimeTable", "build_table", "SEGMENT_SIZE", "CHECKPOINT_SPAN"]
 
-# values per sieve segment: SEGMENT_SIZE / 2 odd slots, SEGMENT_SIZE / 16 table
-# bytes; ramanujan._mps_r_values scans SEGMENT_SIZE >> 13 windows at a time
+# values per sieve segment: SEGMENT_SIZE / 2 odd slots, SEGMENT_SIZE / 16 bytes
 SEGMENT_SIZE = 1 << 20
 CHECKPOINT_SPAN = 1 << 16   # one cumulative pi checkpoint per this many values
 _BLOCK_BYTES = CHECKPOINT_SPAN >> 4   # table bytes per checkpoint block
@@ -229,19 +228,9 @@ class PrimeTable:
             flags[2] = 1                     # the prime without a bit
         return np.cumsum(flags, dtype=np.int64)
 
-    def primes_array(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """All primes with lo <= p < hi as int64, ascending: a read-only view.
-
-        This reads primes by value; nth_prime reads them by index.
-        """
-        if hi is None:
-            if lo == 0:                  # every prime: no search to make
-                return self._all_primes()
-            hi = self.limit + 1
-        if lo < 0 or hi > self.limit + 1 or lo > hi:
-            raise RangeQueryError(f"[{lo}, {hi}) outside [0, {self.limit + 1})")
-        primes = self._all_primes()
-        return primes[np.searchsorted(primes, lo):np.searchsorted(primes, hi)]
+    def primes_array(self) -> np.ndarray:
+        """Every prime <= limit as int64, ascending: a read-only array."""
+        return self._all_primes()
 
     def _all_primes(self) -> np.ndarray:
         head, start = self._head

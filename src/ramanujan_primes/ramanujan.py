@@ -60,7 +60,7 @@ import numpy as np
 
 from . import bounds
 from .errors import ResourceBudgetError, ThresholdDomainError
-from .primes import SEGMENT_SIZE, PrimeTable, _run_blocks, build_table
+from .primes import PrimeTable, _run_blocks, build_table
 from .rational import ceil_div, parse_k
 
 __all__ = [
@@ -70,6 +70,8 @@ __all__ = [
 ]
 
 PROOF_ANALYTIC = "analytic-certificate"
+_INITIAL_LIMIT = 1 << 20     # the least limit of a TableCache's first table
+_MPS_ROWS = 128              # windows per _suffix_min call in _mps_r_values
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +224,8 @@ class TableCache:
     hard_cap bounds the sieve limit.
     """
 
-    def __init__(self, hard_cap: int = 1 << 31,
-                 initial_limit: int = 1 << 20):
+    def __init__(self, hard_cap: int = 1 << 31):
         self.hard_cap = int(hard_cap)
-        self._initial = int(initial_limit)
         self._lock = threading.Lock()
         self._table: PrimeTable | None = None
 
@@ -245,7 +245,7 @@ class TableCache:
             table = self._table
             if table is not None and table.limit >= limit:
                 return table
-            target = max(self._initial,
+            target = max(_INITIAL_LIMIT,
                          table.limit * 2 if table is not None else 0,
                          limit)
             target = min(target, self.hard_cap)
@@ -568,18 +568,17 @@ def _mps_r_values(ms: np.ndarray, cutoffs: np.ndarray,
     m's row of _suffix_min starts at j = m - 1.  S is nondecreasing, so
     with c cells below m - 1 the first j with S[j] >= m - 1 is m - 1 + c
     and R_{m-1}^(m) = p_{m-1+c}; a j past the row's last candidate means
-    the scan hit its cutoff.  Blocks of SEGMENT_SIZE >> 13 (128) rows stay
-    in cache and pad little where widths change (about 700 candidates at
-    m <= 100, 20-104 at m in [10^3, 10^4]); so narrow a window is one
-    _BLOCK of _suffix_min, scanned on the calling thread.
+    the scan hit its cutoff.  Blocks of _MPS_ROWS rows stay in cache and
+    pad little where widths change (about 700 candidates at m <= 100,
+    20-104 at m in [10^3, 10^4]); so narrow a window is one _BLOCK of
+    _suffix_min, scanned on the calling thread.
     """
-    primes = pi.primes_array(0, int(cutoffs.max()))
-    rows = max(1, SEGMENT_SIZE >> 13)
+    primes = pi.primes_array()
     idx = np.empty_like(ms)                    # R = p_{m-1+c} = primes[idx]
-    for lo in range(0, ms.size, rows):
-        m, cut = ms[lo:lo + rows], cutoffs[lo:lo + rows]
+    for lo in range(0, ms.size, _MPS_ROWS):
+        m, cut = ms[lo:lo + _MPS_ROWS], cutoffs[lo:lo + _MPS_ROWS]
         c = (_suffix_min(m, 1, cut, m - 1, pi) < (m - 1)[:, None]).sum(1)
-        idx[lo:lo + rows] = m - 2 + c
+        idx[lo:lo + _MPS_ROWS] = m - 2 + c
     broken = np.flatnonzero(idx >= np.searchsorted(primes, cutoffs))
     if broken.size:
         b = broken[0]

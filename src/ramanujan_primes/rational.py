@@ -53,15 +53,15 @@ def floor_frac(fr: Fraction) -> int:
     return fr.numerator // fr.denominator
 
 
-def format_fraction(fr: Fraction, digits: int = 12) -> str:
+def format_fraction(fr: Fraction) -> str:
     """Render an exact rational as fraction plus approximate decimal.
 
-    The decimal part is computed with the decimal module at the requested
-    number of significant digits, not via float, and marked approximate.
+    The decimal part is computed with the decimal module to 12
+    significant digits, not via float, and marked approximate.
     """
     if fr.denominator == 1:
         return str(fr.numerator)
     with decimal.localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 12
         approx = decimal.Decimal(fr.numerator) / decimal.Decimal(fr.denominator)
     return f"{fr.numerator}/{fr.denominator} (~ {approx})"

@@ -641,12 +641,19 @@ def campaign_ids() -> list[str]:
     return list(_CAMPAIGNS)
 
 
+def _check_sizes(limit: int | None, mmax: int | None) -> None:
+    for name, size in (("limit", limit), ("mmax", mmax)):
+        if size is not None and size < 1:
+            raise ValueError(f"need {name} >= 1, got {size}")
+
+
 def run_campaign(cid: str, cache: rp.TableCache | None = None,
                  limit: int | None = None, mmax: int | None = None,
                  seed: int | None = None) -> CampaignReport:
     if cid not in _CAMPAIGNS:
         raise KeyError(f"unknown campaign {cid!r}; known: "
                        f"{', '.join(_CAMPAIGNS)}")
+    _check_sizes(limit, mmax)
     cache = cache if cache is not None else rp.TableCache()
     description, runner = _CAMPAIGNS[cid]
     rng = np.random.default_rng(seed) if seed is not None else None
@@ -672,6 +679,7 @@ def run_all(ids: list[str] | None = None,
     for cid in ids:
         if cid not in _CAMPAIGNS:
             raise KeyError(f"unknown campaign {cid!r}")
+    _check_sizes(limit, mmax)
     cache = cache if cache is not None else rp.TableCache()
     if threads <= 1:
         return [run_campaign(cid, cache, limit, mmax, seed) for cid in ids]

@@ -12,11 +12,13 @@ from __future__ import annotations
 import hashlib
 import inspect
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from mpmath.ctx_iv import MPIntervalContext
 
 from ramanujan_primes import (P1, P2, P3, P4, BoundProfile,
                               ResourceBudgetError, ThresholdDomainError,
@@ -529,10 +531,21 @@ def test_n3_needs_enough_primes(cache):
 # the tail certificate
 # ---------------------------------------------------------------------------
 
+CUTOFF_PINS = {(2, 37097): 1018297, (2, 1): 5394, (Fraction(3, 2), 5): 5394}
+# found by bisection over the same exact check, at the default cap 2^62
+SCALE_PINS = {(2, 10 ** 15): 77277424592846040,
+              (Fraction(1001, 1000), 10 ** 6): 2012210941793465,
+              (Fraction(101, 100), 10 ** 9): 3438745639439,
+              (3, 10 ** 12): 46612760080434,
+              (10 ** 6, 10 ** 9): 22852379683}
+# k = 1.1 .. 50 in tenths and n from 0 to 10^6, at cap 2^31
+CUTOFF_GRID = [(Fraction(s, 10), n) for s in range(11, 501)
+               for n in (0, 1, 10, 500, 10 ** 4, 10 ** 6)]
+
+
 def test_certify_tail_pins():
-    assert certify_tail(2, 37097) == 1018297
-    assert certify_tail(2, 1) == 5394
-    assert certify_tail(Fraction(3, 2), 5) == 5394
+    for (k, n), want in CUTOFF_PINS.items():
+        assert certify_tail(k, n) == want
 
 
 def test_certify_tail_pins_at_scale():
@@ -540,12 +553,7 @@ def test_certify_tail_pins_at_scale():
     default cap 2^62, where Newton's proposal is fragile: past 2^53
     (floats 16 apart), where the slack moves the goal by ~4e7 integers,
     k near 1 (Upsilon cancels), and large k."""
-    pins = {(2, 10 ** 15): 77277424592846040,
-            (Fraction(1001, 1000), 10 ** 6): 2012210941793465,
-            (Fraction(101, 100), 10 ** 9): 3438745639439,
-            (3, 10 ** 12): 46612760080434,
-            (10 ** 6, 10 ** 9): 22852379683}
-    for (k, n), want in pins.items():
+    for (k, n), want in SCALE_PINS.items():
         assert certify_tail(k, n) == want
     got = certify_tail(np.array([2, 3]), np.array([10 ** 15, 10 ** 12]))
     assert got.tolist() == [77277424592846040, 46612760080434]
@@ -560,8 +568,7 @@ def test_certify_tail_grid_digest():
     """2,940 cutoffs over k = 1.1 .. 50 in tenths and n from 0 to 10^6
     at cap 2^31: the md5 of the same cutoffs found by bisection over the
     same exact check."""
-    vals = [certify_tail(Fraction(s, 10), n, hard_cap=2 ** 31)
-            for s in range(11, 501) for n in (0, 1, 10, 500, 10 ** 4, 10 ** 6)]
+    vals = [certify_tail(k, n, hard_cap=2 ** 31) for k, n in CUTOFF_GRID]
     digest = hashlib.md5(",".join(map(str, vals)).encode()).hexdigest()
     assert digest == "f00fb0753d604b01d759c74f6283aa75"
 
@@ -576,6 +583,40 @@ def test_certificate_clears_target_minimally():
         if x > start:
             below = upsilon(x - 1, k, P4)
             assert below < n + 1 + max(abs(below) * 1e-9, 1e-6)
+
+
+_IV = MPIntervalContext()
+_IV.prec = 80
+
+
+def _upsilon_interval(x: int, k: Fraction):
+    """P4's Upsilon_k(x) = x/(log x - 1) - (x/k)/(log(x/k) - 1 -
+    1.17/log(x/k)) as an 80-bit mpmath interval: k and 1.17 exact, every
+    operation rounded outward, no float in between."""
+    x = _IV.mpf(x)
+    xk = x * k.denominator / k.numerator
+    lxk = _IV.log(xk)
+    return x / (_IV.log(x) - 1) - xk / (lxk - 1 - _IV.mpf(117) / 100 / lxk)
+
+
+def test_certificate_clears_in_interval_arithmetic():
+    """Upsilon_k(X) >= n + 1 in outward-rounded interval arithmetic at
+    every pinned cutoff, 400 cutoffs of the grid (scalar path, math.log)
+    and 2,000 of mps_holds' cutoffs, k = m and n = m - 1 for m <= 10^4
+    (array path, np.log): the float path's slack covers its rounding."""
+    rng = random.Random(6)
+    cases = [(Fraction(k), n, certify_tail(k, n))
+             for k, n in [*CUTOFF_PINS, *SCALE_PINS]]
+    cases += [(k, n, certify_tail(k, n, hard_cap=2 ** 31))
+              for k, n in rng.sample(CUTOFF_GRID, 400)]
+    ms = np.arange(2, 10 ** 4 + 1, dtype=np.int64)
+    cutoffs = certify_tail(ms, ms - 1)
+    for i in rng.sample(range(len(ms)), 2000):
+        m = int(ms[i])
+        cases.append((Fraction(m), m - 1, int(cutoffs[i])))
+    short = [(k, n, x) for k, n, x in cases
+             if _upsilon_interval(x, k).a < n + 1]
+    assert short == []
 
 
 def test_certificate_really_covers_the_scan(cache):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import re
 import subprocess
@@ -282,6 +283,23 @@ def test_mps_requires_exactly_one_selector(capsys):
     assert run(capsys, "mps")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--campaign", "sondow-gap", "--limit", "0"),
+    ("verify", "--campaign", "mps-scan", "--mmax", "-3"),
+    ("verify", "--campaign", "lemma34-sweep", "--limit", "-3"),
+    ("verify", "--campaign", "rho-positivity", "--limit", "-3"),
+    ("verify", "--campaign", "all", "--mmax", "0"),
+    ("mps", "--mmax", "0"),
+])
+def test_sizes_below_one_are_usage_errors(capsys, argv):
+    """A --limit or --mmax below 1 once ran the default size, a shrunken
+    sweep or nothing at all, and exited 0."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: need ")
+
+
 # ---------------------------------------------------------------------------
 # exit codes, cap and env handling
 # ---------------------------------------------------------------------------
@@ -431,10 +449,14 @@ def test_bad_env_cap_is_usage_error(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    """python -m runs the package this suite imports, installed or not."""
+    src = os.path.dirname(os.path.dirname(rp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ramanujan_primes", "compute", "--k", "2",
          "--n", "5"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "2 11 17 29 41"
 

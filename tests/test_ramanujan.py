@@ -211,12 +211,12 @@ def test_prefix_rejects_bad_n(cache):
 # ---------------------------------------------------------------------------
 
 def test_cache_grows_by_doubling():
-    fresh = TableCache(initial_limit=1000)
+    fresh = TableCache()
     assert fresh.current() is None
     t1 = fresh.get(10)
-    assert t1.limit == 1000 and fresh.current() is t1
-    t2 = fresh.get(1500)
-    assert t2.limit == 2000          # doubled, not just 1500
+    assert t1.limit == 1 << 20 and fresh.current() is t1
+    t2 = fresh.get(3 << 19)
+    assert t2.limit == 1 << 21       # doubled, not just 1.5 * 2^20
     assert fresh.get(3) is t2        # no rebuild on shrink
 
 
@@ -389,11 +389,11 @@ def test_mps_array_edge_cases(cache):
 
 
 def test_mps_chunks_give_the_same_verdicts(cache, monkeypatch):
-    """Blocks of one row each (SEGMENT_SIZE >> 13 is 0 at 300) give the
-    verdicts of the default 128-row blocks."""
+    """Blocks of one row each give the verdicts of the default 128-row
+    blocks."""
     ms = np.arange(1, 3001, dtype=np.int64)
     whole = mps_holds(ms, cache)
-    monkeypatch.setattr(ramanujan, "SEGMENT_SIZE", 300)
+    monkeypatch.setattr(ramanujan, "_MPS_ROWS", 1)
     assert mps_holds(ms, cache) == whole
 
 
@@ -430,6 +430,11 @@ def test_mps_scans_past_a_large_r(cache, monkeypatch):
     assert not v.holds
 
 
+def _primes_below(pi, x):
+    primes = pi.primes_array()
+    return primes[:primes.searchsorted(x)]
+
+
 def test_windowed_scan_matches_full_scan(cache):
     """The window's suffix minima equal the full S from first on."""
     for ks, n_max in (("11/10", 2000), ("3/2", 3000), ("2", 5000),
@@ -438,7 +443,7 @@ def test_windowed_scan_matches_full_scan(cache):
         num, den = k.numerator, k.denominator
         cutoff = certify_tail(k, n_max)
         pi = cache.get(cutoff)
-        primes = pi.primes_array(0, cutoff)
+        primes = _primes_below(pi, cutoff)
         full = _suffix_min(num, den, cutoff, 0, pi)
         assert full.shape == (1, len(primes) + 1)
         for first in (1, 2, n_max // 3, n_max - 1, n_max):
@@ -468,7 +473,7 @@ def test_step_emit_equals_searchsorted_emit(cache, ks, n_max):
     k = Fraction(ks)
     cutoff = certify_tail(k, n_max)
     pi = cache.get(cutoff)
-    primes = pi.primes_array(0, cutoff)
+    primes = _primes_below(pi, cutoff)
     sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, pi)[0]
     for n in (1, n_max // 2 + 1, n_max):
         j = np.searchsorted(sufmin, np.arange(1, n + 1), side="left")
@@ -489,7 +494,7 @@ def test_pooled_emission_equals_whole_row_emission(cache, monkeypatch,
         k = Fraction(ks)
         cutoff = certify_tail(k, n_max)
         pi = cache.get(cutoff)
-        primes = pi.primes_array(0, cutoff)
+        primes = _primes_below(pi, cutoff)
         sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, pi)[0]
         lasts = np.searchsorted(sufmin, np.arange(1, n_max + 1))
         ns = {n_max}
@@ -531,7 +536,7 @@ def test_suffix_min_rows_equal_rows_alone(cache):
             (Fraction(3), 20000, 1700), (Fraction(11, 10), 40000, 3700),
             (Fraction(7, 3), 6000, 400), (Fraction(100), 7919, 999)]
     pi = build_table(40000)               # padding is pi.prime_count + 1
-    primes = pi.primes_array(0, 40000)
+    primes = pi.primes_array()
     pic = pi.pi_cumulative(40000)
     num, den, cutoff, first = (np.array(col, dtype=np.int64) for col in zip(
         *((k.numerator, k.denominator, c, f) for k, c, f in rows)))
@@ -585,7 +590,7 @@ def test_rank_blocks_are_exact_across_edges(monkeypatch, block):
 
 def _check_blocks_across_edges(monkeypatch, block):
     pi = build_table(40000)               # padding is pi.prime_count + 1
-    primes = pi.primes_array(0, 40000)
+    primes = pi.primes_array()
     pic = pi.pi_cumulative(40000)
     monkeypatch.setattr(ramanujan, "_BLOCK", block)
     for k, cutoff in ((Fraction(2), 30011), (Fraction(11, 10), 40000)):
@@ -666,7 +671,7 @@ def test_pooled_block_errors_reach_the_caller(cache, monkeypatch):
 
     _pooled(monkeypatch, failing)
     pi = cache.get(40000)
-    primes = pi.primes_array(0, 40000)
+    primes = _primes_below(pi, 40000)
     with pytest.raises(MemoryError):
         _suffix_min(2, 1, 40000, 0, pi)
     assert len(done) == -(-(len(primes) + 1) // 64) - 1

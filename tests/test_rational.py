@@ -79,6 +79,3 @@ def test_format_fraction_shows_fraction_and_decimal():
     assert format_fraction(Fraction(1, 3)) == "1/3 (~ 0.333333333333)"
     assert format_fraction(Fraction(3, 26)) == "3/26 (~ 0.115384615385)"
 
-
-def test_format_fraction_digits_parameter():
-    assert format_fraction(Fraction(1, 3), digits=4) == "1/3 (~ 0.3333)"
