@@ -12,7 +12,6 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,50 +29,15 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
-class CliConfig:
-    cap: int = 1 << 31
-    threads: int = 1
-    fmt: str = "text"
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.cap < 10 ** 6:
-            raise ValueError(f"sieve cap must be at least 10^6, got {self.cap}")
-        if self.cap > 1 << 62:     # certify_tail's default; int64 cutoffs
-            raise ValueError(f"sieve cap must be at most 2^62, got {self.cap}")
-        if self.threads < 1:
-            raise ValueError(f"thread count must be >= 1, got {self.threads}")
-        if self.fmt not in ("text", "json", "csv"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
-
-
-def _config_from(args) -> CliConfig:
-    cap = getattr(args, "cap", None)
-    if cap is None:
-        cap = int(os.environ.get(ENV_CAP, 1 << 31))
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        threads = int(os.environ.get(ENV_THREADS, 1))
-    if getattr(args, "json", False):
-        fmt = "json"
-    elif getattr(args, "csv", False):
-        fmt = "csv"
-    else:
-        fmt = "text"
-    return CliConfig(cap=cap, threads=threads, fmt=fmt,
-                     seed=getattr(args, "seed", None))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_compute(args, config: CliConfig) -> int:
+def _cmd_compute(args) -> int:
     k = parse_k(args.k)
-    cache = rp.TableCache(hard_cap=config.cap)
+    cache = rp.TableCache(hard_cap=args.cap)
     table = rp.ramanujan_prefix(k, args.n, cache)
-    if config.fmt == "json":
+    if args.json:
         print(table.to_json())
     else:
         print(rp._format_ints(table.array, " "))
@@ -82,13 +46,13 @@ def _cmd_compute(args, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_pik(args, config: CliConfig) -> int:
+def _cmd_pik(args) -> int:
     k = parse_k(args.k)
-    cache = rp.TableCache(hard_cap=config.cap)
+    cache = rp.TableCache(hard_cap=args.cap)
     count = rp.pi_k(k, args.x, cache)
     total = cache.get(max(args.x, 2)).pi(args.x)
     rho = rp._rho(k, count, total) if total else None
-    if config.fmt == "json":
+    if args.json:
         payload = {"k": str(k), "x": args.x, "pi_k": count, "pi": total}
         if rho is not None:
             payload["rho"] = f"{rho.numerator}/{rho.denominator}"
@@ -101,9 +65,9 @@ def _cmd_pik(args, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_nk(args, config: CliConfig, strict: bool) -> int:
+def _cmd_nk(args, strict: bool) -> int:
     k = parse_k(args.k)
-    cache = rp.TableCache(hard_cap=config.cap)
+    cache = rp.TableCache(hard_cap=args.cap)
     probe = args.probe
     if probe is None:
         bound = 3 if strict else 2
@@ -116,7 +80,7 @@ def _cmd_nk(args, config: CliConfig, strict: bool) -> int:
     est = (rp.empirical_N(k, probe, cache) if strict
            else rp.empirical_N0(k, probe, cache))
     name = "N" if strict else "N_0"
-    if config.fmt == "json":
+    if args.json:
         print(json.dumps({"k": str(k), "name": name, "value": est.value,
                           "kind": est.kind, "probe": est.probe,
                           "closed_form": est.closed_form,
@@ -150,7 +114,7 @@ def _parse_params(text: str | None) -> dict:
     return out
 
 
-def _cmd_const(args, config: CliConfig) -> int:
+def _cmd_const(args) -> int:
     params = _parse_params(args.params)
     # an unknown name falls through to named_threshold, which lists the known
     formula = bounds._THRESHOLDS.get(args.name)
@@ -168,7 +132,7 @@ def _cmd_const(args, config: CliConfig) -> int:
             wanted = ", ".join(f"{key}=..." for key in missing)
             raise ValueError(
                 f"threshold '{args.name}' needs --params {wanted}")
-    cache = rp.TableCache(hard_cap=config.cap)
+    cache = rp.TableCache(hard_cap=args.cap)
     pi = cache.get(10 ** 6)
     while True:
         try:
@@ -180,7 +144,7 @@ def _cmd_const(args, config: CliConfig) -> int:
             if err.required is None or err.required <= pi.limit:
                 raise
             pi = cache.get(err.required)
-    if config.fmt == "json":
+    if args.json:
         print(json.dumps({"name": args.name,
                           "params": {k: str(v) for k, v in params.items()},
                           "value": value}))
@@ -189,15 +153,15 @@ def _cmd_const(args, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, config: CliConfig) -> int:
+def _cmd_verify(args) -> int:
     ids = verify.campaign_ids() if args.campaign == "all" else [args.campaign]
-    cache = rp.TableCache(hard_cap=config.cap)
-    reports = verify.run_all(ids, cache, threads=config.threads,
+    cache = rp.TableCache(hard_cap=args.cap)
+    reports = verify.run_all(ids, cache, threads=args.threads,
                              limit=args.limit, mmax=args.mmax,
-                             seed=config.seed)
-    if config.fmt == "json":
+                             seed=args.seed)
+    if args.json:
         print(verify.reports_to_json(reports))
-    elif config.fmt == "csv":
+    elif args.csv:
         print(verify.reports_to_csv(reports), end="")
     else:
         for rep in reports:
@@ -211,14 +175,14 @@ def _cmd_verify(args, config: CliConfig) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILURE
 
 
-def _cmd_mps(args, config: CliConfig) -> int:
+def _cmd_mps(args) -> int:
     if args.mmax is not None and args.mmax < 1:
         raise ValueError(f"need --mmax >= 1, got {args.mmax}")
     ms = (np.array([args.m], dtype=np.int64) if args.m is not None
           else np.arange(1, args.mmax + 1, dtype=np.int64))
-    rows = rp.mps_holds(ms, rp.TableCache(hard_cap=config.cap))
+    rows = rp.mps_holds(ms, rp.TableCache(hard_cap=args.cap))
     worst = EXIT_OK if all(v.holds for v in rows) else EXIT_FAILURE
-    if config.fmt == "json":
+    if args.json:
         print(json.dumps([{"m": v.m, "verdict": v.verdict, "n0": v.n0,
                            "r_value": v.r_value,
                            "counterexample": v.counterexample}
@@ -290,8 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "compute": _cmd_compute,
     "pik": _cmd_pik,
-    "nk": lambda a, c: _cmd_nk(a, c, strict=True),
-    "n0k": lambda a, c: _cmd_nk(a, c, strict=False),
+    "nk": lambda a: _cmd_nk(a, strict=True),
+    "n0k": lambda a: _cmd_nk(a, strict=False),
     "const": _cmd_const,
     "verify": _cmd_verify,
     "mps": _cmd_mps,
@@ -305,8 +269,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        config = _config_from(args)
-        return _COMMANDS[args.command](args, config)
+        if args.cap is None:
+            args.cap = int(os.environ.get(ENV_CAP, 1 << 31))
+        if args.threads is None:
+            args.threads = int(os.environ.get(ENV_THREADS, 1))
+        if args.cap < 10 ** 6:
+            raise ValueError(f"sieve cap must be at least 10^6, got {args.cap}")
+        if args.cap > 1 << 62:     # certify_tail's default; int64 cutoffs
+            raise ValueError(f"sieve cap must be at most 2^62, got {args.cap}")
+        if args.threads < 1:
+            raise ValueError(f"thread count must be >= 1, got {args.threads}")
+        return _COMMANDS[args.command](args)
     except ResourceBudgetError as err:
         print(f"resource budget exceeded: {err}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -2,9 +2,11 @@
 
 A PrimeTable stores one bit per odd integer in [0, limit] (1/16 byte per
 integer; 2 is implicit) plus a cumulative prime count at every 2^16
-boundary, so pi(x) is a checkpoint lookup plus an np.bitwise_count over
-at most 4 KiB.  pi_array answers pi for a whole int64 array with a rank
-over just the 64-bit words its values span, built per call.  The primes
+boundary.  The table is padded to whole 64-bit words, and pi and pi_array
+count the same words: pi(x) is a checkpoint lookup plus an
+np.bitwise_count over at most 512 whole words and one masked word, and
+pi_array answers pi for a whole int64 array with a rank over just the
+words its values span, read in place and built per call.  The primes
 themselves sit in a single int64 array that the table builds on first
 use: nth_prime reads it by index (an int or an index array), and
 primes_array returns it whole.  The sieve clears the multiples of the 17
@@ -37,6 +39,7 @@ __all__ = ["PrimeTable", "build_table", "SEGMENT_SIZE", "CHECKPOINT_SPAN"]
 SEGMENT_SIZE = 1 << 20
 CHECKPOINT_SPAN = 1 << 16   # one cumulative pi checkpoint per this many values
 _BLOCK_BYTES = CHECKPOINT_SPAN >> 4   # table bytes per checkpoint block
+_BLOCK_WORDS = CHECKPOINT_SPAN >> 7   # table words per checkpoint block
 
 # _ODD_EXPAND[b]: the 0/1 flags of the 16 values a table byte with bits b
 # stands for; bit j flags value 2j + 1, and even values stay 0
@@ -118,14 +121,17 @@ class PrimeTable:
     be kept, so the race is benign.
     """
 
-    __slots__ = ("limit", "prime_count", "_bits", "_checkpoints", "_primes",
-                 "_head", "__weakref__")
+    __slots__ = ("limit", "prime_count", "_bits", "_words", "_checkpoints",
+                 "_primes", "_head", "__weakref__")
 
     def __init__(self, limit: int, bits: np.ndarray, checkpoints: np.ndarray,
                  head: tuple[np.ndarray, int] = _FRESH_HEAD):
         self.limit = limit
         # packed little-endian: bit i (bit i & 7 of byte i >> 3) is 2i + 1
         self._bits = bits
+        # the same buffer as 64-bit words (bit i & 63 of word i >> 6), which
+        # pi and pi_array count
+        self._words = bits.view("<u8")
         # checkpoints[j] = #{p odd prime : p < j * 2^16}
         self._checkpoints = checkpoints
         self.prime_count = self.pi(limit)
@@ -149,30 +155,27 @@ class PrimeTable:
         return bool((self._bits[i >> 3] >> (i & 7)) & 1)
 
     def pi(self, x: int) -> int:
-        """Number of primes <= x."""
+        """Number of primes <= x: the checkpoint of x's block plus the
+        popcount of its words below x's word and of that word's low bits."""
         self._check_range(x)
         if x < 2:
             return 0
-        block = x >> 16
-        count = 1 + int(self._checkpoints[block])     # 1 for the prime 2
         slots = (x + 1) >> 1                          # odd numbers <= x
-        lo_byte = block * _BLOCK_BYTES
-        hi_byte = slots >> 3
-        if hi_byte > lo_byte:
-            count += int(np.bitwise_count(self._bits[lo_byte:hi_byte]).sum())
-        rem = slots & 7
-        if rem:
-            count += (int(self._bits[hi_byte]) & ((1 << rem) - 1)).bit_count()
-        return count
+        word, block = slots >> 6, x >> 16
+        count = 1 + int(self._checkpoints[block])     # 1 for the prime 2
+        count += int(np.bitwise_count(
+            self._words[block * _BLOCK_WORDS:word]).sum())
+        mask = (1 << (slots & 63)) - 1
+        return count + (int(self._words[word]) & mask).bit_count()
 
     def pi_array(self, x: np.ndarray) -> np.ndarray:
         """pi at every entry of an int64 array x, each in [0, limit].
 
         A rank over the table words that x spans, local to the call: the
-        cumulative popcount of those 64-bit words from a checkpoint on,
-        less the popcount of each value's own word from its bit on.  So
-        the cost is a few passes over x and over (max x - min x) / 128
-        words, with no index kept in the table.
+        cumulative popcount of those 64-bit words, read in place, on top
+        of pi below the first of them, less the popcount of each value's
+        own word from its bit on.  So the cost is a few passes over x and
+        over (max x - min x) / 128 words, with no index kept in the table.
         """
         lo, hi = (int(x.min()), int(x.max())) if x.size else (0, 0)
         if lo < 0 or hi > self.limit:
@@ -180,16 +183,12 @@ class PrimeTable:
                 f"x in [{lo}, {hi}] outside sieved range [0, {self.limit}]")
         # v has (v + 1) >> 1 odd numbers up to it, the slots below
         # s = (v + 1) >> 1: the words up to s >> 6 but for the bits of word
-        # s >> 6 from s & 63 on; words past the table read 0
+        # s >> 6 from s & 63 on
         w_lo, w_hi = (lo + 1) >> 7, (hi + 1) >> 7
-        words = np.zeros(w_hi - w_lo + 1, dtype="<u8")
-        span = self._bits[8 * w_lo:8 * w_hi + 8]
-        words.view(np.uint8)[:len(span)] = span
-        counts = np.empty(len(words), dtype=np.int64)
-        np.cumsum(np.bitwise_count(words), out=counts)
-        b_lo, b_block = 8 * w_lo, (w_lo >> 9) * _BLOCK_BYTES
-        counts += 1 + int(self._checkpoints[w_lo >> 9]) + int(  # 1 for 2
-            np.bitwise_count(self._bits[b_block:b_lo].view("<u8")).sum())
+        words = self._words[w_lo:w_hi + 1]
+        counts = np.cumsum(np.bitwise_count(words), dtype=np.int64)
+        # the primes below word w_lo: 2 and the odd ones below 128 * w_lo
+        counts += self.pi(128 * w_lo - 1) if w_lo else 1
         s = x + (1 - 128 * w_lo)
         s >>= 1                                  # slots from word w_lo on
         word = s >> 6
@@ -279,9 +278,10 @@ def build_table(limit: int, base: PrimeTable | None = None) -> PrimeTable:
     base_primes = _small_sieve(isqrt(limit))
     odd_base = base_primes[np.searchsorted(base_primes, _SLICED_FROM):]
     slots = (limit + 1) >> 1                 # odd numbers 1, 3, ..., <= limit
-    # byte b holds the odd numbers in [16b, 16b + 16); pi_cumulative expands
-    # whole bytes, so there is a byte for every value in [0, limit]
-    bits = np.zeros((limit >> 4) + 1, dtype=np.uint8)
+    # byte b holds the odd numbers in [16b, 16b + 16).  pi and pi_array read
+    # 64-bit word (x + 1) >> 7 for every x <= limit, so the table runs in
+    # whole words to the end of that one, past a byte for every value
+    bits = np.zeros(8 * (((limit + 1) >> 7) + 1), dtype=np.uint8)
     checkpoints = np.zeros(-(-len(bits) // _BLOCK_BYTES) + 1, dtype=np.int64)
     # resume at block j0: the whole blocks the base and the new table share
     j0 = 0 if base is None else min(base.limit + 1, limit + 1) >> 16

@@ -15,7 +15,6 @@ __all__ = [
     "parse_ratio",
     "parse_k",
     "ceil_div",
-    "floor_frac",
     "format_fraction",
 ]
 
@@ -47,10 +46,6 @@ def ceil_div(a, b: int):
     if b < 1:
         raise ValueError("ceil_div needs positive denominator")
     return -((-a) // b)
-
-
-def floor_frac(fr: Fraction) -> int:
-    return fr.numerator // fr.denominator
 
 
 def format_fraction(fr: Fraction) -> str:

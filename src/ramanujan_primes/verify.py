@@ -32,7 +32,7 @@ import numpy as np
 from . import bounds
 from . import ramanujan as rp
 from .primes import PrimeTable
-from .rational import ceil_div, floor_frac
+from .rational import ceil_div
 
 __all__ = ["CampaignReport", "campaign_ids", "run_campaign", "run_all",
            "reports_to_json", "reports_to_csv"]
@@ -90,7 +90,7 @@ def reports_to_csv(reports: list[CampaignReport]) -> str:
 
 def _pi_of_frac(pi: PrimeTable, mult: int, k: Fraction) -> int:
     """pi(mult * k), exact at the rational point."""
-    return pi.pi(floor_frac(mult * k))
+    return pi.pi(math.floor(mult * k))
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +153,18 @@ def _run_lemma34_sweep(cache, limit, mmax, rng):
     params = {"x_lo": 470077, "x_max": x_max}
     pi = cache.get(x_max + 500)
     i_lo, i_hi = pi.pi(470077), pi.pi(x_max)
-    pnext = pi.nth_prime(np.arange(i_lo + 1, i_hi + 2, dtype=np.int64))
-    pnext = pnext.astype(np.float64)
+    # h(p_{i+1}) + 1 for i_lo <= i <= i_hi, in place over one float copy
+    # of p_{i+1}
+    h = pi.primes_array()[i_lo:i_hi + 1].astype(np.float64)
+    lp = np.log(h)
+    inv = np.divide(1.0, lp)
+    lp -= 1.0
+    lp -= inv                                # (log p - 1) - 1/log p
+    h /= lp
+    h += 1.0
     i_arr = np.arange(i_lo, i_hi + 1, dtype=np.float64)
-    lp = np.log(pnext)
-    h = pnext / (lp - 1.0 - 1.0 / lp)
     failures = [f"i={int(i_lo + j)}: pi(p_i) < h(p_i+1) + 1"
-                for j in np.flatnonzero(i_arr < h + 1.0)]
+                for j in np.flatnonzero(i_arr < h)]
     return params, int(i_hi - i_lo + 1), failures, []
 
 
@@ -326,8 +331,8 @@ def _run_cor316_pattern(cache, limit, mmax, rng):
     for k in [Fraction(29, 3), Fraction(10), Fraction(50)]:
         for r in [Fraction(2) / k, Fraction(1), Fraction(2),
                   Fraction(37, 10), Fraction(5)]:
-            top = pi.pi(floor_frac(r * k))
-            n = top - pi.pi(floor_frac(r)) + 1
+            top = pi.pi(math.floor(r * k))
+            n = top - pi.pi(math.floor(r)) + 1
             if n < 1 or top < 1:
                 continue
             table = rp.ramanujan_prefix(k, n, cache)
@@ -486,7 +491,7 @@ def _run_section2_properties(cache, limit, mmax, rng):
     # R_pi(k) = p_pi(k) and the prefix equality below it, k >= 2
     for k in [Fraction(2), Fraction(5, 2), Fraction(3), Fraction(10),
               Fraction(100)]:
-        nk = pi.pi(floor_frac(k))
+        nk = pi.pi(math.floor(k))
         table = rp.ramanujan_prefix(k, max(nk, 1), cache)
         cases += max(nk, 1)
         for n in range(1, nk + 1):

@@ -443,6 +443,19 @@ def test_env_threads_used_by_verify(capsys, monkeypatch):
     assert code == 0 and "pass" in out
 
 
+@pytest.mark.parametrize("env, argv", [
+    ("1", ("--threads", "0", "compute", "--k", "2", "--n", "5")),
+    ("0", ("compute", "--k", "2", "--n", "5")),
+])
+def test_zero_threads_is_usage_error(capsys, monkeypatch, env, argv):
+    """A zero thread count, from the flag or the environment, exits 2
+    before any command runs, with nothing on stdout."""
+    monkeypatch.setenv(ENV_THREADS, env)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "usage error: thread count must be >= 1, got 0\n"
+
+
 def test_bad_env_cap_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv(ENV_CAP, "plenty")
     assert run(capsys, "compute", "--k", "2", "--n", "5")[0] == 2

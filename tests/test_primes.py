@@ -79,10 +79,12 @@ def test_pi_at_checkpoint_boundaries(table, oracle_primes):
             assert table.pi(x) == bisect_right(oracle_primes, x)
 
 
-@pytest.mark.parametrize("limit", [2, 3, 4, 9, 15, 16, 17, 65535, 65536,
-                                   65537, 131071, 131073, 131079])
+@pytest.mark.parametrize("limit", [2, 3, 4, 9, 15, 16, 17, 127, 128, 129,
+                                   255, 65535, 65536, 65537, 65663, 131071,
+                                   131073, 131079])
 def test_pi_at_every_x_across_partial_bytes_and_blocks(limit, oracle_primes):
-    """A partial last byte (of 8 odd slots, 16 values), an exact 2^16 block
+    """A partial last byte (of 8 odd slots, 16 values), a last 64-bit word
+    (128 values) ending at or just past the limit, an exact 2^16 block
     end, a one-value last block; pi, is_prime (every even x as well as the
     odd bits) and pi_cumulative at every x."""
     t = build_table(limit)

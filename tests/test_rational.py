@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ramanujan_primes import parse_k, parse_ratio
-from ramanujan_primes.rational import ceil_div, floor_frac, format_fraction
+from ramanujan_primes.rational import ceil_div, format_fraction
 
 
 def test_parse_ratio_fraction_string():
@@ -60,13 +60,6 @@ def test_ceil_div_rejects_nonpositive_denominator():
         ceil_div(5, 0)
     with pytest.raises(ValueError):
         ceil_div(5, -3)
-
-
-@given(num=st.integers(-10 ** 9, 10 ** 9), den=st.integers(1, 10 ** 6))
-def test_floor_frac_matches_math(num, den):
-    fr = Fraction(num, den)
-    assert floor_frac(fr) == math.floor(fr)
-    assert floor_frac(fr) <= fr < floor_frac(fr) + 1
 
 
 def test_format_fraction_integer_is_plain():
