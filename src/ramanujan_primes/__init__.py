@@ -10,8 +10,8 @@ surrounding theory (verify).
 
 from .bounds import (BoundProfile, P1, P2, P3, P4, PROFILES, certify_tail,
                      get_profile, log_gap_holds, n_threshold,
-                     named_threshold, pi_lower, pi_upper, profile_p4,
-                     threshold_names, upsilon)
+                     named_threshold, pi_lower, pi_upper, threshold_names,
+                     upsilon)
 from .errors import RangeQueryError, ResourceBudgetError, ThresholdDomainError
 from .primes import PrimeTable, build_table
 from .ramanujan import (MpsVerdict, NEstimate, RamanujanTable, TableCache,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundProfile", "P1", "P2", "P3", "P4", "PROFILES", "certify_tail",
     "get_profile", "log_gap_holds", "n_threshold", "named_threshold",
-    "pi_lower", "pi_upper", "profile_p4", "threshold_names", "upsilon",
+    "pi_lower", "pi_upper", "threshold_names", "upsilon",
     "RangeQueryError", "ResourceBudgetError", "ThresholdDomainError",
     "PrimeTable", "build_table",
     "MpsVerdict", "NEstimate", "RamanujanTable", "TableCache",

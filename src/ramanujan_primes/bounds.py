@@ -7,7 +7,7 @@ Three layers:
         pi(x) < x/(log x - 1 - B(x))       for x >= X_0,
     where A(x) = sum a_j/log^j x and B(x) = sum b_j/log^j x.  The four
     built-in profiles P1..P4 carry published constants and a closed form
-    for X_1; profile_p4 varies P4's b_1.  The certificate uses P4 alone.
+    for X_1.  The certificate uses P4 alone.
 
     The b_1 = 1.17 upper estimate of P2, P3 and P4 is refuted on
     [59753, 2122756621] despite its floor X_0 = 5.43, so from 59753 on
@@ -142,10 +142,10 @@ class BoundProfile:
         return self.x1_closed(k)
 
 
-def _p4_x1(b1: float) -> Callable[[float], float]:
-    # With A = 0 and B(y) = b1/log y, the log-gap predicate is exactly
-    # log(kx) >= b1/log k.
-    return lambda k: math.exp(b1 / math.log(k)) / k
+def _p4_x1(k: float) -> float:
+    # With A = 0 and B(y) = 1.17/log y, the log-gap predicate is exactly
+    # log(kx) >= 1.17/log k.
+    return math.exp(1.17 / math.log(k)) / k
 
 
 def r(k: float) -> float:
@@ -184,24 +184,11 @@ P3 = BoundProfile("P3", a=(-3.3,), b=(1.17,), y_thresholds={0.0: 2.0},
                   x0=5.43, x1_closed=z,
                   upper_refuted_from=_B117_FIRST_FAILURE)
 
-
-def profile_p4(b1: float = 1.17) -> BoundProfile:
-    """A = 0 profile with floor x0 = 5.43.  The default b1 is the
-    published one.
-
-    The offset-1 threshold 7477 is the machine-checked extension of the
-    offset-0 bound and does not involve b1.  The published b1 also
-    carries the sieved first failure 59753 of its upper estimate, from
-    which pi_upper falls back to P1's; other b1 carry none.
-    """
-    refuted = _B117_FIRST_FAILURE if b1 == 1.17 else None
-    return BoundProfile("P4", a=(), b=(b1,),
-                        y_thresholds={0.0: 5393.0, 1.0: 7477.0},
-                        x0=5.43, x1_closed=_p4_x1(b1),
-                        upper_refuted_from=refuted)
-
-
-P4 = profile_p4()
+# A = 0 with floor x0 = 5.43.  The offset-1 threshold 7477 is the
+# machine-checked extension of the offset-0 bound.
+P4 = BoundProfile("P4", a=(), b=(1.17,),
+                  y_thresholds={0.0: 5393.0, 1.0: 7477.0}, x0=5.43,
+                  x1_closed=_p4_x1, upper_refuted_from=_B117_FIRST_FAILURE)
 
 PROFILES: dict[str, BoundProfile] = {"P1": P1, "P2": P2, "P3": P3, "P4": P4}
 
@@ -351,8 +338,16 @@ def x14(k, b1: float = 1.17):
             f"X14 overflows a float at k={k}") from None
 
 
-def _x13(k: float) -> float:
-    return max(k * x14(k), math.exp(2.547), 5.43 * k)
+# Every formula below is its own registry entry: pi (the prime table, for
+# the thresholds that count primes) and then its parameters by keyword,
+# each declared once with its default.  named_threshold passes k and the
+# other numbers as floats; composite formulas call the others by keyword.
+
+_E2547 = math.exp(2.547)
+
+
+def _x13(pi=None, *, k):
+    return max(k * x14(k), _E2547, 5.43 * k)
 
 
 def _eps_lambda(eps1: float, eps2: float) -> tuple[float, float]:
@@ -366,8 +361,7 @@ def _eps_lambda(eps1: float, eps2: float) -> tuple[float, float]:
     return eps, lam
 
 
-def _S(k, a1, b1, x0, eps1, eps2):
-    k = float(k)
+def _S(pi=None, *, k, a1=0.0, b1=1.17, x0=5.43, eps1, eps2):
     eps, _ = _eps_lambda(eps1, eps2)
     g = (1.0 + eps) * math.log(k) / ((k - 1.0) * eps)
     inner = (b1
@@ -377,7 +371,7 @@ def _S(k, a1, b1, x0, eps1, eps2):
     return math.exp(math.sqrt(inner) + 0.5 + g)
 
 
-def _T(a1, b1, eps1, eps2):
+def _T(pi=None, *, a1=0.0, b1=1.17, eps1, eps2):
     eps, lam = _eps_lambda(eps1, eps2)
     h = math.log(1.0 + eps1) / (2.0 * lam)
     inner = (b1 + (b1 - a1) / lam + a1 * math.log(1.0 + eps1) / lam
@@ -385,14 +379,12 @@ def _T(a1, b1, eps1, eps2):
     return math.exp(math.sqrt(inner) + 0.5 + h)
 
 
-def _eta(k, b1, delta1):
-    k = float(k)
+def _eta(pi=None, *, k, b1=1.17, delta1):
     w = 0.5 + math.log(k) / (2.0 * delta1)
     return k * (math.sqrt(b1 * (1.0 + 1.0 / delta1) + w * w) + w)
 
 
-def _gamma(k, eps1, eps2, eps3, delta1, delta2):
-    k = float(k)
+def _gamma(pi=None, *, k, eps1, eps2, eps3, delta1, delta2):
     for name, v in (("eps1", eps1), ("eps2", eps2), ("eps3", eps3),
                     ("delta1", delta1), ("delta2", delta2)):
         if v < 0:
@@ -401,7 +393,7 @@ def _gamma(k, eps1, eps2, eps3, delta1, delta2):
              + math.log((1.0 + eps1) * (1.0 + eps3))) * k / (k - 1.0))
 
 
-def _x21(eps3: float) -> float:
+def _x21(pi=None, *, eps3) -> float:
     """Least X (inflated) with log log x < eps3 * log x for all x >= X.
 
     In u = log x the condition is phi(u) = log u - eps3*u < 0; phi is
@@ -425,7 +417,7 @@ def _x21(eps3: float) -> float:
     return inflate(math.exp(hi))
 
 
-def _x24(eps3: float, eps4: float) -> float:
+def _x24(pi=None, *, eps3, eps4) -> float:
     """Least X (inflated) with
     log(1+eps3) + log(x+1) + log(x + log(x+1)) <= eps4 * x for all x >= X."""
     if eps3 <= 0 or eps4 <= 0:
@@ -465,7 +457,7 @@ def _x24(eps3: float, eps4: float) -> float:
     return inflate(hi)
 
 
-def _c0(s: float, pi) -> float:
+def _c0(pi=None, *, s) -> float:
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
     _need_pi(pi, "c0")
@@ -491,7 +483,7 @@ def _pi_at(pi, x: float, name: str) -> int:
     return pi.pi(xi)
 
 
-def _x11(b1: float, x0: float, pi) -> int:
+def _x11(pi=None, *, b1=1.17, x0=5.43) -> int:
     """Least N with p_n >= n(log p_n - 1 - b1/log p_n) for all n >= N.
 
     For n > pi(x0) the upper estimate gives the inequality outright, so
@@ -507,155 +499,145 @@ def _x11(b1: float, x0: float, pi) -> int:
     return worst + 1
 
 
-def _x2(k, t, profile, pi=None):
+def _x2(pi=None, *, k, t=0, profile="P1"):
     profile = get_profile(profile)
-    k = float(k)
     rs = (t + 1) * (k - 1.0) / k
     return max(profile.x0, k * profile.x1(k), k * profile.y_threshold(rs))
 
 
-def _x12(k, a1, b1, y0, x0, eps1, eps2, x10):
-    k = float(k)
-    s = _S(k, a1, b1, x0, eps1, eps2)
-    t = _T(a1, b1, eps1, eps2)
+def _x3(pi=None, *, k):
+    return _x2(k=k, profile=P1)
+
+
+def _x4(pi=None, *, k):
+    return _x2(k=k, profile=P2)
+
+
+def _x5(pi=None, *, k, profile):
+    return _x2(k=k, t=-1, profile=profile)
+
+
+def _x6(pi=None, *, k):
+    return _x5(k=k, profile=P3)
+
+
+def _x12(pi=None, *, k, a1, b1, y0, x0, eps1, eps2, x10):
+    s = _S(k=k, a1=a1, b1=b1, x0=x0, eps1=eps1, eps2=eps2)
+    t = _T(a1=a1, b1=b1, eps1=eps1, eps2=eps2)
     e1 = 1.0 + eps1
     return max(y0 / e1, k * x0 / e1, k * s / e1, t, x10 / e1)
 
 
-def _x17(k, b1=1.17, x0=5.43):
-    k = float(k)
-    return max(5393.0, k * x0, k * x14(k, b1))
+def _x15(pi=None, *, k, eps1, eps2):
+    return _x12(k=k, a1=1.0, b1=1.17, y0=468049.0, x0=_E2547, eps1=eps1,
+                eps2=eps2, x10=_x13(k=k))
 
 
-def _x16(k, b1, delta1, delta2, x0=5.43):
-    k = float(k)
-    return max(7477.0, k * x0, _eta(k, b1, delta1),
+def _x16(pi=None, *, k, b1=1.17, delta1, delta2, x0=5.43):
+    return max(7477.0, k * x0, _eta(k=k, b1=b1, delta1=delta1),
                k * math.exp(b1 / delta2))
 
 
-def _x19(k, b1, eps2, delta1, delta2, pi, x0=5.43):
+def _x17(pi=None, *, k, b1=1.17, x0=5.43):
+    return max(5393.0, k * x0, k * x14(k, b1))
+
+
+def _x18(pi=None, *, k, b1=1.17, eps2, x0=5.43):
+    return _x12(k=k, a1=0.0, b1=b1, y0=5393.0, x0=x0, eps1=0.0, eps2=eps2,
+                x10=_x17(k=k, b1=b1, x0=x0))
+
+
+def _x19(pi=None, *, k, b1=1.17, eps2, delta1, delta2, x0=5.43):
     _need_pi(pi, "X19")
-    k = float(k)
-    p16 = _pi_at(pi, _x16(k, b1, delta1, delta2, x0), "X19")
-    p18 = _pi_at(pi, _x12(k, 0.0, b1, 5393.0, x0, 0.0, eps2, _x17(k, b1, x0)),
+    p16 = _pi_at(pi, _x16(k=k, b1=b1, delta1=delta1, delta2=delta2, x0=x0),
                  "X19")
-    x11 = _x11(b1, x0, pi)
+    p18 = _pi_at(pi, _x18(k=k, b1=b1, eps2=eps2, x0=x0), "X19")
+    x11 = _x11(pi, b1=b1, x0=x0)
     return max(p16 + 1.0,
                (k - 1.0) * (p18 + 1.0) / (k * (1.0 + eps2)),
                (k - 1.0) * x11 / (k * (1.0 + eps2)))
 
 
-def _x22(k, b1, eps1, eps2, eps3, delta1, delta2, pi, x0=5.43):
+def _x20(pi=None, *, k, b1=1.17, eps1, x0=5.43):
+    return _x12(k=k, a1=0.0, b1=b1, y0=5393.0, x0=x0, eps1=eps1, eps2=0.0,
+                x10=_x17(k=k, b1=b1, x0=x0))
+
+
+def _x22(pi=None, *, k, b1=1.17, eps1, eps2, eps3, delta1, delta2, x0=5.43):
     _need_pi(pi, "X22")
-    k = float(k)
-    x11 = _x11(b1, x0, pi)
-    x19 = _x19(k, b1, eps2, delta1, delta2, pi, x0)
-    p20 = _pi_at(pi, _x12(k, 0.0, b1, 5393.0, x0, eps1, 0.0, _x17(k, b1, x0)),
-                 "X22")
+    x11 = _x11(pi, b1=b1, x0=x0)
+    x19 = _x19(pi, k=k, b1=b1, eps2=eps2, delta1=delta1, delta2=delta2,
+               x0=x0)
+    p20 = _pi_at(pi, _x20(k=k, b1=b1, eps1=eps1, x0=x0), "X22")
     return max((k - 1.0) * x11 / k, x19,
                (k - 1.0) * (p20 + 1.0) / k,
-               (k - 1.0) * _x21(eps3) / k)
+               (k - 1.0) * _x21(eps3=eps3) / k)
 
 
-def _c1(k, eps1, eps2, eps3, eps4, delta1, delta2, pi):
+def _c1(pi=None, *, k, eps1, eps2, eps3, eps4, delta1, delta2):
     if eps4 <= 0:
         raise ValueError(f"need eps4 > 0, got {eps4}")
-    return 1.0 + eps4 + _c0(_gamma(k, eps1, eps2, eps3, delta1, delta2), pi)
+    return 1.0 + eps4 + _c0(pi, s=_gamma(k=k, eps1=eps1, eps2=eps2,
+                                         eps3=eps3, delta1=delta1,
+                                         delta2=delta2))
 
 
-def _x25(k, b1, eps1, eps2, eps3, eps4, delta1, delta2, pi, x0=5.43):
-    k = float(k)
-    return max(_x22(k, b1, eps1, eps2, eps3, delta1, delta2, pi, x0),
-               _x24(eps3, eps4),
+def _x25(pi=None, *, k, b1=1.17, eps1, eps2, eps3, eps4, delta1, delta2,
+         x0=5.43):
+    return max(_x22(pi, k=k, b1=b1, eps1=eps1, eps2=eps2, eps3=eps3,
+                    delta1=delta1, delta2=delta2, x0=x0),
+               _x24(eps3=eps3, eps4=eps4),
                math.log(k / (k - 1.0)))
 
 
-def _x26(k, b1, eps1, eps2, eps3, eps4, delta1, delta2, c2, pi, x0=5.43):
-    k = float(k)
-    c1 = _c1(k, eps1, eps2, eps3, eps4, delta1, delta2, pi)
+def _x26(pi=None, *, k, b1=1.17, eps1, eps2, eps3, eps4, delta1, delta2, c2,
+         x0=5.43):
+    eps = dict(eps1=eps1, eps2=eps2, eps3=eps3, eps4=eps4, delta1=delta1,
+               delta2=delta2)
+    c1 = _c1(pi, k=k, **eps)
     if not c2 > c1:
         raise ValueError(f"need c2 > c1; got c2={c2}, c1={c1}")
-    x25 = _x25(k, b1, eps1, eps2, eps3, eps4, delta1, delta2, pi, x0)
+    x25 = _x25(pi, k=k, b1=b1, x0=x0, **eps)
     pow2 = 2.0 ** (c2 / (c2 - c1))
-    return max(_x21(eps3),
+    return max(_x21(eps3=eps3),
                math.ceil(inflate(k / (k - 1.0) * x25)) + 1.0,
                float(_pi_at(pi, pow2, "X26")))
 
 
-def _x23(k, b1, eps, pi=None):
-    # The trailing term is X_2 for the A=0 profile with t=0, whose log-gap
-    # threshold is exp(b1/log k)/k and whose fractional-offset lower-bound
-    # threshold is the stored offset-1 value 7477.
-    k = float(k)
+def _x23(pi=None, *, k, b1=1.17, eps):
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
-    prof = profile_p4(b1) if b1 != 1.17 else P4
+    if b1 <= 0:
+        raise ValueError(f"need b1 > 0, got {b1}")
+    # The last two terms are X_2 at t = 0 for the A = 0 profile with this
+    # b1: its log-gap threshold exp(b1/log k)/k, and its lower-bound
+    # threshold for the offset (k-1)/k, the stored offset-1 value 7477.
     return max(5.43, 5393.0 * k, math.exp(b1 / eps),
-               math.exp(b1 / math.log(k)), _x2(k, 0, prof))
+               math.exp(b1 / math.log(k)),
+               k * (math.exp(b1 / math.log(k)) / k), 7477.0 * k)
 
 
-def _x27(k, b1, eps, x0=5.43):
-    k = float(k)
+def _x27(pi=None, *, k, b1=1.17, eps):
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
     e = 1.0 + eps
-    return max(5393.0 / e, k * x0 / e, k * _S(k, 0.0, b1, x0, eps, 0.0) / e,
-               _T(0.0, b1, eps, 0.0), _x13(k) / e)
+    return max(5393.0 / e, k * 5.43 / e,
+               k * _S(k=k, b1=b1, eps1=eps, eps2=0.0) / e,
+               _T(b1=b1, eps1=eps, eps2=0.0), _x13(k=k) / e)
 
-
-_E2547 = math.exp(2.547)
 
 _THRESHOLDS: dict[str, Callable] = {
     "r": lambda pi=None, *, k: r(k),
     "rtilde": lambda pi=None, *, k: rtilde(k),
     "z": lambda pi=None, *, k: z(k),
     "lambda": lambda pi=None, *, eps1, eps2: _eps_lambda(eps1, eps2)[1],
-    "S": lambda pi=None, *, k, a1=0.0, b1=1.17, x0=5.43, eps1, eps2:
-        _S(k, a1, b1, x0, eps1, eps2),
-    "T": lambda pi=None, *, a1=0.0, b1=1.17, eps1, eps2:
-        _T(a1, b1, eps1, eps2),
-    "eta": lambda pi=None, *, k, b1=1.17, delta1: _eta(k, b1, delta1),
-    "gamma": lambda pi=None, *, k, eps1, eps2, eps3, delta1, delta2:
-        _gamma(k, eps1, eps2, eps3, delta1, delta2),
-    "c0": lambda pi=None, *, s: _c0(s, pi),
-    "c1": lambda pi=None, *, k, eps1, eps2, eps3, eps4, delta1, delta2:
-        _c1(k, eps1, eps2, eps3, eps4, delta1, delta2, pi),
-    "X2": lambda pi=None, *, k, t=0, profile="P1": _x2(k, t, profile),
-    "X3": lambda pi=None, *, k: max(470077.0 * float(k), float(k) * r(k)),
-    "X4": lambda pi=None, *, k: max(5.43, 3.0 * float(k),
-                                    float(k) * rtilde(k)),
-    "X5": lambda pi=None, *, k, profile: (
-        lambda kf, p: max(p.x0, kf * p.x1(kf), kf * p.y_threshold(0.0))
-    )(float(k), get_profile(profile)),
-    "X6": lambda pi=None, *, k: max(2.0 * float(k), 5.43, float(k) * z(k)),
-    "X11": lambda pi=None, *, b1=1.17, x0=5.43: float(_x11(b1, x0, pi)),
-    "X12": lambda pi=None, *, k, a1, b1, y0, x0, eps1, eps2, x10:
-        _x12(k, a1, b1, y0, x0, eps1, eps2, x10),
-    "X13": lambda pi=None, *, k: _x13(k),
+    "S": _S, "T": _T, "eta": _eta, "gamma": _gamma, "c0": _c0, "c1": _c1,
+    "X2": _x2, "X3": _x3, "X4": _x4, "X5": _x5, "X6": _x6, "X11": _x11,
+    "X12": _x12, "X13": _x13,
     "X14": lambda pi=None, *, k, b1=1.17: x14(k, b1),
-    "X15": lambda pi=None, *, k, eps1, eps2:
-        _x12(k, 1.0, 1.17, 468049.0, _E2547, eps1, eps2, _x13(k)),
-    "X16": lambda pi=None, *, k, b1=1.17, delta1, delta2, x0=5.43:
-        _x16(k, b1, delta1, delta2, x0),
-    "X17": lambda pi=None, *, k, b1=1.17, x0=5.43: _x17(k, b1, x0),
-    "X18": lambda pi=None, *, k, b1=1.17, eps2, x0=5.43:
-        _x12(k, 0.0, b1, 5393.0, x0, 0.0, eps2, _x17(k, b1, x0)),
-    "X19": lambda pi=None, *, k, b1=1.17, eps2, delta1, delta2, x0=5.43:
-        _x19(k, b1, eps2, delta1, delta2, pi, x0),
-    "X20": lambda pi=None, *, k, b1=1.17, eps1, x0=5.43:
-        _x12(k, 0.0, b1, 5393.0, x0, eps1, 0.0, _x17(k, b1, x0)),
-    "X21": lambda pi=None, *, eps3: _x21(eps3),
-    "X22": lambda pi=None, *, k, b1=1.17, eps1, eps2, eps3, delta1, delta2,
-        x0=5.43: _x22(k, b1, eps1, eps2, eps3, delta1, delta2, pi, x0),
-    "X23": lambda pi=None, *, k, b1=1.17, eps: _x23(k, b1, eps),
-    "X24": lambda pi=None, *, eps3, eps4: _x24(eps3, eps4),
-    "X25": lambda pi=None, *, k, b1=1.17, eps1, eps2, eps3, eps4, delta1,
-        delta2, x0=5.43:
-        _x25(k, b1, eps1, eps2, eps3, eps4, delta1, delta2, pi, x0),
-    "X26": lambda pi=None, *, k, b1=1.17, eps1, eps2, eps3, eps4, delta1,
-        delta2, c2, x0=5.43:
-        _x26(k, b1, eps1, eps2, eps3, eps4, delta1, delta2, c2, pi, x0),
-    "X27": lambda pi=None, *, k, b1=1.17, eps: _x27(k, b1, eps),
+    "X15": _x15, "X16": _x16, "X17": _x17, "X18": _x18, "X19": _x19,
+    "X20": _x20, "X21": _x21, "X22": _x22, "X23": _x23, "X24": _x24,
+    "X25": _x25, "X26": _x26, "X27": _x27,
 }
 
 
@@ -682,7 +664,7 @@ def named_threshold(name: str, pi=None, **params) -> float:
     if "k" in clean and not clean["k"] > 1:
         raise ValueError(f"need k > 1, got {clean['k']}")
     try:
-        return formula(pi, **clean)
+        return float(formula(pi, **clean))
     except ThresholdDomainError as err:    # it may come from an inner one
         raise ThresholdDomainError(f"{name}: {err}") from None
 
@@ -696,32 +678,30 @@ def _ceil_real(value: float) -> int:
 
 
 def _n0(pi, *, k, t=0, profile="P1") -> int:
+    if t != int(t):
+        raise ValueError(f"n0: need an integer t, got t={t}")
     t = int(t)
     kx = Fraction(k)
     if not t > -math.ceil(kx / (kx - 1)):
         raise ValueError(f"n0: need t > -ceil(k/(k-1)), got t={t}")
-    pival = _pi_at(pi, _x2(float(k), t, get_profile(profile)), "n0")
+    pival = _pi_at(pi, _x2(k=float(k), t=t, profile=profile), "n0")
     return math.ceil((kx - 1) / kx * (pival - t + 1))
 
 
-def _n1(pi, *, k, eps1=0.0, eps2=0, a1=1.0, b1=1.17, y0=468049.0,
-        x0=_E2547, x10=None) -> int:
-    kf = float(k)
-    eps2x = Fraction(eps2)
-    x10 = _x13(kf) if x10 is None else float(x10)
-    x12 = _x12(kf, float(a1), float(b1), float(y0), float(x0), float(eps1),
-               float(eps2x), x10)
-    m = max(_pi_at(pi, x12, "n1") + 1, _x11(float(b1), float(x0), pi))
+def _n1(pi, *, k, eps1=0.0, eps2=0) -> int:
+    x15 = _x15(k=float(k), eps1=float(eps1), eps2=float(eps2))
+    m = max(_pi_at(pi, x15, "n1") + 1, _x11(pi, x0=_E2547))
     kx = Fraction(k)
-    return math.ceil((kx - 1) / (kx * (1 + eps2x)) * m)
+    return math.ceil((kx - 1) / (kx * (1 + Fraction(eps2))) * m)
 
 
 def n_threshold(kind: str, pi, **params) -> int:
     """The integer index thresholds n_0..n_3 (ceiling of the real value).
 
-    n0(k, t, profile): past it R_n^(k) > p_{ceil(kn/(k-1)) + t}.
-    n1(k, eps1, eps2, ...): past it R_n^(k) <= (1+eps1) p_{ceil((1+eps2)kn/(k-1))};
-       defaults instantiate the published a1=1, b1=1.17 configuration.
+    n0(k, t, profile): past it R_n^(k) > p_{ceil(kn/(k-1)) + t}; t must
+       be an integer.
+    n1(k, eps1, eps2): X15's index threshold; past it
+       R_n^(k) <= (1+eps1) p_{ceil((1+eps2)kn/(k-1))}.
     n2(...): = X22; past it R_n^(k) - p_{ceil(kn/(k-1))} < gamma*n.
     n3(...): = p_{X26}; past it rho_k(x) <= c2/log x.
 

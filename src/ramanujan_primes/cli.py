@@ -284,7 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"resource budget exceeded: {err}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, KeyError, ThresholdDomainError) as err:
-        print(f"usage error: {err}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        text = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"usage error: {text}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -652,15 +652,19 @@ def _check_sizes(limit: int | None, mmax: int | None) -> None:
             raise ValueError(f"need {name} >= 1, got {size}")
 
 
-def run_campaign(cid: str, cache: rp.TableCache | None = None,
-                 limit: int | None = None, mmax: int | None = None,
-                 seed: int | None = None) -> CampaignReport:
+def _campaign(cid: str):
     if cid not in _CAMPAIGNS:
         raise KeyError(f"unknown campaign {cid!r}; known: "
                        f"{', '.join(_CAMPAIGNS)}")
+    return _CAMPAIGNS[cid]
+
+
+def run_campaign(cid: str, cache: rp.TableCache | None = None,
+                 limit: int | None = None, mmax: int | None = None,
+                 seed: int | None = None) -> CampaignReport:
+    description, runner = _campaign(cid)
     _check_sizes(limit, mmax)
     cache = cache if cache is not None else rp.TableCache()
-    description, runner = _CAMPAIGNS[cid]
     rng = np.random.default_rng(seed) if seed is not None else None
     started = time.perf_counter()
     params, cases, failures, exceptions = runner(cache, limit, mmax, rng)
@@ -682,8 +686,7 @@ def run_all(ids: list[str] | None = None,
             seed: int | None = None) -> list[CampaignReport]:
     ids = list(ids) if ids is not None else campaign_ids()
     for cid in ids:
-        if cid not in _CAMPAIGNS:
-            raise KeyError(f"unknown campaign {cid!r}")
+        _campaign(cid)
     _check_sizes(limit, mmax)
     cache = cache if cache is not None else rp.TableCache()
     if threads <= 1:

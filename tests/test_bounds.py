@@ -9,8 +9,10 @@ flip the predicate they bound).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,9 +24,10 @@ from mpmath.ctx_iv import MPIntervalContext
 
 from ramanujan_primes import (P1, P2, P3, P4, BoundProfile,
                               ResourceBudgetError, ThresholdDomainError,
-                              certify_tail, get_profile, log_gap_holds,
-                              n_threshold, named_threshold, pi_lower,
-                              pi_upper, profile_p4, threshold_names, upsilon)
+                              build_table, certify_tail, get_profile,
+                              log_gap_holds, n_threshold, named_threshold,
+                              pi_lower, pi_upper, threshold_names,
+                              upsilon)
 from ramanujan_primes.bounds import (_THRESHOLDS, _upsilon_slope_from_logs,
                                      inflate, r, rtilde, x14, z)
 
@@ -145,10 +148,6 @@ def test_b117_profiles_fall_back_to_p1_past_first_failure():
         for x in (6.2e9, 1e12):
             assert pi_upper(x, profile) == raw(x, profile) > pi_upper(x, P1)
     assert P1.upper_refuted_from is None
-    assert profile_p4().upper_refuted_from == 59753
-    custom = profile_p4(b1=1.2)
-    assert custom.upper_refuted_from is None
-    assert pi_upper(929872, custom) == raw(929872, custom)
     with pytest.raises(ValueError, match="upper_refuted_from"):
         BoundProfile("bad", a=(), b=(1.17,), y_thresholds={0.0: 2.0},
                      x0=5.43, x1_closed=P4.x1_closed,
@@ -425,6 +424,84 @@ def test_threshold_pins(cache):
         29.464090979809647, rel=1e-12)
 
 
+# Each name's keys on the digest grid below: k, b1, profile and t run over
+# their axes, every eps, delta and s key takes the one eps of the point,
+# and the remaining keys are fixed.
+_GRID_AXES = {
+    "k": (Fraction(101, 100), Fraction(11, 10), Fraction(3, 2), 2, 3, 10,
+          746, 10 ** 4),
+    "b1": (1.17, 1.2, 2),
+    "profile": ("P1", "P2", "P3", "P4"),
+    "t": (-1, 0, 1, 3),
+}
+_GRID_FIXED = {"a1": 1.0, "y0": 468049.0, "x0": math.exp(2.547),
+               "x10": 10 ** 4, "c2": 100}
+_GRID_EPS = (0.1, 0.5)
+_X22_KEYS = "k b1 eps1 eps2 eps3 delta1 delta2"
+_X26_KEYS = "k b1 eps1 eps2 eps3 eps4 delta1 delta2 c2"
+_GRID_KEYS = {
+    "r": "k", "rtilde": "k", "z": "k", "lambda": "eps1 eps2",
+    "S": "k b1 eps1 eps2", "T": "b1 eps1 eps2", "eta": "k b1 delta1",
+    "gamma": "k eps1 eps2 eps3 delta1 delta2", "c0": "s",
+    "c1": "k eps1 eps2 eps3 eps4 delta1 delta2",
+    "X2": "k t profile", "X3": "k", "X4": "k", "X5": "k profile", "X6": "k",
+    "X11": "b1", "X12": "k a1 b1 y0 x0 eps1 eps2 x10", "X13": "k",
+    "X14": "k b1", "X15": "k eps1 eps2", "X16": "k b1 delta1 delta2",
+    "X17": "k b1", "X18": "k b1 eps2", "X19": "k b1 eps2 delta1 delta2",
+    "X20": "k b1 eps1", "X21": "eps3", "X22": _X22_KEYS,
+    "X23": "k b1 eps", "X24": "eps3 eps4",
+    "X25": "k b1 eps1 eps2 eps3 eps4 delta1 delta2", "X26": _X26_KEYS,
+    "X27": "k b1 eps",
+    "n0": "k t profile", "n1": "k eps1 eps2", "n2": _X22_KEYS,
+    "n3": _X26_KEYS,
+}
+
+
+def _grid_points(keys: str):
+    keys = keys.split()
+    axes = [key for key in keys if key in _GRID_AXES]
+    for eps in _GRID_EPS:
+        base = {key: _GRID_FIXED.get(key, eps) for key in keys
+                if key not in _GRID_AXES}
+        for values in itertools.product(*(_GRID_AXES[a] for a in axes)):
+            yield dict(base, **dict(zip(axes, values)))
+
+
+def test_threshold_values_on_a_grid_are_frozen():
+    """Every named threshold and n-threshold on a fixed grid, errors
+    recorded by type and message, and every named threshold's keyword
+    order and defaults (const lists missing keys in that order), as one
+    digest.  The table is built here, so the errors that name its limit
+    do not depend on what other tests grew the shared cache to."""
+    pi = build_table(10 ** 6)
+    assert set(_GRID_KEYS) == set(threshold_names()) | {"n0", "n1", "n2",
+                                                        "n3"}
+    lines = []
+    for name in threshold_names():
+        sig = inspect.signature(_THRESHOLDS[name]).parameters.values()
+        lines.append(f"{name} takes " + ", ".join(
+            p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+            for p in sig if p.kind is p.KEYWORD_ONLY))
+    for name in sorted(_GRID_KEYS):
+        evaluate = (functools.partial(n_threshold, name, pi)
+                    if name in {"n0", "n1", "n2", "n3"}
+                    else functools.partial(named_threshold, name, pi=pi))
+        seen = set()
+        for params in _grid_points(_GRID_KEYS[name]):
+            point = repr(sorted(params.items()))
+            if point in seen:      # names without eps repeat their points
+                continue
+            seen.add(point)
+            try:
+                got = repr(evaluate(**params))
+            except Exception as err:    # the error is the value
+                got = f"{type(err).__name__}: {err}"
+            lines.append(f"{name} {point} -> {got}")
+    assert len(lines) == 1177, len(lines)
+    digest = hashlib.md5("\n".join(lines).encode()).hexdigest()
+    assert digest == "434f5c3b62d93f464badc74711b7a93d", digest
+
+
 def test_x26_requires_c2_above_c1(cache):
     pi = cache.get(10 ** 6)
     with pytest.raises(ValueError, match="c2 > c1"):
@@ -494,6 +571,11 @@ def test_n_threshold_errors(cache):
         n_threshold("n9", pi, k=2)
     with pytest.raises(ValueError):
         n_threshold("n0", pi, k=2, t=-2, profile="P1")
+    # int(t) once truncated these to t = 1 and returned 37098
+    for t in (1.5, 1.9, Fraction(3, 2)):
+        with pytest.raises(ValueError, match="need an integer t"):
+            n_threshold("n0", pi, k=2, t=t, profile="P1")
+    assert n_threshold("n0", pi, k=2, t=1.0, profile="P1") == 37098
 
 
 @pytest.mark.parametrize("kind", ["n0", "n1"])

@@ -21,6 +21,7 @@ import pytest
 from ramanujan_primes import bounds
 from ramanujan_primes import ramanujan as rp
 from ramanujan_primes.cli import ENV_CAP, ENV_THREADS, main
+from test_bounds import _valid_params
 
 
 def run(capsys, *argv):
@@ -177,6 +178,29 @@ def test_const_checks_params_against_the_signature(capsys, monkeypatch):
         main(["const", "--name", "X4", "--params", "k=2"])
 
 
+@pytest.mark.parametrize("name", bounds.threshold_names())
+def test_const_json_gives_the_library_value_for_every_name(capsys, cache,
+                                                          name):
+    """One valid parameter set per name passes const's signature check and
+    prints named_threshold's value."""
+    pi, params = _valid_params(cache)
+    text = ",".join(f"{key}={value}" for key, value in params[name].items())
+    code, out, err = run(capsys, "const", "--name", name, "--params", text,
+                         "--json")
+    assert code == 0, err
+    assert json.loads(out)["value"] == bounds.named_threshold(
+        name, pi=pi, **params[name])
+
+
+@pytest.mark.parametrize("b1", ["0", "-1"])
+def test_const_x23_refuses_b1_at_most_zero(capsys, b1):
+    code, out, err = run(capsys, "const", "--name", "X23", "--params",
+                         f"k=2,eps=0.5,b1={b1}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ")
+
+
 def test_const_sieves_only_as_far_as_the_threshold_needs(capsys,
                                                           monkeypatch):
     """X19 at k = 1000 needs pi at about 1.2e8, not a table up to the cap."""
@@ -235,9 +259,11 @@ def test_verify_csv_output(capsys):
 
 
 def test_verify_unknown_campaign(capsys):
+    """The message is printed unquoted and lists the known ids."""
     code, _, err = run(capsys, "verify", "--campaign", "bogus")
     assert code == 2
-    assert "unknown campaign" in err
+    assert err.startswith("usage error: unknown campaign 'bogus'; known: ")
+    assert "sondow-gap" in err and "gamma-difference" in err
 
 
 # ---------------------------------------------------------------------------
