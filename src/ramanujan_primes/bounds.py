@@ -338,10 +338,11 @@ def x14(k, b1: float = 1.17):
             f"X14 overflows a float at k={k}") from None
 
 
-# Every formula below is its own registry entry: pi (the prime table, for
-# the thresholds that count primes) and then its parameters by keyword,
-# each declared once with its default.  named_threshold passes k and the
-# other numbers as floats; composite formulas call the others by keyword.
+# Every formula below is its own registry entry: pi (a TableCache or a
+# PrimeTable, for the thresholds that count primes) and then its
+# parameters by keyword, each declared once with its default.
+# named_threshold passes k and the other numbers as floats; composite
+# formulas call the others by keyword.
 
 _E2547 = math.exp(2.547)
 
@@ -473,14 +474,9 @@ def _need_pi(pi, name: str):
         raise ValueError(f"threshold {name} needs a prime table (pi=...)")
 
 
-def _pi_at(pi, x: float, name: str) -> int:
+def _pi_at(pi, x: float) -> int:
     """pi evaluated at a real threshold, conservatively rounded up first."""
-    xi = math.floor(inflate(x))
-    if xi > pi.limit:
-        raise ResourceBudgetError(
-            f"threshold {name} needs pi({xi}) but the table stops at "
-            f"{pi.limit}", required=xi, cap=pi.limit)
-    return pi.pi(xi)
+    return pi.pi(math.floor(inflate(x)))
 
 
 def _x11(pi=None, *, b1=1.17, x0=5.43) -> int:
@@ -549,9 +545,8 @@ def _x18(pi=None, *, k, b1=1.17, eps2, x0=5.43):
 
 def _x19(pi=None, *, k, b1=1.17, eps2, delta1, delta2, x0=5.43):
     _need_pi(pi, "X19")
-    p16 = _pi_at(pi, _x16(k=k, b1=b1, delta1=delta1, delta2=delta2, x0=x0),
-                 "X19")
-    p18 = _pi_at(pi, _x18(k=k, b1=b1, eps2=eps2, x0=x0), "X19")
+    p16 = _pi_at(pi, _x16(k=k, b1=b1, delta1=delta1, delta2=delta2, x0=x0))
+    p18 = _pi_at(pi, _x18(k=k, b1=b1, eps2=eps2, x0=x0))
     x11 = _x11(pi, b1=b1, x0=x0)
     return max(p16 + 1.0,
                (k - 1.0) * (p18 + 1.0) / (k * (1.0 + eps2)),
@@ -568,7 +563,7 @@ def _x22(pi=None, *, k, b1=1.17, eps1, eps2, eps3, delta1, delta2, x0=5.43):
     x11 = _x11(pi, b1=b1, x0=x0)
     x19 = _x19(pi, k=k, b1=b1, eps2=eps2, delta1=delta1, delta2=delta2,
                x0=x0)
-    p20 = _pi_at(pi, _x20(k=k, b1=b1, eps1=eps1, x0=x0), "X22")
+    p20 = _pi_at(pi, _x20(k=k, b1=b1, eps1=eps1, x0=x0))
     return max((k - 1.0) * x11 / k, x19,
                (k - 1.0) * (p20 + 1.0) / k,
                (k - 1.0) * _x21(eps3=eps3) / k)
@@ -601,7 +596,7 @@ def _x26(pi=None, *, k, b1=1.17, eps1, eps2, eps3, eps4, delta1, delta2, c2,
     pow2 = 2.0 ** (c2 / (c2 - c1))
     return max(_x21(eps3=eps3),
                math.ceil(inflate(k / (k - 1.0) * x25)) + 1.0,
-               float(_pi_at(pi, pow2, "X26")))
+               float(_pi_at(pi, pow2)))
 
 
 def _x23(pi=None, *, k, b1=1.17, eps):
@@ -651,7 +646,11 @@ def named_threshold(name: str, pi=None, **params) -> float:
     Extra keyword arguments are the formula's parameters (k, eps1, ...);
     Fractions are accepted and converted.  Every formula that takes k
     needs k > 1.  Thresholds that count primes (c0, c1, X11, X19, X22,
-    X25, X26) need a PrimeTable via pi.
+    X25, X26) need pi: a TableCache, which sieves as far as the formula
+    reads and raises ResourceBudgetError past its hard cap, or a
+    PrimeTable, which raises RangeQueryError for a query past its limit.
+    A float overflow inside a formula (k near 1) is a
+    ThresholdDomainError naming the threshold.
     """
     try:
         formula = _THRESHOLDS[name]
@@ -667,6 +666,9 @@ def named_threshold(name: str, pi=None, **params) -> float:
         return float(formula(pi, **clean))
     except ThresholdDomainError as err:    # it may come from an inner one
         raise ThresholdDomainError(f"{name}: {err}") from None
+    except OverflowError as err:
+        raise ThresholdDomainError(
+            f"{name}: overflows a float ({err})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -684,13 +686,13 @@ def _n0(pi, *, k, t=0, profile="P1") -> int:
     kx = Fraction(k)
     if not t > -math.ceil(kx / (kx - 1)):
         raise ValueError(f"n0: need t > -ceil(k/(k-1)), got t={t}")
-    pival = _pi_at(pi, _x2(k=float(k), t=t, profile=profile), "n0")
+    pival = _pi_at(pi, _x2(k=float(k), t=t, profile=profile))
     return math.ceil((kx - 1) / kx * (pival - t + 1))
 
 
 def _n1(pi, *, k, eps1=0.0, eps2=0) -> int:
     x15 = _x15(k=float(k), eps1=float(eps1), eps2=float(eps2))
-    m = max(_pi_at(pi, x15, "n1") + 1, _x11(pi, x0=_E2547))
+    m = max(_pi_at(pi, x15) + 1, _x11(pi, x0=_E2547))
     kx = Fraction(k)
     return math.ceil((kx - 1) / (kx * (1 + Fraction(eps2))) * m)
 
@@ -707,24 +709,23 @@ def n_threshold(kind: str, pi, **params) -> int:
 
     n0 and n1 are rational-prefactor-times-integer expressions and their
     ceilings are taken exactly; n2 and n3 round a float threshold up.
-    A key the threshold does not take raises TypeError, as in
-    named_threshold, and every kind needs k > 1.
+    pi, a float overflow and a key the threshold does not take (TypeError)
+    behave as in named_threshold, and every kind needs k > 1.
     """
     if "k" in params and not params["k"] > 1:
         raise ValueError(f"need k > 1, got {params['k']}")
-    if kind == "n0":
-        return _n0(pi, **params)
-    if kind == "n1":
-        return _n1(pi, **params)
+    try:
+        if kind == "n0":
+            return _n0(pi, **params)
+        if kind == "n1":
+            return _n1(pi, **params)
+    except OverflowError as err:
+        raise ThresholdDomainError(
+            f"{kind}: overflows a float ({err})") from None
     if kind == "n2":
         return _ceil_real(named_threshold("X22", pi, **params))
     if kind == "n3":
-        idx = _ceil_real(named_threshold("X26", pi, **params))
-        if idx > pi.prime_count:
-            raise ResourceBudgetError(
-                f"n3 needs the {idx}th prime but the table holds "
-                f"{pi.prime_count}", required=idx, cap=pi.prime_count)
-        return pi.nth_prime(idx)
+        return pi.nth_prime(_ceil_real(named_threshold("X26", pi, **params)))
     raise ValueError(f"unknown n-threshold kind {kind!r}")
 
 

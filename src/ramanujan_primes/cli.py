@@ -50,7 +50,7 @@ def _cmd_pik(args) -> int:
     k = parse_k(args.k)
     cache = rp.TableCache(hard_cap=args.cap)
     count = rp.pi_k(k, args.x, cache)
-    total = cache.get(max(args.x, 2)).pi(args.x)
+    total = cache.pi(args.x)
     rho = rp._rho(k, count, total) if total else None
     if args.json:
         payload = {"k": str(k), "x": args.x, "pi_k": count, "pi": total}
@@ -68,15 +68,8 @@ def _cmd_pik(args) -> int:
 def _cmd_nk(args, strict: bool) -> int:
     k = parse_k(args.k)
     cache = rp.TableCache(hard_cap=args.cap)
-    probe = args.probe
-    if probe is None:
-        bound = 3 if strict else 2
-        closed_from = rp._N_CLOSED_FROM if strict else rp._N0_CLOSED_FROM
-        if k >= closed_from:
-            pi = cache.get(max(10 ** 4, int(bound * float(k) * 2)))
-            probe = 2 * max(pi.pi(bound * k.numerator // k.denominator), 1)
-        else:
-            probe = 500
+    probe = (args.probe if args.probe is not None
+             else rp._default_probe(k, strict, cache))
     est = (rp.empirical_N(k, probe, cache) if strict
            else rp.empirical_N0(k, probe, cache))
     name = "N" if strict else "N_0"
@@ -132,18 +125,9 @@ def _cmd_const(args) -> int:
             wanted = ", ".join(f"{key}=..." for key in missing)
             raise ValueError(
                 f"threshold '{args.name}' needs --params {wanted}")
-    cache = rp.TableCache(hard_cap=args.cap)
-    pi = cache.get(10 ** 6)
-    while True:
-        try:
-            value = bounds.named_threshold(args.name, pi=pi, **params)
-            break
-        except ResourceBudgetError as err:
-            # required is the x the threshold needs pi at; grow the table
-            # to it (cache.get raises past the cap), never to the cap itself
-            if err.required is None or err.required <= pi.limit:
-                raise
-            pi = cache.get(err.required)
+    # the cache sieves only as far as the formula reads pi, if at all
+    value = bounds.named_threshold(
+        args.name, pi=rp.TableCache(hard_cap=args.cap), **params)
     if args.json:
         print(json.dumps({"name": args.name,
                           "params": {k: str(v) for k, v in params.items()},
@@ -270,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         if args.cap is None:
-            args.cap = int(os.environ.get(ENV_CAP, 1 << 31))
+            args.cap = int(os.environ.get(ENV_CAP, rp.DEFAULT_CAP))
         if args.threads is None:
             args.threads = int(os.environ.get(ENV_THREADS, 1))
         if args.cap < 10 ** 6:

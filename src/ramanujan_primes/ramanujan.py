@@ -70,6 +70,7 @@ __all__ = [
 ]
 
 PROOF_ANALYTIC = "analytic-certificate"
+DEFAULT_CAP = 1 << 31        # a TableCache's hard cap unless one is given
 _INITIAL_LIMIT = 1 << 20     # the least limit of a TableCache's first table
 _MPS_ROWS = 128              # windows per _suffix_min call in _mps_r_values
 
@@ -217,14 +218,17 @@ class MpsVerdict:
 class TableCache:
     """Grow-on-demand PrimeTable shared between computations.
 
-    The table only ever grows, by at least doubling so that repeated
-    small bumps rarely grow it, and each growth sieves only past the old
+    The one owner of how far to sieve: pi(x) and nth_prime(n) grow the
+    table to what the query needs, and get(limit) to a given limit.  The
+    table only ever grows, by at least doubling so that repeated small
+    bumps rarely grow it, and each growth sieves only past the old
     table's last whole checkpoint block (build_table's base).  It swaps
     atomically under a lock; readers always see a complete table.
-    hard_cap bounds the sieve limit.
+    hard_cap bounds the sieve limit: a query past it raises
+    ResourceBudgetError.
     """
 
-    def __init__(self, hard_cap: int = 1 << 31):
+    def __init__(self, hard_cap: int = DEFAULT_CAP):
         self.hard_cap = int(hard_cap)
         self._lock = threading.Lock()
         self._table: PrimeTable | None = None
@@ -251,6 +255,18 @@ class TableCache:
             target = min(target, self.hard_cap)
             self._table = build_table(target, table)
             return self._table
+
+    def pi(self, x: int) -> int:
+        """pi(x), from a table grown to x."""
+        return self.get(x).pi(x)
+
+    def nth_prime(self, n: int | np.ndarray) -> int | np.ndarray:
+        """p_n for an int n or an int64 index array, from a table grown
+        past the largest p_n asked for: Rosser's p_n < n(log n + log log n)
+        for n >= 6, with a fifth and 16 to spare, and 16 below n = 6."""
+        top = int(n.max(initial=0)) if isinstance(n, np.ndarray) else n
+        x = top * (math.log(top) + math.log(math.log(top))) if top >= 6 else 0
+        return self.get(int(x * 1.2) + 16).nth_prime(n)
 
 
 def _as_cache(cache: TableCache | None) -> TableCache:
@@ -371,8 +387,7 @@ def _pi_k_array(k: Fraction, x: int, cache: TableCache,
                 first: int = 0) -> tuple[PrimeTable, np.ndarray]:
     """A table and S[first:] with pi_k(y) = S[pi(y)] for every y <= x."""
     num, den = k.numerator, k.denominator
-    pi = cache.get(x)
-    fstar_x = pi.pi(x) - pi.pi(((x + 1) * den - 1) // num)
+    fstar_x = cache.pi(x) - cache.pi(((x + 1) * den - 1) // num)
     cutoff = bounds.certify_tail(k, fstar_x + 1, hard_cap=cache.hard_cap)
     hi = max(cutoff, x + 1)
     pi = cache.get(hi)
@@ -431,7 +446,7 @@ def pi_k(k, x: int, cache: TableCache | None = None) -> int:
     if x < 2:
         return 0
     cache = _as_cache(cache)
-    pi, sufmin = _pi_k_array(k, x, cache, first=cache.get(x).pi(x))
+    pi, sufmin = _pi_k_array(k, x, cache, first=cache.pi(x))
     return int(sufmin[0])
 
 
@@ -441,7 +456,7 @@ def rho_k(k, x: int, cache: TableCache | None = None) -> Fraction:
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
     cache = _as_cache(cache)
-    return _rho(k, pi_k(k, x, cache), cache.get(x).pi(x))
+    return _rho(k, pi_k(k, x, cache), cache.pi(x))
 
 
 def _rho(k: Fraction, count: int, total: int) -> Fraction:
@@ -464,12 +479,17 @@ def _p_index(k: Fraction, n):
     return ceil_div(num * n, num - den)
 
 
-def _table_to_index(cache: TableCache, idx: int) -> PrimeTable:
-    """A table with p_1..p_idx (Rosser: p_n < n(log n + log log n), n >= 6)."""
-    if idx < 6:
-        return cache.get(16)
-    x = idx * (math.log(idx) + math.log(math.log(idx)))
-    return cache.get(int(x * 1.2) + 16)
+def _closed_point(k: Fraction, strict: bool) -> int | None:
+    """3k for N(k), 2k for N_0(k), floored; None where no closed form is."""
+    if k < (_N_CLOSED_FROM if strict else _N0_CLOSED_FROM):
+        return None
+    return ((3 if strict else 2) * k.numerator) // k.denominator
+
+
+def _default_probe(k: Fraction, strict: bool, cache: TableCache) -> int:
+    """Twice pi at the closed form's point (at least 2), else 500."""
+    x = _closed_point(k, strict)
+    return 500 if x is None else 2 * max(cache.pi(x), 1)
 
 
 def _empirical(k, n_probe: int, cache: TableCache | None,
@@ -478,18 +498,15 @@ def _empirical(k, n_probe: int, cache: TableCache | None,
     if n_probe < 1:
         raise ValueError(f"need n_probe >= 1, got {n_probe}")
     cache = _as_cache(cache)
-    table = ramanujan_prefix(k, n_probe, cache)
-    pi = _table_to_index(cache, _p_index(k, n_probe))   # and >= cutoff
-    rvals = table.array
-    pvals = pi.nth_prime(_p_index(k, np.arange(1, n_probe + 1,
-                                                dtype=np.int64)))
+    rvals = ramanujan_prefix(k, n_probe, cache).array
+    pvals = cache.nth_prime(_p_index(k, np.arange(1, n_probe + 1,
+                                                   dtype=np.int64)))
     violations = np.flatnonzero(rvals <= pvals if strict else rvals < pvals)
     emp = int(violations[-1]) + 2 if len(violations) else 1
 
-    bound = 3 if strict else 2
-    closed_from = _N_CLOSED_FROM if strict else _N0_CLOSED_FROM
-    if k >= closed_from:
-        cf = pi.pi((bound * k.numerator) // k.denominator) - (1 if strict else 0)
+    x = _closed_point(k, strict)
+    if x is not None:
+        cf = cache.pi(x) - (1 if strict else 0)
         return NEstimate(value=cf, kind="closed-form", probe=n_probe,
                          closed_form=cf, consistent=(emp == cf))
     return NEstimate(value=emp, kind="empirical", probe=n_probe)

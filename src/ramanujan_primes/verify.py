@@ -100,10 +100,8 @@ def _pi_of_frac(pi: PrimeTable, mult: int, k: Fraction) -> int:
 def _run_sondow_gap(cache, limit, mmax, rng):
     n_max = limit if limit else 37097
     params = {"k": Fraction(2), "n_max": n_max}
-    table = rp.ramanujan_prefix(2, n_max, cache)
-    pi = rp._table_to_index(cache, 2 * n_max)
-    rv = table.array
-    p2n = pi.nth_prime(2 * np.arange(1, n_max + 1, dtype=np.int64))
+    rv = rp.ramanujan_prefix(2, n_max, cache).array
+    p2n = cache.nth_prime(2 * np.arange(1, n_max + 1, dtype=np.int64))
     gaps = rv - p2n
 
     failures, exceptions = [], []
@@ -125,9 +123,7 @@ def _run_upper_48_19(cache, limit, mmax, rng):
     table = rp.ramanujan_prefix(2, n_max, cache)
     rv = table.array
     n = np.arange(1, n_max + 1, dtype=np.int64)
-    idx = ceil_div(48 * n, 19)
-    pi = rp._table_to_index(cache, int(idx[-1]))
-    pv = pi.nth_prime(idx)
+    pv = cache.nth_prime(ceil_div(48 * n, 19))
 
     failures, exceptions = [], []
     bad = set(int(v) + 1 for v in np.flatnonzero(rv > pv))
@@ -135,14 +131,13 @@ def _run_upper_48_19(cache, limit, mmax, rng):
         failures.append(f"n={n_bad}: R_n = {rv[n_bad - 1]} > "
                         f"p_ceil(48n/19) = {pv[n_bad - 1]}")
     if n_max >= 19:
-        if 19 in bad and rv[18] == 227 and pi.nth_prime(49) == 227:
+        if 19 in bad and rv[18] == 227 and cache.nth_prime(49) == 227:
             exceptions.append("n=19: R_19 = p_49 = 227 > p_48 = 223")
         else:
             failures.append("expected the single exception at n=19")
 
     # the t = 2.53 consequence has no exception at all
-    idx253 = ceil_div(253 * n, 100)
-    pv253 = rp._table_to_index(cache, int(idx253[-1])).nth_prime(idx253)
+    pv253 = cache.nth_prime(ceil_div(253 * n, 100))
     for n_bad in (np.flatnonzero(rv > pv253) + 1):
         failures.append(f"n={n_bad}: R_n > p_ceil(2.53n)")
     return params, 2 * n_max, failures, exceptions
@@ -382,12 +377,12 @@ def _run_rho_upper(cache, limit, mmax, rng):
     failures = []
     pi, pic, sufmin = _rho_arrays(cache, x_max)
 
-    x26 = bounds.named_threshold("X26", pi=pi, k=2, b1=1.17, eps1=eps,
+    x26 = bounds.named_threshold("X26", pi=cache, k=2, b1=1.17, eps1=eps,
                                  eps2=eps, eps3=eps, eps4=eps, delta1=eps,
                                  delta2=eps, c2=c2)
-    c1 = bounds.named_threshold("c1", pi=pi, k=2, eps1=eps, eps2=eps,
+    c1 = bounds.named_threshold("c1", pi=cache, k=2, eps1=eps, eps2=eps,
                                 eps3=eps, eps4=eps, delta1=eps, delta2=eps)
-    n3 = bounds.n_threshold("n3", pi, k=2, b1=1.17, eps1=eps, eps2=eps,
+    n3 = bounds.n_threshold("n3", cache, k=2, b1=1.17, eps1=eps, eps2=eps,
                             eps3=eps, eps4=eps, delta1=eps, delta2=eps,
                             c2=c2)
     params.update(X26=float(x26), c1=float(c1), n3=int(n3))
@@ -547,8 +542,7 @@ def _run_nicholson_bound(cache, limit, mmax, rng):
     eps = 0.5
     premise = (1 + eps) * (1 + eps) * (np.log(10.0) + eps)
     assert premise < 9.0
-    pi = cache.get(10 ** 5)
-    x19 = bounds.named_threshold("X19", pi=pi, k=10, b1=1.17, eps2=eps,
+    x19 = bounds.named_threshold("X19", pi=cache, k=10, b1=1.17, eps2=eps,
                                  delta1=eps, delta2=eps)
     n_lo = math.ceil(x19)
     n_hi = n_lo + 1053
@@ -571,18 +565,16 @@ def _run_gamma_difference(cache, limit, mmax, rng):
     params = {"k_values": [str(k) for k in ks], "eps_all": eps,
               "window": window}
     failures, cases = [], 0
-    pi = cache.get(10 ** 5)
     for k in ks:
         kf = float(k)
-        n2 = bounds.n_threshold("n2", pi, k=kf, b1=1.17, eps1=eps, eps2=eps,
-                                eps3=eps, delta1=eps, delta2=eps)
+        n2 = bounds.n_threshold("n2", cache, k=kf, b1=1.17, eps1=eps,
+                                eps2=eps, eps3=eps, delta1=eps, delta2=eps)
         gamma = bounds.named_threshold("gamma", k=kf, eps1=eps, eps2=eps,
                                        eps3=eps, delta1=eps, delta2=eps)
         n_hi = n2 + window
         table = rp.ramanujan_prefix(k, n_hi, cache)
         nn = np.arange(n2, n_hi + 1, dtype=np.int64)
-        idx = rp._p_index(k, nn)
-        pidx = rp._table_to_index(cache, int(idx[-1])).nth_prime(idx)
+        pidx = cache.nth_prime(rp._p_index(k, nn))
         rv = table.array[n2 - 1:]
         diff = rv - pidx
         bad = np.flatnonzero(diff >= gamma * nn)

@@ -23,7 +23,8 @@ import pytest
 from mpmath.ctx_iv import MPIntervalContext
 
 from ramanujan_primes import (P1, P2, P3, P4, BoundProfile,
-                              ResourceBudgetError, ThresholdDomainError,
+                              RangeQueryError, ResourceBudgetError,
+                              TableCache, ThresholdDomainError,
                               build_table, certify_tail, get_profile,
                               log_gap_holds, n_threshold, named_threshold,
                               pi_lower, pi_upper, threshold_names,
@@ -472,7 +473,8 @@ def test_threshold_values_on_a_grid_are_frozen():
     recorded by type and message, and every named threshold's keyword
     order and defaults (const lists missing keys in that order), as one
     digest.  The table is built here, so the errors that name its limit
-    do not depend on what other tests grew the shared cache to."""
+    (RangeQueryError for a point past it) do not depend on what other
+    tests grew the shared cache to."""
     pi = build_table(10 ** 6)
     assert set(_GRID_KEYS) == set(threshold_names()) | {"n0", "n1", "n2",
                                                         "n3"}
@@ -499,7 +501,7 @@ def test_threshold_values_on_a_grid_are_frozen():
             lines.append(f"{name} {point} -> {got}")
     assert len(lines) == 1177, len(lines)
     digest = hashlib.md5("\n".join(lines).encode()).hexdigest()
-    assert digest == "434f5c3b62d93f464badc74711b7a93d", digest
+    assert digest == "4707801343d13b620105761bf39f2060", digest
 
 
 def test_x26_requires_c2_above_c1(cache):
@@ -576,6 +578,12 @@ def test_n_threshold_errors(cache):
         with pytest.raises(ValueError, match="need an integer t"):
             n_threshold("n0", pi, k=2, t=t, profile="P1")
     assert n_threshold("n0", pi, k=2, t=1.0, profile="P1") == 37098
+    # P2's rtilde and P1's r overflow math.exp near k = 1: an error that
+    # names n0, as X14's own overflow names X14, not an OverflowError
+    for k, profile in ((Fraction(101, 100), "P2"), (1.0000001, "P1")):
+        with pytest.raises(ThresholdDomainError,
+                           match=r"^n0: overflows a float"):
+            n_threshold("n0", pi, k=k, profile=profile)
 
 
 @pytest.mark.parametrize("kind", ["n0", "n1"])
@@ -600,13 +608,28 @@ def test_n_threshold_rejects_unknown_keys(cache):
                     delta1=e, delta2=e)
 
 
-def test_n3_needs_enough_primes(cache):
-    small = cache.get(2)   # whatever the cache holds is fine; build tiny
-    from ramanujan_primes import build_table
-    tiny = build_table(100)
+def test_n3_needs_enough_primes():
     with pytest.raises(ResourceBudgetError):
-        n_threshold("n3", tiny, k=2, eps1=0.5, eps2=0.5, eps3=0.5,
-                    eps4=0.5, delta1=0.5, delta2=0.5, c2=100)
+        n_threshold("n3", TableCache(hard_cap=100), k=2, eps1=0.5, eps2=0.5,
+                    eps3=0.5, eps4=0.5, delta1=0.5, delta2=0.5, c2=100)
+
+
+def test_thresholds_take_the_cache_or_a_table():
+    """A TableCache as pi gives a table's values and grows only as far as
+    the formula reads; a PrimeTable refuses a point past its limit."""
+    e = 0.5
+    params = dict(k=2, eps1=e, eps2=e, eps3=e, eps4=e, delta1=e, delta2=e,
+                  c2=100)
+    cache = TableCache()
+    assert n_threshold("n3", cache, **params) == 16361
+    assert cache.current().limit == 1 << 20
+    assert (named_threshold("X19", pi=cache, k=10, eps2=e, delta1=e,
+                            delta2=e)
+            == named_threshold("X19", pi=build_table(10 ** 6), k=10,
+                               eps2=e, delta1=e, delta2=e) == 947.0)
+    with pytest.raises(RangeQueryError):
+        named_threshold("X19", pi=build_table(100), k=10, eps2=e, delta1=e,
+                        delta2=e)
 
 
 # ---------------------------------------------------------------------------

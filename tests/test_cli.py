@@ -192,6 +192,22 @@ def test_const_json_gives_the_library_value_for_every_name(capsys, cache,
         name, pi=pi, **params[name])
 
 
+def test_const_builds_no_table_for_a_formula_without_pi(capsys,
+                                                         monkeypatch):
+    """X2 reads no prime count, so const sieves nothing for it; c0 reads
+    pi(2) and builds the cache's least table."""
+    build = rp.build_table
+    built = []
+    monkeypatch.setattr(rp, "build_table", lambda limit, base=None: (
+        built.append(limit), build(limit, base))[1])
+    code, out, _ = run(capsys, "const", "--name", "X2", "--params", "k=2")
+    assert code == 0 and out.strip() == "940154"
+    assert built == []
+    code, out, _ = run(capsys, "const", "--name", "c0", "--params", "s=0")
+    assert code == 0 and out.strip() == "4"
+    assert built == [1 << 20]
+
+
 @pytest.mark.parametrize("b1", ["0", "-1"])
 def test_const_x23_refuses_b1_at_most_zero(capsys, b1):
     code, out, err = run(capsys, "const", "--name", "X23", "--params",
@@ -203,18 +219,29 @@ def test_const_x23_refuses_b1_at_most_zero(capsys, b1):
 
 def test_const_sieves_only_as_far_as_the_threshold_needs(capsys,
                                                           monkeypatch):
-    """X19 at k = 1000 needs pi at about 1.2e8, not a table up to the cap."""
-    build = rp.build_table
+    """X19 at k = 1000 needs pi at about 1.2e8, not a table up to the cap.
+    The cache grows while X19 runs, so one table is built and X16 is
+    evaluated once (a retry loop once built 2 tables and evaluated X19,
+    and so X16, twice)."""
+    build, x16 = rp.build_table, bounds._x16
+    built, x16_calls = [], []
 
     def bounded_build(limit, base=None):
         assert limit <= 1 << 28, f"sieved to {limit}"
+        built.append(limit)
         return build(limit, base)
 
+    def counted_x16(*args, **kwargs):
+        x16_calls.append(kwargs)
+        return x16(*args, **kwargs)
+
     monkeypatch.setattr(rp, "build_table", bounded_build)
+    monkeypatch.setattr(bounds, "_x16", counted_x16)
     params = "k=1000,eps2=0.1,delta1=0.1,delta2=0.1"
     code, out, _ = run(capsys, "const", "--name", "X19", "--params", params)
     assert code == 0
     assert out.strip() == "6872333"
+    assert len(built) == 1 and len(x16_calls) == 1
     code, _, err = run(capsys, "--cap", "1000000", "const", "--name", "X19",
                        "--params", params)
     assert code == 3
@@ -388,11 +415,26 @@ def test_const_k_must_exceed_one(capsys, name, params, got):
     assert err == f"usage error: need k > 1, got {got}\n"
 
 
-@pytest.mark.parametrize("name", ["X13", "X14", "X17"])
-def test_const_overflow_is_usage_error(capsys, name):
-    """X13 and X17 build on x14; the error names the constant asked for."""
-    code, _, err = run(capsys, "const", "--name", name,
-                       "--params", "k=1.0000001")
+_OVERFLOWS = {          # test id: the name and the params that overflow
+    "X13": ("X13", "k=1.0000001"), "X14": ("X14", "k=1.0000001"),
+    "X17": ("X17", "k=1.0000001"),
+    "rtilde": ("rtilde", "k=101/100"), "X4": ("X4", "k=101/100"),
+    "X2-P2": ("X2", "k=101/100,profile=P2"),
+    "X5-P2": ("X5", "k=101/100,profile=P2"),
+    "r": ("r", "k=1.0000001"), "X3": ("X3", "k=1.0000001"),
+    "X2-P1": ("X2", "k=1.0000001"),
+    "X5-P1": ("X5", "k=1.0000001,profile=P1"),
+}
+
+
+@pytest.mark.parametrize("name, params", list(_OVERFLOWS.values()),
+                         ids=list(_OVERFLOWS))
+def test_const_overflow_is_usage_error(capsys, name, params):
+    """X13 and X17 build on x14, the others on P1's r or P2's rtilde,
+    which overflow math.exp near k = 1; the error names the constant
+    asked for, where the others once ended in an OverflowError traceback
+    with exit 1."""
+    code, _, err = run(capsys, "const", "--name", name, "--params", params)
     assert code == 2
     assert err.startswith(f"usage error: {name}: ")
     assert len(err.splitlines()) == 1

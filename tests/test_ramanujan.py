@@ -228,6 +228,57 @@ def test_cache_enforces_hard_cap():
     assert err.value.cap == 5000
 
 
+def test_cache_queries_equal_a_fresh_table():
+    """TableCache.pi and nth_prime (int and array) answer as a table
+    sieved to past every query does, growing the cache as they go."""
+    fresh = build_table(3 * 10 ** 6)
+    cache = TableCache()
+    for x in (0, 1, 2, 100, 10 ** 6, (1 << 20) + 1, 2 * 10 ** 6 + 1):
+        assert cache.pi(x) == fresh.pi(x)
+    assert cache.current().limit == 1 << 21
+    cache = TableCache()
+    for n in (1, 5, 6, 1000, 82025, 200_000):
+        assert cache.nth_prime(n) == fresh.nth_prime(n)
+    idx = np.array([1, 2, 6, 82025, 82026, 200_000], dtype=np.int64)
+    assert np.array_equal(TableCache().nth_prime(idx), fresh.nth_prime(idx))
+    assert TableCache().nth_prime(idx[:0]).size == 0
+
+
+@pytest.mark.parametrize("n, limit", [
+    (1, 16), (5, 16), (6, 33), (7, 37), (100, 751), (1000, 10624),
+    (37098, 573167), (74194, 1213679),
+])
+def test_cache_nth_prime_requests_the_rosser_limit(monkeypatch, n, limit):
+    """p_n < n(log n + log log n) for n >= 6 (Rosser), with a fifth and
+    16 to spare, and 16 below n = 6: the limits the verify campaigns
+    asked for when each sized its own table, pinned from that code, so
+    their table_limit does not move.  74194 grows a 2^20 table to 2^21
+    although p_74194 = 940087."""
+    cache = TableCache()
+    cache.get(1 << 20)
+    asked = []
+    get = cache.get
+    monkeypatch.setattr(cache, "get",
+                        lambda limit: asked.append(limit) or get(limit))
+    assert cache.nth_prime(n) == build_table(limit).nth_prime(n)
+    assert cache.nth_prime(np.array([1, n], dtype=np.int64))[1] == \
+        cache.nth_prime(n)
+    assert asked == [limit] * 3
+    assert cache.current().limit == (1 << 21 if limit > 1 << 20 else 1 << 20)
+
+
+def test_cache_queries_past_the_cap_are_budget_errors():
+    small = TableCache(hard_cap=100)
+    assert small.pi(100) == 25
+    assert small.nth_prime(15) == 47            # asks for 82
+    for query in (lambda: small.pi(101), lambda: small.nth_prime(20),
+                  lambda: small.nth_prime(np.array([1, 20]))):
+        with pytest.raises(ResourceBudgetError) as err:
+            query()
+        assert err.value.cap == 100
+    assert small.current().limit == 100
+
+
 def test_budget_error_carries_partial_prefix(cache):
     small = TableCache(hard_cap=200_000)
     with pytest.raises(ResourceBudgetError) as err:
