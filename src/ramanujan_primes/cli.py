@@ -2,7 +2,7 @@
 
 Data goes to stdout, progress and diagnostics to stderr.  Exit codes:
 0 success, 1 a campaign or verdict failed, 2 usage error, 3 resource
-budget exceeded.
+budget exceeded: past the sieve cap or out of memory.
 """
 
 from __future__ import annotations
@@ -264,8 +264,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 1:
             raise ValueError(f"thread count must be >= 1, got {args.threads}")
         return _COMMANDS[args.command](args)
-    except ResourceBudgetError as err:
-        print(f"resource budget exceeded: {err}", file=sys.stderr)
+    except (ResourceBudgetError, MemoryError) as err:
+        # a MemoryError is within the cap but not in this memory; numpy's
+        # names the allocation
+        print(f"resource budget exceeded: {str(err) or 'out of memory'}",
+              file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, KeyError, ThresholdDomainError) as err:
         # str() of a KeyError is the repr of its message

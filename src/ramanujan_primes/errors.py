@@ -14,19 +14,18 @@ class RangeQueryError(ValueError):
 class ResourceBudgetError(RuntimeError):
     """A computation would exceed the configured sieve budget.
 
+    Raised where the cap is crossed, before anything past it is sieved.
+
     Attributes:
         required: the limit or prime index that would have been needed.
         cap: the configured ceiling that blocked it.
-        partial: optionally, a shorter prefix whose certificate fits within
-            the cap (a RamanujanTable with the analytic-certificate proof).
     """
 
     def __init__(self, message: str, *, required: int | None = None,
-                 cap: int | None = None, partial=None):
+                 cap: int | None = None):
         super().__init__(message)
         self.required = required
         self.cap = cap
-        self.partial = partial
 
 
 class ThresholdDomainError(ValueError):

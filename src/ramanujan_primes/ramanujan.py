@@ -59,7 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds
-from .errors import ResourceBudgetError, ThresholdDomainError
+from .errors import RangeQueryError, ResourceBudgetError
 from .primes import PrimeTable, _run_blocks, build_table
 from .rational import ceil_div, parse_k
 
@@ -257,14 +257,20 @@ class TableCache:
             return self._table
 
     def pi(self, x: int) -> int:
-        """pi(x), from a table grown to x."""
+        """pi(x), from a table grown to x; x < 0 is refused unsieved."""
+        if x < 0:
+            raise RangeQueryError(f"need x >= 0, got {x}")
         return self.get(x).pi(x)
 
     def nth_prime(self, n: int | np.ndarray) -> int | np.ndarray:
         """p_n for an int n or an int64 index array, from a table grown
         past the largest p_n asked for: Rosser's p_n < n(log n + log log n)
-        for n >= 6, with a fifth and 16 to spare, and 16 below n = 6."""
-        top = int(n.max(initial=0)) if isinstance(n, np.ndarray) else n
+        for n >= 6, with a fifth and 16 to spare, and 16 below n = 6.
+        An n < 1 is refused unsieved."""
+        low, top = ((int(n.min(initial=1)), int(n.max(initial=0)))
+                    if isinstance(n, np.ndarray) else (n, n))
+        if low < 1:
+            raise RangeQueryError(f"need n >= 1, got {low}")
         x = top * (math.log(top) + math.log(math.log(top))) if top >= 6 else 0
         return self.get(int(x * 1.2) + 16).nth_prime(n)
 
@@ -401,39 +407,9 @@ def ramanujan_prefix(k, n_max: int,
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     cache = _as_cache(cache)
-    try:
-        cutoff = bounds.certify_tail(k, n_max, hard_cap=cache.hard_cap)
-        pi = cache.get(cutoff)
-    except ResourceBudgetError as err:
-        raise _partial_error(err, k, n_max, cache) from None
-    values = _scan(k, n_max, cutoff, pi)
+    cutoff = bounds.certify_tail(k, n_max, hard_cap=cache.hard_cap)
+    values = _scan(k, n_max, cutoff, cache.get(cutoff))
     return RamanujanTable(k=k, values=values, cutoff=cutoff)
-
-
-def _partial_error(err: ResourceBudgetError, k: Fraction, n_max: int,
-                   cache: TableCache) -> ResourceBudgetError:
-    """Attach whatever prefix is still certifiable within the cap."""
-    cap = cache.hard_cap
-    try:
-        u = bounds.upsilon(float(cap), k, bounds.P4)
-    except ThresholdDomainError:        # the cap lies below every certificate
-        u = 0.0
-    n_ok = min(n_max, max(0, math.floor(u) - 2))
-    partial, message = None, str(err)
-    if n_ok >= 1:
-        try:
-            cutoff = bounds.certify_tail(k, n_ok, hard_cap=cap)
-        except ResourceBudgetError:
-            pass
-        else:
-            try:
-                values = _scan(k, n_ok, cutoff, cache.get(cutoff))
-            except MemoryError:     # within the cap, but not in this memory
-                message += "; no partial prefix: out of memory"
-            else:
-                partial = RamanujanTable(k=k, values=values, cutoff=cutoff)
-    return ResourceBudgetError(message, required=err.required,
-                               cap=err.cap, partial=partial)
 
 
 # ---------------------------------------------------------------------------

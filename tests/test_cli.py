@@ -481,19 +481,46 @@ def test_resource_exit_when_cap_too_small(capsys):
     assert "resource budget exceeded" in err
 
 
-def test_resource_exit_when_partial_prefix_runs_out_of_memory(capsys,
-                                                              monkeypatch):
-    """Past the cap, a partial prefix whose scan does not fit in memory is
-    left out; the run still ends in exit 3, not a MemoryError traceback."""
-    def scan_out_of_memory(*args):
-        raise MemoryError
-
-    monkeypatch.setattr(rp, "_scan", scan_out_of_memory)
-    code, _, err = run(capsys, "--cap", "1000000", "compute", "--k", "2",
-                       "--n", "37097")
+@pytest.mark.parametrize("argv", [
+    ("compute", "--k", "2", "--n", "37097"),
+    ("pik", "--k", "2", "--x", "2000000"),
+    ("nk", "--k", "2", "--probe", "100000"),
+    ("n0k", "--k", "2", "--probe", "100000"),
+    ("mps", "--m", "100000"),
+    ("verify", "--campaign", "lemma34-sweep"),
+    ("const", "--name", "X19", "--params",
+     "k=1000,eps2=0.1,delta1=0.1,delta2=0.1"),
+], ids=lambda argv: argv[0])
+def test_refused_run_sieves_nothing(capsys, monkeypatch, argv):
+    """Past the cap every command refuses where the cap is crossed: exit 3,
+    one stderr line, and no table built on the way."""
+    built = []
+    monkeypatch.setattr(rp, "build_table",
+                        lambda limit, base=None: built.append(limit))
+    code, out, err = run(capsys, "--cap", "1000000", *argv)
     assert code == 3
-    assert "resource budget exceeded" in err
-    assert "no partial prefix: out of memory" in err
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("resource budget exceeded: ")
+    assert built == []
+
+
+def test_resource_exit_when_out_of_memory(capsys, monkeypatch):
+    """Within the cap but past this memory, a run ends in exit 3 and one
+    stderr line naming the allocation, not a MemoryError traceback with
+    exit 1, the code of a failed verdict.  A bare MemoryError reads as
+    out of memory."""
+    for message, line in (("Unable to allocate 31.2 GiB",
+                           "Unable to allocate 31.2 GiB"),
+                          ("", "out of memory")):
+        def scan_out_of_memory(*args, message=message):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(rp, "_scan", scan_out_of_memory)
+        code, out, err = run(capsys, "compute", "--k", "2", "--n", "37097")
+        assert code == 3
+        assert out == ""
+        assert err == f"resource budget exceeded: {line}\n"
 
 
 def test_env_cap_applies_and_flag_wins(capsys, monkeypatch):

@@ -27,9 +27,9 @@ from hypothesis import strategies as st
 from ramanujan_primes import primes as primes_module
 from ramanujan_primes import ramanujan
 from ramanujan_primes import (MpsVerdict, NEstimate, RamanujanTable,
-                              ResourceBudgetError, TableCache, empirical_N,
-                              empirical_N0, mps_holds, pi_k, ramanujan_prefix,
-                              rho_k)
+                              RangeQueryError, ResourceBudgetError,
+                              TableCache, empirical_N, empirical_N0,
+                              mps_holds, pi_k, ramanujan_prefix, rho_k)
 from ramanujan_primes.bounds import certify_tail
 from ramanujan_primes.primes import PrimeTable, build_table
 from ramanujan_primes.ramanujan import (PROOF_ANALYTIC, _format_ints,
@@ -279,19 +279,32 @@ def test_cache_queries_past_the_cap_are_budget_errors():
     assert small.current().limit == 100
 
 
-def test_budget_error_carries_partial_prefix(cache):
+def test_cache_refuses_queries_below_the_domain_unsieved():
+    """pi(x < 0) and p_n for n < 1 are refused with RangeQueryError naming
+    the argument, before any table is built."""
+    fresh = TableCache()
+    for query, message in (
+            (lambda: fresh.pi(-5), "need x >= 0, got -5"),
+            (lambda: fresh.nth_prime(0), "need n >= 1, got 0"),
+            (lambda: fresh.nth_prime(-3), "need n >= 1, got -3"),
+            (lambda: fresh.nth_prime(np.array([0, 5])), "need n >= 1, got 0"),
+    ):
+        with pytest.raises(RangeQueryError, match=f"^{message}$"):
+            query()
+    assert fresh.current() is None
+    assert fresh.pi(0) == 0 and fresh.current().limit == 1 << 20
+
+
+def test_budget_error_sieves_nothing():
+    """A prefix whose certificate passes the cap is refused where the cap
+    is crossed: the error carries the cap and what was required, and no
+    table is built."""
     small = TableCache(hard_cap=200_000)
     with pytest.raises(ResourceBudgetError) as err:
         ramanujan_prefix(2, 10_000, small)
     assert err.value.cap == 200_000
     assert err.value.required > 200_000
-    partial = err.value.partial
-    assert isinstance(partial, RamanujanTable)
-    assert partial.proof == PROOF_ANALYTIC
-    assert partial.cutoff <= 200_000
-    assert len(partial) == 8240      # floor(upsilon at the cap) - 2
-    reference = ramanujan_prefix(2, len(partial), cache)
-    assert partial.values == reference.values
+    assert small.current() is None
 
 
 def test_budget_error_without_certifiable_prefix():
@@ -299,7 +312,6 @@ def test_budget_error_without_certifiable_prefix():
     with pytest.raises(ResourceBudgetError) as err:
         ramanujan_prefix(2, 1, TableCache(hard_cap=2000))
     assert err.value.cap == 2000
-    assert err.value.partial is None
     # the certificate's start point lies past the cap and does not clear n
     with pytest.raises(ResourceBudgetError) as err:
         certify_tail(2, 3000, hard_cap=2000)
@@ -307,7 +319,6 @@ def test_budget_error_without_certifiable_prefix():
     with pytest.raises(ResourceBudgetError) as err:
         ramanujan_prefix(2, 3000, TableCache(hard_cap=2000))
     assert err.value.cap == 2000
-    assert err.value.partial is None
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +721,7 @@ def test_pooled_blocks_agree_from_two_threads(cache, monkeypatch):
 
 def test_pooled_block_errors_reach_the_caller(cache, monkeypatch):
     """A MemoryError in one pooled block reaches _suffix_min's caller once
-    every other block has finished, and _partial_error still turns it into
-    a budget error without a partial prefix."""
+    every other block has finished."""
     done, block = [], ramanujan._fstar_block
 
     def failing(lo, *args):
@@ -726,10 +736,6 @@ def test_pooled_block_errors_reach_the_caller(cache, monkeypatch):
     with pytest.raises(MemoryError):
         _suffix_min(2, 1, 40000, 0, pi)
     assert len(done) == -(-(len(primes) + 1) // 64) - 1
-    with pytest.raises(ResourceBudgetError) as err:
-        ramanujan_prefix(2, 10_000, TableCache(hard_cap=200_000))
-    assert err.value.partial is None
-    assert "no partial prefix: out of memory" in str(err.value)
 
 
 def test_mps_against_direct_counts(cache, oracle_primes):
