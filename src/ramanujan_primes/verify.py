@@ -93,6 +93,16 @@ def _pi_of_frac(pi: PrimeTable, mult: int, k: Fraction) -> int:
     return pi.pi(math.floor(mult * k))
 
 
+def _blocks(lo: int, hi: int, width: int = 1):
+    """Ascending [a, b) pieces of [lo, hi), each at most rp._BLOCK values
+    wide when one step stands for width values (a grid row), and at least
+    one step.  The array campaigns walk their ranges in these, reading pi
+    per piece from PrimeTable.pi_array, so none of their arrays grows
+    with the range and no report depends on where the edges fall."""
+    step = max(1, rp._BLOCK // width)
+    return ((a, min(a + step, hi)) for a in range(lo, hi, step))
+
+
 # ---------------------------------------------------------------------------
 # campaigns
 # ---------------------------------------------------------------------------
@@ -148,32 +158,38 @@ def _run_lemma34_sweep(cache, limit, mmax, rng):
     params = {"x_lo": 470077, "x_max": x_max}
     pi = cache.get(x_max + 500)
     i_lo, i_hi = pi.pi(470077), pi.pi(x_max)
-    # h(p_{i+1}) + 1 for i_lo <= i <= i_hi, in place over one float copy
-    # of p_{i+1}
-    h = pi.primes_array()[i_lo:i_hi + 1].astype(np.float64)
-    lp = np.log(h)
-    inv = np.divide(1.0, lp)
-    lp -= 1.0
-    lp -= inv                                # (log p - 1) - 1/log p
-    h /= lp
-    h += 1.0
-    i_arr = np.arange(i_lo, i_hi + 1, dtype=np.float64)
-    failures = [f"i={int(i_lo + j)}: pi(p_i) < h(p_i+1) + 1"
-                for j in np.flatnonzero(i_arr < h)]
-    return params, int(i_hi - i_lo + 1), failures, []
+    primes = pi.primes_array()
+    failures, cases = [], 0
+    for a, b in _blocks(i_lo, i_hi + 1):
+        # h(p_{i+1}) + 1 for a <= i < b, in place over one float copy of
+        # p_{i+1}
+        h = primes[a:b].astype(np.float64)
+        lp = np.log(h)
+        inv = np.divide(1.0, lp)
+        lp -= 1.0
+        lp -= inv                            # (log p - 1) - 1/log p
+        h /= lp
+        h += 1.0
+        i_arr = np.arange(a, b, dtype=np.float64)
+        failures += [f"i={int(a + j)}: pi(p_i) < h(p_i+1) + 1"
+                     for j in np.flatnonzero(i_arr < h)]
+        cases += len(h)
+    return params, cases, failures, []
 
 
 def _run_eq431_range(cache, limit, mmax, rng):
     x_max = max(limit if limit else 470077, 7478)
     params = {"x_lo": 7477, "x_max": x_max}
     pi = cache.get(x_max + 1)
-    pic = pi.pi_cumulative(x_max + 1)
-    m = np.arange(7477, x_max + 1, dtype=np.int64)
-    sup = (m + 1).astype(np.float64)
-    rhs = sup / (np.log(sup) - 1.0) + 1.0
-    failures = [f"x={int(v)}: pi(x) <= x/(log x - 1) + 1 fails on [x, x+1)"
-                for v in m[pic[m] < rhs]]
-    return params, len(m), failures, []
+    failures, cases = [], 0
+    for a, b in _blocks(7477, x_max + 1):
+        m = np.arange(a, b, dtype=np.int64)
+        sup = (m + 1).astype(np.float64)
+        rhs = sup / (np.log(sup) - 1.0) + 1.0
+        failures += [f"x={int(v)}: pi(x) <= x/(log x - 1) + 1 fails on "
+                     "[x, x+1)" for v in m[pi.pi_array(m) < rhs]]
+        cases += len(m)
+    return params, cases, failures, []
 
 
 def _run_prop310_table(cache, limit, mmax, rng):
@@ -338,12 +354,6 @@ def _run_cor316_pattern(cache, limit, mmax, rng):
     return params, cases, failures, []
 
 
-def _rho_arrays(cache, x_max: int):
-    """(table, pi cumulative on 0..x_max, S) with pi_2(x) = S[pic[x]]."""
-    pi, sufmin = rp._pi_k_array(Fraction(2), x_max, cache)
-    return pi, pi.pi_cumulative(x_max + 1), sufmin
-
-
 def _run_rho_positivity(cache, limit, mmax, rng):
     x_max = max(limit if limit else 10 ** 6, 100)
     params = {"k": Fraction(2), "x_lo": 11, "x_max": x_max}
@@ -358,12 +368,15 @@ def _run_rho_positivity(cache, limit, mmax, rng):
     if start != 11:
         failures.append(f"R_N(2) = {start}, want 11")
 
-    pi, pic, sufmin = _rho_arrays(cache, x_max)
-    x = np.arange(start, x_max + 1, dtype=np.int64)
-    # rho_2(x) > 0  <=>  pi(x) - 2*pi_2(x) >= 1, exactly in integers
-    margin = pic[x] - 2 * sufmin[pic[x]]
-    failures += [f"x={int(v)}: rho_2(x) <= 0" for v in x[margin < 1]]
-    cases += len(x)
+    # pi_2(y) = sufmin[pi(y)] for every y <= x_max
+    pi, sufmin = rp._pi_k_array(Fraction(2), x_max, cache)
+    for a, b in _blocks(start, x_max + 1):
+        x = np.arange(a, b, dtype=np.int64)
+        pix = pi.pi_array(x)
+        # rho_2(x) > 0  <=>  pi(x) - 2*pi_2(x) >= 1, exactly in integers
+        margin = pix - 2 * sufmin[pix]
+        failures += [f"x={int(v)}: rho_2(x) <= 0" for v in x[margin < 1]]
+        cases += len(x)
     return params, cases, failures, []
 
 
@@ -374,8 +387,9 @@ def _run_rho_upper(cache, limit, mmax, rng):
     eps = 0.5
     c2 = 100.0
     params = {"k": Fraction(2), "eps": eps, "c2": c2, "x_max": x_max}
-    failures = []
-    pi, pic, sufmin = _rho_arrays(cache, x_max)
+    failures, cases = [], 0
+    # pi_2(y) = sufmin[pi(y)] for every y <= x_max
+    pi, sufmin = rp._pi_k_array(Fraction(2), x_max, cache)
 
     x26 = bounds.named_threshold("X26", pi=cache, k=2, b1=1.17, eps1=eps,
                                  eps2=eps, eps3=eps, eps4=eps, delta1=eps,
@@ -387,20 +401,23 @@ def _run_rho_upper(cache, limit, mmax, rng):
                             c2=c2)
     params.update(X26=float(x26), c1=float(c1), n3=int(n3))
 
-    nn = np.arange(math.ceil(x26), int(pic[x_max]) + 1, dtype=np.int64)
-    pn = pi.nth_prime(nn)
-    lhs = 0.5 - sufmin[nn] / nn           # pic[p_n] = n
-    rhs = c1 / np.log(pn.astype(np.float64))
-    for j in np.flatnonzero(lhs > rhs):
-        failures.append(f"n={int(nn[j])}: rho_2(p_n) > c1/log p_n")
-    cases = len(nn)
+    for a, b in _blocks(math.ceil(x26), pi.pi(x_max) + 1):
+        nn = np.arange(a, b, dtype=np.int64)
+        pn = pi.nth_prime(nn)
+        lhs = 0.5 - sufmin[nn] / nn           # pi(p_n) = n
+        rhs = c1 / np.log(pn.astype(np.float64))
+        failures += [f"n={int(v)}: rho_2(p_n) > c1/log p_n"
+                     for v in nn[lhs > rhs]]
+        cases += len(nn)
 
-    xs = np.arange(n3, x_max + 1, dtype=np.int64)
-    lhs2 = 0.5 - sufmin[pic[xs]] / pic[xs]
-    rhs2 = c2 / np.log(xs.astype(np.float64))
-    for v in xs[lhs2 > rhs2]:
-        failures.append(f"x={int(v)}: rho_2(x) > c2/log x")
-    cases += len(xs)
+    for a, b in _blocks(n3, x_max + 1):
+        xs = np.arange(a, b, dtype=np.int64)
+        pix = pi.pi_array(xs)
+        lhs2 = 0.5 - sufmin[pix] / pix
+        rhs2 = c2 / np.log(xs.astype(np.float64))
+        failures += [f"x={int(v)}: rho_2(x) > c2/log x"
+                     for v in xs[lhs2 > rhs2]]
+        cases += len(xs)
     return params, cases, failures, []
 
 
@@ -454,32 +471,37 @@ def _run_section2_properties(cache, limit, mmax, rng):
         if np.any(np.diff(eq.astype(np.int8)) > 0):
             failures.append(f"k={k}: {{n : R_n = p_n}} is not a prefix")
         # counting invariant, exactly
-        pic = pi.pi_cumulative(int(rv[-1]) + 1)
         num, den = k.numerator, k.denominator
-        counted = pic[rv] - pic[rv * den // num]
+        counted = pi.pi_array(rv) - pi.pi_array(rv * den // num)
         for j in np.flatnonzero(counted != np.arange(1, n_max + 1)):
             failures.append(f"k={k}, n={j + 1}: pi(R_n) - pi(R_n/k) != n")
 
-    # pi(m) + pi(n) <= pi(mn) for all m, n
+    # pi(m) + pi(n) <= pi(mn) for all m, n, and pi(mn/2) for m, n >= 4
+    # with max >= 6: row blocks of the grid, failures by flat index
     bound = 1000
-    pic = cache.get(bound * bound).pi_cumulative(bound * bound + 1)
+    pi2 = cache.get(bound * bound)
     mn = np.arange(1, bound + 1, dtype=np.int64)
-    psmall = pic[mn]
-    lhs = psmall[:, None] + psmall[None, :]
-    rhs = pic[np.multiply.outer(mn, mn)]
-    cases += bound * bound
-    for flat in np.flatnonzero(lhs > rhs)[:20]:
+    psmall = pi2.pi_array(mn)
+    bad = []
+    for a, b in _blocks(0, bound, bound):
+        lhs = psmall[a:b, None] + psmall[None, :]
+        rhs = pi2.pi_array(np.multiply.outer(mn[a:b], mn))
+        bad += (np.flatnonzero(lhs > rhs) + a * bound).tolist()
+        cases += lhs.size
+    for flat in bad[:20]:
         failures.append(f"m={flat // bound + 1}, n={flat % bound + 1}: "
                         "pi(m)+pi(n) > pi(mn)")
 
-    # pi(m) + pi(n) <= pi(mn/2) for m, n >= 4 with max >= 6
-    mn4 = np.arange(4, bound + 1, dtype=np.int64)
-    p4 = pic[mn4]
-    lhs4 = p4[:, None] + p4[None, :]
-    rhs4 = pic[np.multiply.outer(mn4, mn4) // 2]
-    mask = np.maximum.outer(mn4, mn4) >= 6
-    cases += int(mask.sum())
-    for flat in np.flatnonzero((lhs4 > rhs4) & mask)[:20]:
+    mn4, p4 = mn[3:], psmall[3:]
+    bad4 = []
+    for a, b in _blocks(0, len(mn4), len(mn4)):
+        lhs4 = p4[a:b, None] + p4[None, :]
+        rhs4 = pi2.pi_array(np.multiply.outer(mn4[a:b], mn4) // 2)
+        mask = np.maximum.outer(mn4[a:b], mn4) >= 6
+        cases += int(mask.sum())
+        bad4 += (np.flatnonzero((lhs4 > rhs4) & mask)
+                 + a * len(mn4)).tolist()
+    for flat in bad4[:20]:
         failures.append(f"m={flat // len(mn4) + 4}, n={flat % len(mn4) + 4}: "
                         "pi(m)+pi(n) > pi(mn/2)")
 

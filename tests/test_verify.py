@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
+from ramanujan_primes import ramanujan
 from ramanujan_primes import (CampaignReport, TableCache, campaign_ids,
                               reports_to_csv, reports_to_json, run_all,
                               run_campaign)
@@ -157,3 +159,50 @@ def test_h_is_nondecreasing_past_12_8():
     while x < 10 ** 7:
         assert h(x * 1.001) >= h(x), x
         x *= 1.01
+
+
+# the campaigns that walk their ranges in blocks of ramanujan._BLOCK, each
+# with two --limit values that are no multiple of a block
+STREAMED = {
+    "lemma34-sweep": (600011, 1000003),
+    "eq431-range": (20001, 90001),
+    "rho-positivity": (5003, 60001),
+    "rho-upper": (25013, 60001),
+    "section2-properties": (150, 777),
+}
+
+
+def _report_without_time(cid, limit):
+    d = run_campaign(cid, TableCache(), limit=limit).to_dict()
+    d.pop("elapsed_s")
+    return d
+
+
+@pytest.mark.parametrize("block", [7, 4096])
+@pytest.mark.parametrize("cid", list(STREAMED))
+def test_block_edges_leave_campaign_reports_unchanged(monkeypatch, cid,
+                                                      block):
+    """Blocks of 7 and 4096 values give the default block's report, cases
+    counted block by block included, on limits that split a block."""
+    want = [_report_without_time(cid, limit) for limit in STREAMED[cid]]
+    monkeypatch.setattr(ramanujan, "_BLOCK", block)
+    got = [_report_without_time(cid, limit) for limit in STREAMED[cid]]
+    assert got == want
+
+
+def test_streamed_campaigns_stay_within_8_mib():
+    """On a table already grown to lemma34-sweep's limit, with its primes
+    array read, no streamed campaign at its default size allocates more
+    than 8 MiB at once: no array grows with the range it covers."""
+    cache = TableCache()
+    cache.get(38168863).primes_array()
+    peaks = {}
+    for cid in STREAMED:
+        tracemalloc.start()
+        try:
+            assert run_campaign(cid, cache).passed, cid
+            peaks[cid] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert cache.current().limit == 38168863
+    assert all(peak <= 8 << 20 for peak in peaks.values()), peaks
