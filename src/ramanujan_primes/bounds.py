@@ -154,18 +154,25 @@ def r(k: float) -> float:
     return math.exp(math.sqrt(max(3.83 / math.log(k) - 1.0, 0.0))) / k
 
 
+def _log_gap_root(k: float, s: float, t: float) -> float:
+    """e^u at the larger root u of u^2 + c u - t, c = log k - s/log k.
+
+    With A = -t/log x and B = b/log x, s = t + b, the log-gap predicate
+    at u = log x > 0 reads exactly u^2 + c u - t >= 0.
+    """
+    k = float(k)
+    c = math.log(k) - s / math.log(k)
+    return math.exp(math.sqrt(t + 0.25 * c * c) - 0.5 * c)
+
+
 def rtilde(k: float) -> float:
     """Log-gap threshold for P2."""
-    k = float(k)
-    c = math.log(k) - 8.27 / math.log(k)
-    return math.exp(math.sqrt(7.1 + 0.25 * c * c) - 0.5 * c)
+    return _log_gap_root(k, 8.27, 7.1)
 
 
 def z(k: float) -> float:
     """Log-gap threshold for P3."""
-    k = float(k)
-    c = math.log(k) - 4.47 / math.log(k)
-    return math.exp(math.sqrt(3.3 + 0.25 * c * c) - 0.5 * c)
+    return _log_gap_root(k, 4.47, 3.3)
 
 
 # Sieved: x/(log x - 1 - 1.17/log x) first fails at the prime 59753 =
@@ -394,6 +401,21 @@ def _gamma(pi=None, *, k, eps1, eps2, eps3, delta1, delta2):
              + math.log((1.0 + eps1) * (1.0 + eps3))) * k / (k - 1.0))
 
 
+def _bisect(above, lo: float, hi: float) -> float:
+    """Where above flips from true to false, for a predicate that holds
+    at lo and flips once past it: double hi while above(hi), then halve
+    [lo, hi] 200 times.  Returns hi, the end where above fails."""
+    while above(hi):
+        hi *= 2.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def _x21(pi=None, *, eps3) -> float:
     """Least X (inflated) with log log x < eps3 * log x for all x >= X.
 
@@ -406,16 +428,8 @@ def _x21(pi=None, *, eps3) -> float:
     u0 = max(1.0, 1.0 / eps3)
     if math.log(u0) - eps3 * u0 < 0:
         return math.e
-    lo, hi = u0, 2.0 * u0
-    while math.log(hi) - eps3 * hi >= 0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if math.log(mid) - eps3 * mid >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return inflate(math.exp(hi))
+    return inflate(math.exp(
+        _bisect(lambda u: math.log(u) - eps3 * u >= 0, u0, 2.0 * u0)))
 
 
 def _x24(pi=None, *, eps3, eps4) -> float:
@@ -434,28 +448,10 @@ def _x24(pi=None, *, eps3, eps4) -> float:
 
     # g' is strictly decreasing from +inf to -eps4: single peak, at most
     # one crossing of zero to the right of it.
-    lo, hi = 1e-9, 1.0
-    while gp(hi) > 0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if gp(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    peak = hi
+    peak = _bisect(lambda x: gp(x) > 0, 1e-9, 1.0)
     if g(peak) <= 0:
         return 1.0
-    lo, hi = peak, 2.0 * peak
-    while g(hi) > 0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return inflate(hi)
+    return inflate(_bisect(lambda x: g(x) > 0, peak, 2.0 * peak))
 
 
 def _c0(pi=None, *, s) -> float:
@@ -615,10 +611,8 @@ def _x23(pi=None, *, k, b1=1.17, eps):
 def _x27(pi=None, *, k, b1=1.17, eps):
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
-    e = 1.0 + eps
-    return max(5393.0 / e, k * 5.43 / e,
-               k * _S(k=k, b1=b1, eps1=eps, eps2=0.0) / e,
-               _T(b1=b1, eps1=eps, eps2=0.0), _x13(k=k) / e)
+    return _x12(k=k, a1=0.0, b1=b1, y0=5393.0, x0=5.43, eps1=eps, eps2=0.0,
+                x10=_x13(k=k))
 
 
 _THRESHOLDS: dict[str, Callable] = {

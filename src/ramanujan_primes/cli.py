@@ -74,10 +74,7 @@ def _cmd_nk(args, strict: bool) -> int:
            else rp.empirical_N0(k, probe, cache))
     name = "N" if strict else "N_0"
     if args.json:
-        print(json.dumps({"k": str(k), "name": name, "value": est.value,
-                          "kind": est.kind, "probe": est.probe,
-                          "closed_form": est.closed_form,
-                          "consistent": est.consistent}))
+        print(json.dumps({"k": str(k), "name": name, **vars(est)}))
         return EXIT_OK
     print(f"{name}({k}) = {est.value} [{est.kind}]")
     print(f"probe = {est.probe}")
@@ -167,10 +164,7 @@ def _cmd_mps(args) -> int:
     rows = rp.mps_holds(ms, rp.TableCache(hard_cap=args.cap))
     worst = EXIT_OK if all(v.holds for v in rows) else EXIT_FAILURE
     if args.json:
-        print(json.dumps([{"m": v.m, "verdict": v.verdict, "n0": v.n0,
-                           "r_value": v.r_value,
-                           "counterexample": v.counterexample}
-                          for v in rows]))
+        print(json.dumps([vars(v) for v in rows]))
         return worst
     for v in rows:
         extra = f", R = {v.r_value}" if v.r_value is not None else ""

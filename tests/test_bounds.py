@@ -643,6 +643,10 @@ SCALE_PINS = {(2, 10 ** 15): 77277424592846040,
               (Fraction(101, 100), 10 ** 9): 3438745639439,
               (3, 10 ** 12): 46612760080434,
               (10 ** 6, 10 ** 9): 22852379683}
+# k near 1, where Upsilon_k jitters in floats: Newton's rounded-up
+# proposal still falls short of clearing, so the unit steps up run
+STEP_UP_CASES = [(Fraction(1001, 1000), 9016), (Fraction(1001, 1000), 12),
+                 (Fraction(1003, 1000), 67375608532)]
 # k = 1.1 .. 50 in tenths and n from 0 to 10^6, at cap 2^31
 CUTOFF_GRID = [(Fraction(s, 10), n) for s in range(11, 501)
                for n in (0, 1, 10, 500, 10 ** 4, 10 ** 6)]
@@ -679,7 +683,7 @@ def test_certify_tail_grid_digest():
 
 
 def test_certificate_clears_target_minimally():
-    for k, n in ((2, 100), (Fraction(3, 2), 1000), (10, 50)):
+    for k, n in ((2, 100), (Fraction(3, 2), 1000), (10, 50), *STEP_UP_CASES):
         x = certify_tail(k, n)
         u = upsilon(x, k, P4)
         assert u >= n + 1
@@ -706,12 +710,13 @@ def _upsilon_interval(x: int, k: Fraction):
 
 def test_certificate_clears_in_interval_arithmetic():
     """Upsilon_k(X) >= n + 1 in outward-rounded interval arithmetic at
-    every pinned cutoff, 400 cutoffs of the grid (scalar path, math.log)
-    and 2,000 of mps_holds' cutoffs, k = m and n = m - 1 for m <= 10^4
-    (array path, np.log): the float path's slack covers its rounding."""
+    every pinned cutoff and step-up case, 400 cutoffs of the grid (scalar
+    path, math.log) and 2,000 of mps_holds' cutoffs, k = m and n = m - 1
+    for m <= 10^4 (array path, np.log): the float path's slack covers its
+    rounding."""
     rng = random.Random(6)
     cases = [(Fraction(k), n, certify_tail(k, n))
-             for k, n in [*CUTOFF_PINS, *SCALE_PINS]]
+             for k, n in [*CUTOFF_PINS, *SCALE_PINS, *STEP_UP_CASES]]
     cases += [(k, n, certify_tail(k, n, hard_cap=2 ** 31))
               for k, n in rng.sample(CUTOFF_GRID, 400)]
     ms = np.arange(2, 10 ** 4 + 1, dtype=np.int64)

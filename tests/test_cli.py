@@ -7,8 +7,10 @@ reasonable; the exit-code contract (0 ok, 1 failed check, 2 usage,
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -111,6 +113,25 @@ def test_n0k_closed_form_json(capsys):
     assert payload["value"] == payload["closed_form"] == 62
     assert payload["kind"] == "closed-form"
     assert payload["consistent"] is True
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["nk", "--k", "746", "--json"],
+     '{"k": "746", "name": "N", "value": 331, "kind": "closed-form", '
+     '"probe": 664, "closed_form": 331, "consistent": true}'),
+    (["n0k", "--k", "143.7", "--json"],
+     '{"k": "1437/10", "name": "N_0", "value": 61, "kind": "closed-form", '
+     '"probe": 122, "closed_form": 61, "consistent": true}'),
+    (["nk", "--k", "2", "--json"],
+     '{"k": "2", "name": "N", "value": 2, "kind": "empirical", '
+     '"probe": 500, "closed_form": null, "consistent": null}'),
+], ids=["nk-746", "n0k-143.7", "nk-2"])
+def test_nk_json_output_is_frozen(capsys, argv, line):
+    """The exact bytes, key order included, of one closed-form N, one
+    closed-form N_0 at a non-integer k and one empirical N."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == line + "\n"
 
 
 def test_nk_default_probe_closed_form(capsys):
@@ -311,6 +332,14 @@ def test_mps_range_json(capsys):
     assert all(row["verdict"].startswith("holds") for row in rows)
 
 
+def test_mps_single_json_is_frozen(capsys):
+    """One row's exact bytes, key order included."""
+    code, out, _ = run(capsys, "mps", "--m", "7", "--json")
+    assert code == 0
+    assert out == ('[{"m": 7, "verdict": "holds-certified", "n0": 4, '
+                   '"r_value": 17, "counterexample": null}]\n')
+
+
 def test_mps_json_output_is_frozen(capsys):
     """Every verdict and R_{m-1}^(m) for m <= 10^4, byte for byte."""
     code, out, _ = run(capsys, "mps", "--mmax", "10000", "--json")
@@ -329,6 +358,40 @@ def test_verify_all_output_is_frozen(capsys):
                    if "elapsed_s" not in line)
     assert hashlib.md5(kept.encode()).hexdigest() \
         == "3da35ecf1cf84ebcd6c55e2a81ac3bf1"
+
+
+def test_verify_all_output_without_cutoffs_is_frozen(capsys):
+    """The same reports with every table_limit line dropped too: a digest
+    no change of the certificate's cutoffs may move."""
+    code, out, _ = run(capsys, "--threads", "1", "verify", "--campaign",
+                       "all", "--json", "--seed", "7")
+    assert code == 1
+    kept = "".join(line for line in out.splitlines(keepends=True)
+                   if "elapsed_s" not in line and "table_limit" not in line)
+    assert hashlib.md5(kept.encode()).hexdigest() \
+        == "06d47fd22f0a00c688ab6008085d76da"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--k", "2", "--n", "1000", "--json"],
+    ["compute", "--k", "2", "--n", "1000"],
+    ["verify", "--campaign", "sondow-gap", "--json"],
+], ids=["compute-json", "compute-text", "verify-json"])
+def test_stdout_redirected_to_a_stringio_gets_the_same_bytes(capsys, argv):
+    """A caller may capture main() with contextlib.redirect_stdout into an
+    io.StringIO, which has no .buffer (pytest's capture stream has one):
+    the output must be the text main() prints anywhere else."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    want_code, want, _ = run(capsys, *argv)
+    assert code == want_code == 0
+
+    def timeless(text):
+        return [line for line in text.splitlines(keepends=True)
+                if "elapsed_s" not in line]
+
+    assert timeless(buf.getvalue()) == timeless(want)
 
 
 def test_mps_requires_exactly_one_selector(capsys):
@@ -417,7 +480,7 @@ def test_const_k_must_exceed_one(capsys, name, params, got):
 
 _OVERFLOWS = {          # test id: the name and the params that overflow
     "X13": ("X13", "k=1.0000001"), "X14": ("X14", "k=1.0000001"),
-    "X17": ("X17", "k=1.0000001"),
+    "X17": ("X17", "k=1.0000001"), "X27": ("X27", "k=1.0000001,eps=0.5"),
     "rtilde": ("rtilde", "k=101/100"), "X4": ("X4", "k=101/100"),
     "X2-P2": ("X2", "k=101/100,profile=P2"),
     "X5-P2": ("X5", "k=101/100,profile=P2"),
@@ -430,7 +493,7 @@ _OVERFLOWS = {          # test id: the name and the params that overflow
 @pytest.mark.parametrize("name, params", list(_OVERFLOWS.values()),
                          ids=list(_OVERFLOWS))
 def test_const_overflow_is_usage_error(capsys, name, params):
-    """X13 and X17 build on x14, the others on P1's r or P2's rtilde,
+    """X13, X17 and X27 build on x14, the others on P1's r or P2's rtilde,
     which overflow math.exp near k = 1; the error names the constant
     asked for, where the others once ended in an OverflowError traceback
     with exit 1."""
