@@ -7,14 +7,18 @@ count the same words: pi(x) is a checkpoint lookup plus an
 np.bitwise_count over at most 512 whole words and one masked word, and
 pi_array answers pi for a whole int64 array with a rank over just the
 words its values span, read in place and built per call.  The primes
-themselves sit in a single int64 array that the table builds on first
-use: nth_prime reads it by index (an int or an index array), and
-primes_array returns it whole.  The sieve clears the multiples of the 17
-odd primes below 64 by ANDing each packed segment with five fixed byte
-patterns, and only the primes from 67 on by slices.  A table can grow
-from a smaller one: build_table(limit, base) copies the base's bits,
-counts and primes below its last whole checkpoint block and sieves only
-the rest.
+themselves are unpacked from the bits on demand, by one kernel on the
+block pool.  The table caches a prefix of them, every prime below some
+checkpoint boundary, grown in whole blocks to the largest prime or
+index a caller has asked for: nth_prime reads it by index (an int or an
+index array), and primes_array(x) returns its primes <= x.
+primes_between(lo, hi) unpacks the primes of a range into a fresh array
+and caches nothing, for scans that read each prime once.  The sieve
+clears the multiples of the 17 odd primes below 64 by ANDing each packed
+segment with five fixed byte patterns, and only the primes from 67 on by
+slices.  A table can grow from a smaller one: build_table(limit, base)
+copies the base's bits, counts and cached primes below its last whole
+checkpoint block and sieves only the rest.
 Tables live in memory only: sieving costs a few nanoseconds per integer,
 so there is no file format to keep.  Tables are immutable once built and
 safe to share between threads; every query outside [0, limit] (or an
@@ -93,10 +97,10 @@ def _run_blocks(fn, items) -> None:
         future.result()
 
 
-# a fresh table's primes array starts with 2, the prime without a bit, and
-# unpacks the table from byte 0 on
-_FRESH_HEAD = (np.array([2], dtype=np.int64), 0)
-_FRESH_HEAD[0].flags.writeable = False
+# a fresh table's cached prefix: 2, the prime without a bit, and the odd
+# primes of no checkpoint block yet
+_FRESH_PRIMES = np.array([2], dtype=np.int64)
+_FRESH_PRIMES.flags.writeable = False
 
 
 def _small_sieve(limit: int) -> np.ndarray:
@@ -114,18 +118,21 @@ class PrimeTable:
 
     Bit i of the table stands for the odd integer 2i + 1; 2 is the one
     even prime and is answered without a bit.  nth_prime and
-    primes_array read one read-only int64 array of every prime <= limit,
-    built on first use, one sieve segment a block on the block pool, so
-    a table that only answers pi() never pays for it.  Two threads may
-    build it at the same time; both build identical arrays and either may
-    be kept, so the race is benign.
+    primes_array read a cached read-only int64 prefix of the primes: 2
+    and every odd prime below a checkpoint boundary, grown on demand in
+    whole checkpoint blocks, at least doubling, to the largest index or
+    prime asked for.  So a table that only answers pi() never unpacks a
+    prime, and one that answers nth_prime(n) holds about the first n.
+    Two threads may grow the prefix at the same time; each returns the
+    prefix it built, every prefix agrees with every other where both
+    reach, and whichever is kept, the race is benign.
     """
 
     __slots__ = ("limit", "prime_count", "_bits", "_words", "_checkpoints",
-                 "_primes", "_head", "__weakref__")
+                 "_primes", "__weakref__")
 
     def __init__(self, limit: int, bits: np.ndarray, checkpoints: np.ndarray,
-                 head: tuple[np.ndarray, int] = _FRESH_HEAD):
+                 primes: np.ndarray):
         self.limit = limit
         # packed little-endian: bit i (bit i & 7 of byte i >> 3) is 2i + 1
         self._bits = bits
@@ -135,10 +142,9 @@ class PrimeTable:
         # checkpoints[j] = #{p odd prime : p < j * 2^16}
         self._checkpoints = checkpoints
         self.prime_count = self.pi(limit)
-        self._primes: np.ndarray | None = None
-        # (every prime below 16 * b, b): the primes array starts with these
-        # and unpacks the table from byte b on
-        self._head = head
+        # the cached prefix: 2 and the odd primes below j * 2^16 for some
+        # checkpoint j, so 1 + checkpoints[j] of them
+        self._primes = primes
 
     # -- scalar queries ------------------------------------------------
 
@@ -202,17 +208,18 @@ class PrimeTable:
         return count
 
     def nth_prime(self, n: int | np.ndarray) -> int | np.ndarray:
-        """p_n for an int n or an int64 index array; 1 <= n <= prime_count."""
+        """p_n for an int n or an int64 index array; 1 <= n <= prime_count.
+        Reads the cached prefix, grown first if it lacks the largest n."""
         if isinstance(n, np.ndarray):
             if n.size and (n.min() < 1 or n.max() > self.prime_count):
                 raise RangeQueryError(
                     f"indices {n.min()}..{n.max()} outside "
                     f"[1, {self.prime_count}] for limit {self.limit}")
-            return self._all_primes()[n - 1]
+            return self._prefix(int(n.max(initial=0)))[n - 1]
         if n < 1 or n > self.prime_count:
             raise RangeQueryError(
                 f"n={n} outside [1, {self.prime_count}] for limit {self.limit}")
-        return int(self._all_primes()[n - 1])
+        return int(self._prefix(n)[n - 1])
 
     # -- bulk access ---------------------------------------------------
 
@@ -227,35 +234,67 @@ class PrimeTable:
             flags[2] = 1                     # the prime without a bit
         return np.cumsum(flags, dtype=np.int64)
 
-    def primes_array(self) -> np.ndarray:
-        """Every prime <= limit as int64, ascending: a read-only array."""
-        return self._all_primes()
+    def primes_array(self, x: int) -> np.ndarray:
+        """Every prime <= x as int64, ascending, for 0 <= x <= limit: a
+        read-only view of the cached prefix, grown first to x's block."""
+        self._check_range(x)
+        primes = self._prefix(1 + int(self._checkpoints[(x >> 16) + 1]))
+        return primes[:primes.searchsorted(x, side="right")]
 
-    def _all_primes(self) -> np.ndarray:
-        head, start = self._head
-        primes = self._primes
-        if primes is None:
-            primes = np.empty(self.prime_count, dtype=np.int64)
-            primes[:len(head)] = head
-            seg_bytes = SEGMENT_SIZE >> 4
+    def primes_between(self, lo: int, hi: int) -> np.ndarray:
+        """The primes in [lo, hi) as a fresh int64 array, for
+        0 <= lo <= hi <= limit + 1: unpacked from the checkpoint blocks
+        the range meets, with nothing cached."""
+        if lo < 0 or hi < lo or hi > self.limit + 1:
+            raise RangeQueryError(
+                f"[{lo}, {hi}) outside [0, {self.limit + 1})")
+        j_lo, j_hi = lo >> 16, -(-hi >> 16)
+        first = 1 + int(self._checkpoints[j_lo]) if j_lo else 0
+        primes = np.empty(1 + int(self._checkpoints[j_hi]) - first,
+                          dtype=np.int64)
+        if not j_lo:
+            primes[0] = 2
+        self._unpack(primes, first, j_lo * _BLOCK_BYTES,
+                     min(j_hi * _BLOCK_BYTES, len(self._bits)))
+        return primes[primes.searchsorted(lo):primes.searchsorted(hi)]
 
-            def unpack(b_lo: int) -> None:
-                # segments start on checkpoint blocks, so each one's primes
-                # start after 2 and the odd primes of the blocks below it
-                flags = np.unpackbits(self._bits[b_lo:b_lo + seg_bytes],
-                                      bitorder="little")
-                seg = np.flatnonzero(flags.view(bool))
-                pos = 1 + int(self._checkpoints[b_lo // _BLOCK_BYTES])
-                out = np.multiply(seg, 2, out=primes[pos:pos + len(seg)])
-                out += 16 * b_lo + 1
-
-            _run_blocks(unpack, range(start, len(self._bits), seg_bytes))
-            primes.flags.writeable = False
-            self._primes = primes
-            # let go of the base's primes; _head is read before _primes
-            # above, so a racing call that sees this head sees the array
-            self._head = _FRESH_HEAD
+    def _prefix(self, count: int) -> np.ndarray:
+        """The cached prefix, first grown, if it holds fewer than count
+        primes, to the first checkpoint boundary with count primes below
+        it and to at least twice its blocks: the old prefix is copied once
+        and the new blocks unpack in place after it.  A grown prefix
+        replaces the old one and is returned."""
+        old, cp = self._primes, self._checkpoints
+        if count <= len(old):
+            return old
+        j_old = int(cp.searchsorted(len(old) - 1))
+        j = min(max(int(cp.searchsorted(count - 1)), 2 * j_old), len(cp) - 1)
+        primes = np.empty(1 + int(cp[j]), dtype=np.int64)
+        primes[:len(old)] = old
+        self._unpack(primes, 0, j_old * _BLOCK_BYTES,
+                     min(j * _BLOCK_BYTES, len(self._bits)))
+        primes.flags.writeable = False
+        self._primes = primes
         return primes
+
+    def _unpack(self, out: np.ndarray, first: int, b_lo: int,
+                b_hi: int) -> None:
+        """The one unpack: write the odd primes of table bytes [b_lo, b_hi)
+        into out, p_{i+1} at out[i - first], with b_lo on a checkpoint
+        block.  One job per sieve segment's bytes, on the block pool."""
+        seg_bytes = SEGMENT_SIZE >> 4
+
+        def unpack(b: int) -> None:
+            # jobs start on checkpoint blocks, so each one's primes start
+            # after 2 and the odd primes of the blocks below it
+            flags = np.unpackbits(self._bits[b:min(b + seg_bytes, b_hi)],
+                                  bitorder="little")
+            seg = np.flatnonzero(flags.view(bool))
+            pos = 1 + int(self._checkpoints[b // _BLOCK_BYTES]) - first
+            odd = np.multiply(seg, 2, out=out[pos:pos + len(seg)])
+            odd += 16 * b + 1
+
+        _run_blocks(unpack, range(b_lo, b_hi, seg_bytes))
 
     def __repr__(self) -> str:
         return f"PrimeTable(limit={self.limit}, prime_count={self.prime_count})"
@@ -265,12 +304,13 @@ def build_table(limit: int, base: PrimeTable | None = None) -> PrimeTable:
     """Sieve the odd numbers in [0, limit] segment by segment and return an
     immutable table.
 
-    With a base table (any limit), the bits, checkpoint counts and primes
-    array below the base's last whole 2^16-value checkpoint block are
-    copied from it and only the rest is sieved: the base's last partial
-    block marks every value past its limit as composite.  The new table
-    never refers to the base, only to the base's primes array, and only
-    until its own is built.
+    With a base table (any limit), the bits and checkpoint counts below
+    the base's last whole 2^16-value checkpoint block are copied from it
+    and only the rest is sieved: the base's last partial block marks
+    every value past its limit as composite.  The new table's cached
+    prefix starts as the base's, cut to those shared blocks.  The new
+    table never refers to the base, only to the base's prefix, and only
+    until its own prefix first grows.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -286,12 +326,12 @@ def build_table(limit: int, base: PrimeTable | None = None) -> PrimeTable:
     # resume at block j0: the whole blocks the base and the new table share
     j0 = 0 if base is None else min(base.limit + 1, limit + 1) >> 16
     b0 = j0 * _BLOCK_BYTES
-    head = _FRESH_HEAD
+    primes = _FRESH_PRIMES
     if j0:
         bits[:b0] = base._bits[:b0]
         checkpoints[:j0 + 1] = base._checkpoints[:j0 + 1]
-        if base._primes is not None:
-            head = (base._primes[:1 + int(checkpoints[j0])], b0)
+        primes = base._primes
+        primes = primes[:min(len(primes), 1 + int(checkpoints[j0]))]
     seg_slots = SEGMENT_SIZE >> 1
     seg = np.empty(seg_slots, dtype=bool)
 
@@ -329,4 +369,4 @@ def build_table(limit: int, base: PrimeTable | None = None) -> PrimeTable:
 
     # checkpoints[j0] is already cumulative; the blocks past it add up
     np.cumsum(checkpoints[j0:], out=checkpoints[j0:])
-    return PrimeTable(limit, bits, checkpoints, head)
+    return PrimeTable(limit, bits, checkpoints, primes)

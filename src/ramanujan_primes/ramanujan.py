@@ -263,16 +263,20 @@ class TableCache:
         return self.get(x).pi(x)
 
     def nth_prime(self, n: int | np.ndarray) -> int | np.ndarray:
-        """p_n for an int n or an int64 index array, from a table grown
-        past the largest p_n asked for: Rosser's p_n < n(log n + log log n)
-        for n >= 6, with a fifth and 16 to spare, and 16 below n = 6.
-        An n < 1 is refused unsieved."""
+        """p_n for an int n or an int64 index array, from the table held
+        if it has the largest p_n asked for, else from one grown past it:
+        Rosser's p_n < n(log n + log log n) for n >= 6, with a fifth and
+        16 to spare, and 16 below n = 6.  An n < 1 is refused unsieved."""
         low, top = ((int(n.min(initial=1)), int(n.max(initial=0)))
                     if isinstance(n, np.ndarray) else (n, n))
         if low < 1:
             raise RangeQueryError(f"need n >= 1, got {low}")
-        x = top * (math.log(top) + math.log(math.log(top))) if top >= 6 else 0
-        return self.get(int(x * 1.2) + 16).nth_prime(n)
+        table = self._table
+        if table is None or table.prime_count < top:
+            x = (top * (math.log(top) + math.log(math.log(top)))
+                 if top >= 6 else 0)
+            table = self.get(int(x * 1.2) + 16)
+        return table.nth_prime(n)
 
 
 def _as_cache(cache: TableCache | None) -> TableCache:
@@ -293,7 +297,8 @@ def _suffix_min(num, den, cutoff, first, pi: PrimeTable) -> np.ndarray:
     """S[pi(m)] = min f* on [m, cutoff) for k = num/den, one window a row.
 
     Each argument but the table pi is an int or an int array with one
-    entry per row, and pi covers every cutoff.  Row w holds
+    entry per row, and pi covers every cutoff; the scan reads pi's
+    primes below the largest cutoff and no others.  Row w holds
     S[first_w + i] while first_w + i <= J_w = #{p < cutoff_w}, the last
     candidate, and pi.prime_count + 1, which no S reaches, past that.
     The window's suffix minima equal S on it because S looks only
@@ -312,7 +317,7 @@ def _suffix_min(num, den, cutoff, first, pi: PrimeTable) -> np.ndarray:
         raise ValueError(
             f"k with denominator {den_max} and cutoff {top}: (c + 1) * den "
             "would pass 2^63 in the scan")
-    primes = pi.primes_array()
+    primes = pi.primes_array(top - 1)                       # p < top
     # one window per column inside, so ints and arrays broadcast alike
     span = primes.searchsorted(cutoff) - first              # J - first
     spans = np.ravel(span).tolist()
@@ -358,7 +363,7 @@ def _fstar_block(lo, num, den, cutoff, first, span, shortest, primes, pi,
         fstar = primes[:top].searchsorted(q, side="right")
     np.subtract(j, fstar, out=fstar)
     if hi - 1 > shortest:                 # a window ends inside the block
-        np.putmask(fstar, i > span, len(primes) + 1)
+        np.putmask(fstar, i > span, pi.prime_count + 1)
     np.minimum.accumulate(fstar[::-1], axis=0, out=out[lo:hi][::-1])
 
 
@@ -376,7 +381,7 @@ def _scan(k: Fraction, n_max: int, cutoff: int,
     if last == len(sufmin):
         raise AssertionError(
             f"scan for k={k} hit its own cutoff {cutoff}; certificate broken")
-    primes = pi.primes_array()
+    primes = pi.primes_array(cutoff - 1)
     out = np.empty(n_max, dtype=np.int64)
 
     def emit(lo: int) -> None:
@@ -566,7 +571,7 @@ def _mps_r_values(ms: np.ndarray, cutoffs: np.ndarray,
     20-104 at m in [10^3, 10^4]); so narrow a window is one _BLOCK of
     _suffix_min, scanned on the calling thread.
     """
-    primes = pi.primes_array()
+    primes = pi.primes_array(int(cutoffs.max()) - 1)
     idx = np.empty_like(ms)                    # R = p_{m-1+c} = primes[idx]
     for lo in range(0, ms.size, _MPS_ROWS):
         m, cut = ms[lo:lo + _MPS_ROWS], cutoffs[lo:lo + _MPS_ROWS]

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import bounds
 from . import ramanujan as rp
-from .primes import PrimeTable
+from .primes import _POOLED_FROM, SEGMENT_SIZE, PrimeTable
 from .rational import ceil_div
 
 __all__ = ["CampaignReport", "campaign_ids", "run_campaign", "run_all",
@@ -157,24 +157,42 @@ def _run_lemma34_sweep(cache, limit, mmax, rng):
     x_max = max(limit if limit else 38168363, 470077)
     params = {"x_lo": 470077, "x_max": x_max}
     pi = cache.get(x_max + 500)
-    i_lo, i_hi = pi.pi(470077), pi.pi(x_max)
-    primes = pi.primes_array()
-    failures, cases = [], 0
-    for a, b in _blocks(i_lo, i_hi + 1):
-        # h(p_{i+1}) + 1 for a <= i < b, in place over one float copy of
-        # p_{i+1}
-        h = primes[a:b].astype(np.float64)
-        lp = np.log(h)
-        inv = np.divide(1.0, lp)
+    # p_{i+1} for pi(470077) <= i <= pi(x_max): the primes past 470077 up
+    # to the first past x_max, streamed in pieces of _POOLED_FROM sieve
+    # segments, enough for each piece to unpack on the block pool
+    i_lo, i_end = pi.pi(470077), pi.pi(x_max) + 1
+    step = _POOLED_FROM * SEGMENT_SIZE
+    edges = [470078, *range(step, x_max + 501, step), x_max + 501]
+    i, failures = i_lo, []
+    # float rows for _lemma34_piece, the last one 0, 1, 2, ...: every piece
+    # works in these, so no piece allocates and faults in its own
+    rows = np.empty((4, rp._BLOCK))
+    rows[3] = np.arange(rp._BLOCK)
+    for lo, hi in zip(edges, edges[1:]):
+        i += _lemma34_piece(pi.primes_between(lo, hi)[:i_end - i], i,
+                            rows, failures)
+    return params, i - i_lo, failures, []
+
+
+def _lemma34_piece(primes, i, rows, failures) -> int:
+    """Append the failures of pi(p_j) >= h(p_{j+1}) + 1 for the j from i
+    on whose p_{j+1} make up primes, and return how many j there were.
+    A call of its own, so that the piece is gone before the next one
+    unpacks."""
+    for a, b in _blocks(i, i + len(primes)):
+        # h(p_{j+1}) + 1 and then j for a <= j < b, in place in rows
+        h, lp, inv, steps = rows[:, :b - a]
+        np.copyto(h, primes[a - i:b - i])
+        np.log(h, out=lp)
+        np.divide(1.0, lp, out=inv)
         lp -= 1.0
         lp -= inv                            # (log p - 1) - 1/log p
         h /= lp
         h += 1.0
-        i_arr = np.arange(a, b, dtype=np.float64)
-        failures += [f"i={int(a + j)}: pi(p_i) < h(p_i+1) + 1"
-                     for j in np.flatnonzero(i_arr < h)]
-        cases += len(h)
-    return params, cases, failures, []
+        j = np.add(steps, a, out=inv)
+        failures += [f"i={int(a + k)}: pi(p_i) < h(p_i+1) + 1"
+                     for k in np.flatnonzero(j < h)]
+    return len(primes)
 
 
 def _run_eq431_range(cache, limit, mmax, rng):

@@ -357,7 +357,7 @@ def test_verify_all_output_is_frozen(capsys):
     kept = "".join(line for line in out.splitlines(keepends=True)
                    if "elapsed_s" not in line)
     assert hashlib.md5(kept.encode()).hexdigest() \
-        == "3da35ecf1cf84ebcd6c55e2a81ac3bf1"
+        == "374f487a758e150729d62730a895c5e7"
 
 
 def test_verify_all_output_without_cutoffs_is_frozen(capsys):

@@ -13,7 +13,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -50,7 +50,7 @@ def table(cache):
 def test_small_table_matches_oracle(oracle_primes):
     t = build_table(10 ** 4)
     want = [p for p in oracle_primes if p <= 10 ** 4]
-    assert t.primes_array().tolist() == want
+    assert t.primes_array(t.limit).tolist() == want
     assert t.prime_count == len(want)
 
 
@@ -110,7 +110,7 @@ def test_limits_at_sieve_segment_boundaries(limit, primes_past_two_segments):
     conftest sieve run past the shared oracle's 10^6."""
     want = [p for p in primes_past_two_segments if p <= limit]
     t = build_table(limit)
-    assert t.primes_array().tolist() == want
+    assert t.primes_array(t.limit).tolist() == want
     assert t.prime_count == len(want)
     members = set(want)
     edges = [b + d for b in range(0, limit + 1, SEGMENT_SIZE)
@@ -144,7 +144,7 @@ def test_every_small_limit_matches_a_plain_sieve(small_primes):
     for limit in range(2, 2001):
         t = build_table(limit)
         want = small_primes[:bisect_right(small_primes, limit)]
-        assert t.primes_array().tolist() == want, limit
+        assert t.primes_array(t.limit).tolist() == want, limit
         assert t.prime_count == len(want), limit
 
 
@@ -162,7 +162,7 @@ def test_grown_table_at_pattern_phases(blocks, primes_past_two_segments):
     assert np.array_equal(grown._bits, fresh._bits)
     assert np.array_equal(grown._checkpoints, fresh._checkpoints)
     want = primes_past_two_segments
-    got = grown.primes_array().tolist()
+    got = grown.primes_array(limit).tolist()
     assert got[:len(want)] == want[:bisect_right(want, limit)]
 
 
@@ -240,7 +240,7 @@ def test_pi_is_nondecreasing_and_inverts_nth_prime(table):
     p_top = table.nth_prime(n_top)
     pic = table.pi_cumulative(p_top + 1)
     assert np.all(np.diff(pic) >= 0)
-    primes = table.primes_array()[:n_top]
+    primes = table.primes_array(p_top)
     assert primes[-1] == p_top
     n = np.arange(1, n_top + 1)
     assert np.array_equal(pic[primes], n)
@@ -287,23 +287,23 @@ def test_is_prime_matches_oracle(table, oracle_primes):
 
 
 def test_primes_array_is_read_only(table):
-    view = table.primes_array()[168:303]         # the primes in [1000, 2000)
+    view = table.primes_array(1999)[168:]      # the primes in [1000, 2000)
     with pytest.raises(ValueError):
         view[0] = 4
     with pytest.raises(ValueError):
-        table.primes_array()[0] = 4
+        table.primes_array(2)[0] = 4
     assert table.nth_prime(1) == 2
 
 
 def test_primes_array_built_concurrently(oracle_primes):
-    """Threads racing to build the lazy primes array all read the same."""
+    """Threads racing to grow the lazy prefix all read the same primes."""
     _race_primes_array(build_table(10 ** 6), oracle_primes)
 
 
 def test_grown_primes_array_built_concurrently(oracle_primes):
-    """The same race on a grown table, whose array starts from its base's."""
+    """The same race on a grown table, whose prefix starts as its base's."""
     base = build_table(300_007)
-    base.primes_array()
+    base.primes_array(base.limit)
     _race_primes_array(build_table(10 ** 6, base), oracle_primes)
 
 
@@ -314,28 +314,38 @@ def test_primes_array_unpacked_on_the_pool(oracle_primes, monkeypatch):
     monkeypatch.setattr(primes, "SEGMENT_SIZE", CHECKPOINT_SPAN)
     monkeypatch.setattr(primes, "_WORKERS", 2)      # pooled on one CPU too
     base = build_table(300_007)
-    base.primes_array()
+    base.primes_array(base.limit)
     for t in (build_table(10 ** 6), build_table(10 ** 6, base)):
-        assert t.primes_array().tolist() == oracle_primes
+        assert t.primes_array(t.limit).tolist() == oracle_primes
+        assert t.primes_between(0, t.limit + 1).tolist() == oracle_primes
 
 
 def _race_primes_array(t, oracle_primes):
-    want = oracle_primes[-1]
-    results, errors = [], []
-    start = threading.Barrier(8)
+    """Eight threads grow t's prefix at once, each to its own length (the
+    last to the whole table), by nth_prime and primes_array in turn: each
+    reads its own primes, and the prefix kept reads the oracle's."""
+    counts = [1, 2, 6542, 6543, 26000, 52000, 70000, len(oracle_primes)]
+    results, errors = {}, []
+    start = threading.Barrier(len(counts))
 
-    def worker():
+    def worker(w, n):
         try:
             start.wait(timeout=10)
-            results.append((t.nth_prime(len(oracle_primes)),
-                            t.primes_array().tolist() == oracle_primes))
+            x = oracle_primes[n - 1]
+            if w & 1:
+                got = (t.nth_prime(n), t.primes_array(x).tolist())
+            else:
+                got = t.primes_array(x).tolist()
+                got = (t.nth_prime(n), got)
+            results[n] = (got[0], got[1] == oracle_primes[:n])
         except Exception as exc:     # surfaced by the assertions below
             errors.append(exc)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker) for _ in range(8)]
+        threads = [threading.Thread(target=worker, args=item)
+                   for item in enumerate(counts)]
         for th in threads:
             th.start()
         for th in threads:
@@ -344,7 +354,8 @@ def _race_primes_array(t, oracle_primes):
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert errors == []
-    assert results == [(want, True)] * 8
+    assert results == {n: (oracle_primes[n - 1], True) for n in counts}
+    assert t.primes_array(t.limit).tolist() == oracle_primes
 
 
 def test_pi_cumulative_matches_scalar(table):
@@ -354,6 +365,131 @@ def test_pi_cumulative_matches_scalar(table):
     assert len(table.pi_cumulative(table.limit + 1)) == table.limit + 1
     with pytest.raises(RangeQueryError):
         table.pi_cumulative(table.limit + 2)
+
+
+# -- the cached prefix and primes_between -----------------------------------
+
+# a table whose last checkpoint block is partial, 11 values into it
+_PARTIAL = SEGMENT_SIZE + 3 * CHECKPOINT_SPAN + 11
+
+
+def _grown(base_limit, whole, limit):
+    """build_table(limit, base) from a base whose prefix holds all its
+    primes (whole) or only its first block."""
+    base = build_table(base_limit)
+    base.nth_prime(base.prime_count if whole else 2)
+    return build_table(limit, base)
+
+
+# fresh tables, and grown ones whose base's prefix is shorter than the
+# blocks the two tables share (1 block of 3), longer (all 4 blocks of the
+# base, 3 of them shared), and longer than a smaller grown table (2 of 4)
+PREFIX_TABLES = {
+    "fresh-2": lambda: build_table(2),
+    "fresh-16": lambda: build_table(16),
+    "fresh-128": lambda: build_table(128),
+    "fresh-65536": lambda: build_table(CHECKPOINT_SPAN),
+    "fresh-partial": lambda: build_table(_PARTIAL),
+    "fresh-two-segments": lambda: build_table(2 * SEGMENT_SIZE + 1),
+    "grown-short-base": lambda: _grown(3 * CHECKPOINT_SPAN + 5, False,
+                                       _PARTIAL),
+    "grown-long-base": lambda: _grown(3 * CHECKPOINT_SPAN + 5, True,
+                                      _PARTIAL),
+    "grown-smaller": lambda: _grown(3 * CHECKPOINT_SPAN + 5, True,
+                                    2 * CHECKPOINT_SPAN + 100),
+}
+
+
+def _prefix_edges(limit):
+    """x at 0, 1 and 2, either side of the first byte (16) and word (128)
+    edges, of every checkpoint and segment edge, and of the limit."""
+    edges = {0, 1, 2, limit - 1, limit}
+    for step in (16, 128):
+        edges.update(k * step + d for k in (1, 2) for d in (-1, 0, 1))
+    for step in (CHECKPOINT_SPAN, SEGMENT_SIZE):
+        for b in range(step, limit + 1, step):
+            edges.update((b - 1, b, b + 1))
+    return sorted(x for x in edges if 0 <= x <= limit)
+
+
+def _blocks_held(t):
+    """The checkpoint blocks t's prefix covers, checking that it ends on
+    a checkpoint boundary."""
+    n = len(t._primes)
+    j = int(t._checkpoints.searchsorted(n - 1))
+    assert 1 + int(t._checkpoints[j]) == n
+    return j
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("make", PREFIX_TABLES.values(), ids=PREFIX_TABLES)
+def test_prefix_matches_oracle_at_edges(make, order,
+                                        primes_past_two_segments):
+    """primes_array(x) and nth_prime at every edge, asked in ascending
+    order (the prefix grows by steps) and in descending order (it grows
+    whole at once), against the conftest sieve; the prefix always ends
+    on a checkpoint boundary."""
+    t = make()
+    want = np.array(primes_past_two_segments)
+    xs = _prefix_edges(t.limit)
+    for x in xs if order == "ascending" else xs[::-1]:
+        count = bisect_right(primes_past_two_segments, x)
+        got = t.primes_array(x)
+        assert got.dtype == np.int64 and np.array_equal(got, want[:count]), x
+        if count:
+            assert t.nth_prime(count) == want[count - 1], x
+        _blocks_held(t)
+    assert np.array_equal(t.primes_array(t.limit), want[:t.prime_count])
+    for bad in (-1, t.limit + 1):
+        with pytest.raises(RangeQueryError):
+            t.primes_array(bad)
+
+
+@pytest.mark.parametrize("make", PREFIX_TABLES.values(), ids=PREFIX_TABLES)
+def test_primes_between_matches_oracle_at_edges(make,
+                                                primes_past_two_segments):
+    """primes_between(lo, hi) for lo at every edge and hi at the next few
+    edges and at limit + 1, against the conftest sieve; it caches
+    nothing."""
+    t = make()
+    kept = t._primes
+    want = primes_past_two_segments
+    wanted = np.array(want)
+    xs = _prefix_edges(t.limit) + [t.limit + 1]
+    for i, lo in enumerate(xs):
+        for hi in {*xs[i:i + 4], t.limit + 1}:
+            got = t.primes_between(lo, hi)
+            assert got.dtype == np.int64, (lo, hi)
+            assert np.array_equal(
+                got, wanted[bisect_left(want, lo):bisect_left(want, hi)]), \
+                (lo, hi)
+    assert t._primes is kept
+    for lo, hi in ((-1, 5), (5, 4), (0, t.limit + 2)):
+        with pytest.raises(RangeQueryError):
+            t.primes_between(lo, hi)
+
+
+def test_prefix_grows_in_whole_blocks_at_least_doubling():
+    """Each growth ends on the first checkpoint boundary with the primes
+    asked for, or at twice the blocks held if that is further; a query
+    the prefix already answers keeps it as it is."""
+    t = build_table(2 * SEGMENT_SIZE + 1)
+    cp = t._checkpoints
+    held = [_blocks_held(t)]
+    for query in (lambda: t.nth_prime(1), lambda: t.nth_prime(2),
+                  lambda: t.nth_prime(2 + int(cp[1])),
+                  lambda: t.primes_array(5 * CHECKPOINT_SPAN),
+                  lambda: t.nth_prime(2 + int(cp[6])),
+                  lambda: t.primes_array(12 * CHECKPOINT_SPAN - 1)):
+        query()
+        held.append(_blocks_held(t))
+    assert held == [0, 0, 1, 2, 6, 12, 12]
+    t.primes_array(t.limit)
+    assert len(t._primes) == t.prime_count
+    kept = t._primes
+    t.nth_prime(t.prime_count)
+    t.nth_prime(np.arange(1, t.prime_count + 1, dtype=np.int64))
+    assert t._primes is kept
 
 
 # -- growth: build_table(limit, base) ----------------------------------------
@@ -372,7 +508,8 @@ def _assert_same_table(got, want):
     assert got.prime_count == want.prime_count
     assert np.array_equal(got._bits, want._bits)
     assert np.array_equal(got._checkpoints, want._checkpoints)
-    assert np.array_equal(got.primes_array(), want.primes_array())
+    assert np.array_equal(got.primes_array(got.limit),
+                          want.primes_array(want.limit))
     n = np.arange(1, want.prime_count + 1, dtype=np.int64)
     assert np.array_equal(got.nth_prime(n), want.nth_prime(n))
     assert got.nth_prime(want.prime_count) == want.nth_prime(want.prime_count)
@@ -399,7 +536,7 @@ def test_grown_table_equals_fresh(chain, base_primes):
     t = build_table(chain[0])
     for limit in chain[1:]:
         if base_primes:
-            t.primes_array()
+            t.primes_array(t.limit)
         seam = t.limit
         t = build_table(limit, t)
         want = build_table(limit)
@@ -409,17 +546,26 @@ def test_grown_table_equals_fresh(chain, base_primes):
 
 
 def test_grown_table_keeps_no_base_alive():
-    """Neither the base table nor, once its own array is built, the base's
-    primes array outlives a growth, so no chain of old tables stays."""
+    """A grown table holds its base's cached prefix but not the base, and
+    a prefix that grows lets go of the one it grew from, so no chain of
+    old tables or prefixes stays."""
     base = build_table(3 * CHECKPOINT_SPAN + 5)
     table_ref = weakref.ref(base)
-    primes_ref = weakref.ref(base._all_primes())
+    base.primes_array(base.limit)
+    primes_ref = weakref.ref(base._primes)
     grown = build_table(10 * CHECKPOINT_SPAN, base)
     del base
     gc.collect()
     assert table_ref() is None
-    assert primes_ref() is not None          # the head of grown's array
-    grown.primes_array()
+    assert primes_ref() is not None          # the start of grown's prefix
+    grown.nth_prime(grown.prime_count)
+    gc.collect()
+    assert primes_ref() is None
+
+    fresh = build_table(10 * CHECKPOINT_SPAN)
+    fresh.nth_prime(2)
+    primes_ref = weakref.ref(fresh._primes)
+    fresh.primes_array(fresh.limit)
     gc.collect()
     assert primes_ref() is None
 
@@ -427,7 +573,7 @@ def test_grown_table_keeps_no_base_alive():
     refs = []
     for limit in (1 << 20, 1 << 22, 1 << 24):
         t = chain.get(limit)
-        t.primes_array()
+        t.primes_array(t.limit)
         refs.append(weakref.ref(t))
     del t
     gc.collect()

@@ -251,28 +251,59 @@ def test_cache_queries_equal_a_fresh_table():
 def test_cache_nth_prime_requests_the_rosser_limit(monkeypatch, n, limit):
     """p_n < n(log n + log log n) for n >= 6 (Rosser), with a fifth and
     16 to spare, and 16 below n = 6: the limits the verify campaigns
-    asked for when each sized its own table, pinned from that code, so
-    their table_limit does not move.  74194 grows a 2^20 table to 2^21
-    although p_74194 = 940087."""
+    asked for when each sized its own table, pinned from that code.  A
+    cache asks for that limit only when the table it holds lacks p_n:
+    an empty cache asks once, and a 2^20 table, which holds p_82025,
+    answers every n here without asking, 74194 (p = 940087) among them."""
+    cache, held = TableCache(), TableCache()
+    held.get(1 << 20)
+    asked = []
+    for c in (cache, held):
+        get = c.get
+        monkeypatch.setattr(c, "get",
+                            lambda limit, get=get: asked.append(limit)
+                            or get(limit))
+    want = build_table(limit).nth_prime(n)
+    for c in (cache, held):
+        assert c.nth_prime(n) == want
+        assert c.nth_prime(np.array([1, n], dtype=np.int64))[1] == want
+    assert asked == [limit]
+    assert cache.current().limit == max(limit, 1 << 20)
+    assert held.current().limit == 1 << 20
+
+
+def test_cache_nth_prime_past_the_held_table_grows_it(monkeypatch):
+    """p_82026 = 1048583 lies past a 2^20 table: the cache asks for its
+    Rosser limit, 1352549, and doubles to 2^21."""
     cache = TableCache()
     cache.get(1 << 20)
     asked = []
     get = cache.get
     monkeypatch.setattr(cache, "get",
                         lambda limit: asked.append(limit) or get(limit))
-    assert cache.nth_prime(n) == build_table(limit).nth_prime(n)
-    assert cache.nth_prime(np.array([1, n], dtype=np.int64))[1] == \
-        cache.nth_prime(n)
-    assert asked == [limit] * 3
-    assert cache.current().limit == (1 << 21 if limit > 1 << 20 else 1 << 20)
+    assert cache.nth_prime(82026) == 1048583
+    assert asked == [1352549]
+    assert cache.current().limit == 1 << 21
+
+
+def test_cache_nth_prime_of_no_index_unpacks_no_prime():
+    """An empty index array sizes the first table but unpacks none of
+    its primes."""
+    cache = TableCache()
+    got = cache.nth_prime(np.array([], dtype=np.int64))
+    assert got.dtype == np.int64 and got.size == 0
+    assert cache.current()._primes.tolist() == [2]
 
 
 def test_cache_queries_past_the_cap_are_budget_errors():
     small = TableCache(hard_cap=100)
     assert small.pi(100) == 25
-    assert small.nth_prime(15) == 47            # asks for 82
-    for query in (lambda: small.pi(101), lambda: small.nth_prime(20),
-                  lambda: small.nth_prime(np.array([1, 20]))):
+    # p_15 and p_20 come from the table of 100 held, although p_20's
+    # Rosser limit, 114, passes the cap
+    assert small.nth_prime(15) == 47
+    assert small.nth_prime(20) == 71
+    for query in (lambda: small.pi(101), lambda: small.nth_prime(26),
+                  lambda: small.nth_prime(np.array([1, 26]))):
         with pytest.raises(ResourceBudgetError) as err:
             query()
         assert err.value.cap == 100
@@ -493,8 +524,7 @@ def test_mps_scans_past_a_large_r(cache, monkeypatch):
 
 
 def _primes_below(pi, x):
-    primes = pi.primes_array()
-    return primes[:primes.searchsorted(x)]
+    return pi.primes_array(x - 1)
 
 
 def test_windowed_scan_matches_full_scan(cache):
@@ -598,7 +628,7 @@ def test_suffix_min_rows_equal_rows_alone(cache):
             (Fraction(3), 20000, 1700), (Fraction(11, 10), 40000, 3700),
             (Fraction(7, 3), 6000, 400), (Fraction(100), 7919, 999)]
     pi = build_table(40000)               # padding is pi.prime_count + 1
-    primes = pi.primes_array()
+    primes = pi.primes_array(pi.limit)
     pic = pi.pi_cumulative(40000)
     num, den, cutoff, first = (np.array(col, dtype=np.int64) for col in zip(
         *((k.numerator, k.denominator, c, f) for k, c, f in rows)))
@@ -652,7 +682,7 @@ def test_rank_blocks_are_exact_across_edges(monkeypatch, block):
 
 def _check_blocks_across_edges(monkeypatch, block):
     pi = build_table(40000)               # padding is pi.prime_count + 1
-    primes = pi.primes_array()
+    primes = pi.primes_array(pi.limit)
     pic = pi.pi_cumulative(40000)
     monkeypatch.setattr(ramanujan, "_BLOCK", block)
     for k, cutoff in ((Fraction(2), 30011), (Fraction(11, 10), 40000)):

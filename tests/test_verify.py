@@ -110,22 +110,50 @@ def test_seed_controls_the_sampled_k(cache):
     assert r7a.params["closed_k"] != r8.params["closed_k"]
 
 
+def _normalize(reports):
+    """The report dicts without the fields that may vary by thread count."""
+    out = []
+    for r in reports:
+        d = r.to_dict()
+        d.pop("elapsed_s")
+        d.pop("table_limit")
+        out.append(d)
+    return out
+
+
 def test_run_all_preserves_order_and_threads_agree(cache):
     ids = ["prop310-table", "sondow-gap", "eq431-range"]
-
-    def normalize(reports):
-        out = []
-        for r in reports:
-            d = r.to_dict()
-            d.pop("elapsed_s")
-            d.pop("table_limit")
-            out.append(d)
-        return out
-
     serial = run_all(ids, cache, limit=10)
     assert [r.id for r in serial] == ids
     threaded = run_all(ids, cache, threads=3, limit=10)
-    assert normalize(serial) == normalize(threaded)
+    assert _normalize(serial) == _normalize(threaded)
+
+
+def test_run_all_at_default_sizes_threads_agree():
+    """At the default sizes, on fresh caches, four campaign threads grow
+    one table and its primes prefix at once and give the serial
+    reports."""
+    serial = run_all(cache=TableCache(), seed=7)
+    threaded = run_all(cache=TableCache(), threads=4, seed=7)
+    assert _normalize(threaded) == _normalize(serial)
+
+
+def test_run_all_holds_only_the_primes_it_reads():
+    """All of verify at seed 7 on a fresh cache: tracemalloc's peak stays
+    within 12 MiB (25.7 MiB while every prime of lemma34-sweep's 3.8e7
+    table was cached), and the cached prefix ends below 2^21, the
+    largest prime any campaign reads being about 1.05e6."""
+    cache = TableCache()
+    tracemalloc.start()
+    try:
+        reports = run_all(cache=cache, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.id for r in reports] == ALL_IDS
+    assert cache.current().limit == 38168863
+    assert cache.current()._primes[-1] < 1 << 21
+    assert peak <= 12 << 20, peak
 
 
 def test_report_dict_shape(cache):
@@ -195,7 +223,7 @@ def test_streamed_campaigns_stay_within_8_mib():
     array read, no streamed campaign at its default size allocates more
     than 8 MiB at once: no array grows with the range it covers."""
     cache = TableCache()
-    cache.get(38168863).primes_array()
+    cache.get(38168863).primes_array(38168863)
     peaks = {}
     for cid in STREAMED:
         tracemalloc.start()
