@@ -31,7 +31,7 @@ import numpy as np
 
 from . import bounds
 from . import ramanujan as rp
-from .primes import _POOLED_FROM, SEGMENT_SIZE, PrimeTable
+from .primes import PrimeTable
 from .rational import ceil_div
 
 __all__ = ["CampaignReport", "campaign_ids", "run_campaign", "run_all",
@@ -94,13 +94,103 @@ def _pi_of_frac(pi: PrimeTable, mult: int, k: Fraction) -> int:
 
 
 def _blocks(lo: int, hi: int, width: int = 1):
-    """Ascending [a, b) pieces of [lo, hi), each at most rp._BLOCK values
-    wide when one step stands for width values (a grid row), and at least
-    one step.  The array campaigns walk their ranges in these, reading pi
-    per piece from PrimeTable.pi_array, so none of their arrays grows
-    with the range and no report depends on where the edges fall."""
+    """Ascending [a, b) pieces of [lo, hi), cut at the multiples of a step
+    of at most rp._BLOCK values when one step stands for width values (a
+    grid row), and at least one.  The array campaigns walk their ranges
+    in these, reading pi per piece from PrimeTable.pi_array, so none of
+    their arrays grows with the range and no report depends on where the
+    edges fall."""
     step = max(1, rp._BLOCK // width)
-    return ((a, min(a + step, hi)) for a in range(lo, hi, step))
+    edges = [lo, *range(lo - lo % step + step, hi, step), hi]
+    return zip(edges, edges[1:]) if lo < hi else iter(())
+
+
+# A screen decides a check once per piece of its range on which the check
+# is monotone, at the piece's worst end, and hands only the pieces it
+# cannot clear to the per-element check.  So a screen must clear a piece
+# only where every element passes; it may leave a passing piece to the
+# element check, which then finds nothing.  Float screens widen their
+# bound by _SLACK, relatively: far more than the few ulp by which one
+# expression, evaluated at two points, can invert the order of its true
+# values.  Each screen reads a NaN as "cannot clear".
+_SLACK = 2.0 ** -40
+
+
+def _runs(edges: np.ndarray, suspect: np.ndarray):
+    """The [a, b) of each maximal run of suspect pieces
+    [edges[i], edges[i + 1]), ascending."""
+    flips = edges[np.flatnonzero(np.diff(suspect, prepend=False,
+                                         append=False))].tolist()
+    return zip(flips[::2], flips[1::2])
+
+
+def _gap_screen(pi: PrimeTable, lo: int, hi: int, clears):
+    """The runs [a, b) of [lo, hi), ascending, that clears cannot clear.
+
+    [lo, hi) is cut at every prime into pieces on which pi is constant,
+    in blocks of ramanujan._BLOCK values, so no array grows with the
+    range.  clears(pis, ends) gets the arrays of each piece's pi and its
+    end, one past its last integer, and is True where every integer of
+    the piece passes."""
+    for a, b in _blocks(lo, hi):
+        edges = np.concatenate(([a], pi.primes_between(a + 1, b), [b]))
+        pis = np.arange(len(edges) - 1) + pi.pi(a)
+        yield from _runs(edges, ~clears(pis, edges[1:]))
+
+
+def _word_screen(pi: PrimeTable, lo: int, hi: int, clears):
+    """The runs [a, b) of [lo, hi), ascending, that clears cannot clear,
+    for lo >= 128.
+
+    [lo, hi) is cut into the table words [128w, 128w + 128) it meets, in
+    blocks of ramanujan._BLOCK words, worked in buffers that every block
+    reuses.  clears(below, ends) gets the arrays of pi(128w - 1), counted
+    from the table's words as PrimeTable.pi counts them, and of each
+    piece's end, one past its last integer, and is True where every
+    integer of the piece passes."""
+    steps = np.arange(rp._BLOCK + 1)
+    edges, below = np.empty((2, rp._BLOCK + 1), dtype=np.int64)
+    for w_a, w_b in _blocks(lo >> 7, ((hi - 1) >> 7) + 1):
+        n = w_b - w_a
+        counts = np.bitwise_count(pi._words[w_a:w_b])
+        np.cumsum(counts, out=below[:n])
+        below[:n] -= counts
+        below[:n] += pi.pi(128 * w_a - 1)
+        ends = np.add(steps[:n + 1], w_a, out=edges[:n + 1])
+        ends *= 128
+        ends[0], ends[-1] = max(lo, ends[0]), min(hi, ends[-1])
+        yield from _runs(ends, ~clears(below[:n], ends[1:]))
+
+
+# n per run of the pi(m) + pi(n) grids' screen
+_RUN = 25
+
+
+def _grid_failures(pi: PrimeTable, vals: np.ndarray, pvals: np.ndarray,
+                   div: int) -> list[int]:
+    """The flat indices i * len(vals) + j, ascending, of the pairs with
+    pvals[i] + pvals[j] > pi(vals[i] * vals[j] // div), for ascending
+    vals and pvals nondecreasing on each run of _RUN j.
+
+    Along a row both sides grow with j, so a run is cleared where pvals at
+    the row and at the run's last j does not exceed pi at its first j;
+    only the other runs are checked pair by pair.  Rows go in blocks of
+    at most ramanujan._BLOCK pairs."""
+    size = len(vals)
+    firsts = np.arange(0, size, _RUN)
+    lasts = np.minimum(firsts + _RUN, size) - 1
+    bad = []
+    for a, b in _blocks(0, size, size):
+        lhs = pvals[a:b, None] + pvals[lasts]
+        rhs = pi.pi_array(np.multiply.outer(vals[a:b], vals[firsts]) // div)
+        row, run = np.nonzero(~(lhs <= rhs))
+        # the pairs of the uncleared runs, row by row, j ascending
+        j = firsts[run, None] + np.arange(_RUN)
+        keep = j < size
+        i, j = np.broadcast_to(a + row[:, None], j.shape)[keep], j[keep]
+        fails = pvals[i] + pvals[j] > pi.pi_array(vals[i] * vals[j] // div)
+        bad += (i[fails] * size + j[fails]).tolist()
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -157,57 +247,71 @@ def _run_lemma34_sweep(cache, limit, mmax, rng):
     x_max = max(limit if limit else 38168363, 470077)
     params = {"x_lo": 470077, "x_max": x_max}
     pi = cache.get(x_max + 500)
-    # p_{i+1} for pi(470077) <= i <= pi(x_max): the primes past 470077 up
-    # to the first past x_max, streamed in pieces of _POOLED_FROM sieve
-    # segments, enough for each piece to unpack on the block pool
-    i_lo, i_end = pi.pi(470077), pi.pi(x_max) + 1
-    step = _POOLED_FROM * SEGMENT_SIZE
-    edges = [470078, *range(step, x_max + 501, step), x_max + 501]
-    i, failures = i_lo, []
-    # float rows for _lemma34_piece, the last one 0, 1, 2, ...: every piece
-    # works in these, so no piece allocates and faults in its own
-    rows = np.empty((4, rp._BLOCK))
-    rows[3] = np.arange(rp._BLOCK)
-    for lo, hi in zip(edges, edges[1:]):
-        i += _lemma34_piece(pi.primes_between(lo, hi)[:i_end - i], i,
-                            rows, failures)
-    return params, i - i_lo, failures, []
+    # p_{j+1} for pi(470077) <= j <= pi(x_max): the primes q from 470078 to
+    # q_end, the first prime past x_max, each with j = pi(q - 1).  The q of
+    # table word w have j >= pi(128w - 1) and, h being nondecreasing,
+    # h(q) <= h(128w + 128): the screen clears the word where that j
+    # passes that h
+    q_end = int(pi.primes_between(x_max + 1, x_max + 501)[0])
+    # float rows for _h_plus_one, reused by every block and run, so that
+    # none allocates and faults in its own
+    rows = np.empty((3, rp._BLOCK))
+
+    def clears(pis, ends):
+        bound = _h_plus_one(ends, rows)
+        bound *= 1.0 + _SLACK
+        return pis >= bound
+
+    failures = []
+    for a, b in _word_screen(pi, 470078, q_end + 1, clears):
+        _lemma34_check(pi.primes_between(a, b), pi.pi(a - 1), rows, failures)
+    return params, pi.pi(x_max) + 1 - pi.pi(470077), failures, []
 
 
-def _lemma34_piece(primes, i, rows, failures) -> int:
+def _h_plus_one(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """h(x) + 1 = x / ((log x - 1) - 1/log x) + 1 at every entry of x, in
+    that order of operations, in place in rows[0]; rows[1:3] are
+    scratch."""
+    h, lp, inv = rows[:, :len(x)]
+    np.copyto(h, x)
+    np.log(h, out=lp)
+    np.divide(1.0, lp, out=inv)
+    lp -= 1.0
+    lp -= inv
+    h /= lp
+    h += 1.0
+    return h
+
+
+def _lemma34_check(primes, i, rows, failures) -> None:
     """Append the failures of pi(p_j) >= h(p_{j+1}) + 1 for the j from i
-    on whose p_{j+1} make up primes, and return how many j there were.
-    A call of its own, so that the piece is gone before the next one
-    unpacks."""
+    on whose p_{j+1} make up primes."""
     for a, b in _blocks(i, i + len(primes)):
-        # h(p_{j+1}) + 1 and then j for a <= j < b, in place in rows
-        h, lp, inv, steps = rows[:, :b - a]
-        np.copyto(h, primes[a - i:b - i])
-        np.log(h, out=lp)
-        np.divide(1.0, lp, out=inv)
-        lp -= 1.0
-        lp -= inv                            # (log p - 1) - 1/log p
-        h /= lp
-        h += 1.0
-        j = np.add(steps, a, out=inv)
-        failures += [f"i={int(a + k)}: pi(p_i) < h(p_i+1) + 1"
-                     for k in np.flatnonzero(j < h)]
-    return len(primes)
+        h = _h_plus_one(primes[a - i:b - i], rows)
+        j = np.arange(a, b)
+        failures += [f"i={v}: pi(p_i) < h(p_i+1) + 1" for v in j[j < h]]
 
 
 def _run_eq431_range(cache, limit, mmax, rng):
     x_max = max(limit if limit else 470077, 7478)
     params = {"x_lo": 7477, "x_max": x_max}
     pi = cache.get(x_max + 1)
-    failures, cases = [], 0
-    for a, b in _blocks(7477, x_max + 1):
+
+    def rhs(sup):
+        # x/(log x - 1) + 1 at x = sup, growing in sup
+        sup = sup.astype(np.float64)
+        return sup / (np.log(sup) - 1.0) + 1.0
+
+    # pi is constant on a prime gap, so the sup of its last [m, m + 1),
+    # the gap's end, decides it
+    failures = []
+    for a, b in _gap_screen(
+            pi, 7477, x_max + 1,
+            lambda pis, ends: pis >= rhs(ends) * (1.0 + _SLACK)):
         m = np.arange(a, b, dtype=np.int64)
-        sup = (m + 1).astype(np.float64)
-        rhs = sup / (np.log(sup) - 1.0) + 1.0
         failures += [f"x={int(v)}: pi(x) <= x/(log x - 1) + 1 fails on "
-                     "[x, x+1)" for v in m[pi.pi_array(m) < rhs]]
-        cases += len(m)
-    return params, cases, failures, []
+                     "[x, x+1)" for v in m[pi.pi_array(m) < rhs(m + 1)]]
+    return params, x_max + 1 - 7477, failures, []
 
 
 def _run_prop310_table(cache, limit, mmax, rng):
@@ -388,14 +492,18 @@ def _run_rho_positivity(cache, limit, mmax, rng):
 
     # pi_2(y) = sufmin[pi(y)] for every y <= x_max
     pi, sufmin = rp._pi_k_array(Fraction(2), x_max, cache)
-    for a, b in _blocks(start, x_max + 1):
-        x = np.arange(a, b, dtype=np.int64)
-        pix = pi.pi_array(x)
+
+    def margin(pix):
         # rho_2(x) > 0  <=>  pi(x) - 2*pi_2(x) >= 1, exactly in integers
-        margin = pix - 2 * sufmin[pix]
-        failures += [f"x={int(v)}: rho_2(x) <= 0" for v in x[margin < 1]]
-        cases += len(x)
-    return params, cases, failures, []
+        return pix - 2 * sufmin[pix]
+
+    # the margin is constant on a prime gap, so any x decides the gap
+    for a, b in _gap_screen(pi, start, x_max + 1,
+                            lambda pis, ends: margin(pis) >= 1):
+        x = np.arange(a, b, dtype=np.int64)
+        failures += [f"x={int(v)}: rho_2(x) <= 0"
+                     for v in x[margin(pi.pi_array(x)) < 1]]
+    return params, cases + x_max + 1 - start, failures, []
 
 
 def _run_rho_upper(cache, limit, mmax, rng):
@@ -428,15 +536,21 @@ def _run_rho_upper(cache, limit, mmax, rng):
                      for v in nn[lhs > rhs]]
         cases += len(nn)
 
-    for a, b in _blocks(n3, x_max + 1):
+    def excess(pix):
+        # rho_2(x) at pi(x) = pix, constant on a prime gap
+        return 0.5 - sufmin[pix] / pix
+
+    def bound(x):
+        # c2/log x, falling in x: above its value at a gap's end on the gap
+        return c2 / np.log(x.astype(np.float64))
+
+    for a, b in _gap_screen(
+            pi, n3, x_max + 1,
+            lambda pis, ends: excess(pis) <= bound(ends) * (1.0 - _SLACK)):
         xs = np.arange(a, b, dtype=np.int64)
-        pix = pi.pi_array(xs)
-        lhs2 = 0.5 - sufmin[pix] / pix
-        rhs2 = c2 / np.log(xs.astype(np.float64))
         failures += [f"x={int(v)}: rho_2(x) > c2/log x"
-                     for v in xs[lhs2 > rhs2]]
-        cases += len(xs)
-    return params, cases, failures, []
+                     for v in xs[excess(pi.pi_array(xs)) > bound(xs)]]
+    return params, cases + max(x_max + 1 - n3, 0), failures, []
 
 
 def _run_mps_scan(cache, limit, mmax, rng):
@@ -494,34 +608,9 @@ def _run_section2_properties(cache, limit, mmax, rng):
         for j in np.flatnonzero(counted != np.arange(1, n_max + 1)):
             failures.append(f"k={k}, n={j + 1}: pi(R_n) - pi(R_n/k) != n")
 
-    # pi(m) + pi(n) <= pi(mn) for all m, n, and pi(mn/2) for m, n >= 4
-    # with max >= 6: row blocks of the grid, failures by flat index
-    bound = 1000
-    pi2 = cache.get(bound * bound)
-    mn = np.arange(1, bound + 1, dtype=np.int64)
-    psmall = pi2.pi_array(mn)
-    bad = []
-    for a, b in _blocks(0, bound, bound):
-        lhs = psmall[a:b, None] + psmall[None, :]
-        rhs = pi2.pi_array(np.multiply.outer(mn[a:b], mn))
-        bad += (np.flatnonzero(lhs > rhs) + a * bound).tolist()
-        cases += lhs.size
-    for flat in bad[:20]:
-        failures.append(f"m={flat // bound + 1}, n={flat % bound + 1}: "
-                        "pi(m)+pi(n) > pi(mn)")
-
-    mn4, p4 = mn[3:], psmall[3:]
-    bad4 = []
-    for a, b in _blocks(0, len(mn4), len(mn4)):
-        lhs4 = p4[a:b, None] + p4[None, :]
-        rhs4 = pi2.pi_array(np.multiply.outer(mn4[a:b], mn4) // 2)
-        mask = np.maximum.outer(mn4[a:b], mn4) >= 6
-        cases += int(mask.sum())
-        bad4 += (np.flatnonzero((lhs4 > rhs4) & mask)
-                 + a * len(mn4)).tolist()
-    for flat in bad4[:20]:
-        failures.append(f"m={flat // len(mn4) + 4}, n={flat % len(mn4) + 4}: "
-                        "pi(m)+pi(n) > pi(mn/2)")
+    grid_cases, grid_failures = _pi_sum_grids(cache)
+    cases += grid_cases
+    failures += grid_failures
 
     # R_pi(k) = p_pi(k) and the prefix equality below it, k >= 2
     for k in [Fraction(2), Fraction(5, 2), Fraction(3), Fraction(10),
@@ -562,6 +651,28 @@ def _run_section2_properties(cache, limit, mmax, rng):
                 if q != 2 and q <= pi.limit and pi.is_prime(q):
                     failures.append(f"k={k}, n={j + 1}: R_n = k*{q} - 1")
     return params, cases, failures, []
+
+
+def _pi_sum_grids(cache) -> tuple[int, list[str]]:
+    """(cases, failures) of pi(m) + pi(n) <= pi(mn) for all m, n <= 1000,
+    and of pi(m) + pi(n) <= pi(mn/2) for 4 <= m, n <= 1000 with
+    max(m, n) >= 6, with the first 20 failures of each grid."""
+    bound = 1000
+    pi = cache.get(bound * bound)
+    mn = np.arange(1, bound + 1, dtype=np.int64)
+    psmall = pi.pi_array(mn)
+    failures = [f"m={flat // bound + 1}, n={flat % bound + 1}: "
+                "pi(m)+pi(n) > pi(mn)"
+                for flat in _grid_failures(pi, mn, psmall, 1)[:20]]
+
+    mn4, p4 = mn[3:], psmall[3:]
+    size = len(mn4)
+    bad4 = [flat for flat in _grid_failures(pi, mn4, p4, 2)
+            if max(flat // size, flat % size) >= 2]
+    failures += [f"m={flat // size + 4}, n={flat % size + 4}: "
+                 "pi(m)+pi(n) > pi(mn/2)" for flat in bad4[:20]]
+    # every pair of the second grid but the four with m, n < 6
+    return bound * bound + size * size - 4, failures
 
 
 def _run_nicholson_bound(cache, limit, mmax, rng):
