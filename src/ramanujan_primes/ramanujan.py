@@ -35,10 +35,11 @@ int64 array, with no search per n.
 A scan need not start at j = 0 either: S[j] <= f*(c_j) <= j,
 so S[j] >= n forces j >= n, and the suffix minima over a window
 [first, J] are S itself there.  pi_k(x) needs f* only at j >= pi(x),
-where it is the window minimum, and R_{m-1}^(m) only at j >= m - 1:
-mps_holds scans those windows 128 m at a time, one row per m.  A scan
-is complete only below a cutoff X for which the tail x >= X is PROVEN
-safe; bounds.certify_tail supplies that proof.
+where it is the window minimum.  R_{m-1}^(m) needs no window: at k = m
+f* never decreases on a stretch [m p_t, m p_{t+1}), so the points m p_t
+below the cutoff settle it (_mps_r_values).  A scan is complete only
+below a cutoff X for which the tail x >= X is PROVEN safe;
+bounds.certify_tail supplies that proof.
 
 The scan runs in blocks of 2^16 candidates, on a small thread pool from
 4 blocks on.  A block takes pi(q(c_j)) from a rank over the table words
@@ -72,7 +73,6 @@ __all__ = [
 PROOF_ANALYTIC = "analytic-certificate"
 DEFAULT_CAP = 1 << 31        # a TableCache's hard cap unless one is given
 _INITIAL_LIMIT = 1 << 20     # the least limit of a TableCache's first table
-_MPS_ROWS = 128              # windows per _suffix_min call in _mps_r_values
 
 
 # ---------------------------------------------------------------------------
@@ -293,78 +293,61 @@ _BLOCK = 1 << 16
 _RANK_FROM = 1 << 12         # keys from which pi_array can beat searchsorted
 
 
-def _suffix_min(num, den, cutoff, first, pi: PrimeTable) -> np.ndarray:
-    """S[pi(m)] = min f* on [m, cutoff) for k = num/den, one window a row.
+def _suffix_min(num: int, den: int, cutoff: int, first: int,
+                pi: PrimeTable) -> np.ndarray:
+    """S[first..J] for k = num/den: S[pi(m)] = min f* on [m, cutoff).
 
-    Each argument but the table pi is an int or an int array with one
-    entry per row, and pi covers every cutoff; the scan reads pi's
-    primes below the largest cutoff and no others.  Row w holds
-    S[first_w + i] while first_w + i <= J_w = #{p < cutoff_w}, the last
-    candidate, and pi.prime_count + 1, which no S reaches, past that.
-    The window's suffix minima equal S on it because S looks only
-    rightwards.
+    J = #{p < cutoff} is the last candidate, and pi covers the cutoff;
+    the scan reads pi's primes below it and no others.  The window's
+    suffix minima equal S on it because S looks only rightwards.
 
-    The offsets i run in blocks of _BLOCK (_fstar_block), on the block
+    The offsets run in blocks of _BLOCK (_fstar_block), on the block
     pool once there are 4 or more of them.  Each block writes its own
     suffix minima; one pass from the top then carries each block's first
     entry, by then the minimum of everything above, into the block below.
     q(c) = ((c + 1) den - 1) // num is formed in int64, so a den with
     den * cutoff >= 2^63 is refused with a ValueError.
     """
-    top = max(np.ravel(cutoff).tolist())
-    den_max = max(np.ravel(den).tolist())
-    if den_max * top >= 1 << 63:
+    if den * cutoff >= 1 << 63:
         raise ValueError(
-            f"k with denominator {den_max} and cutoff {top}: (c + 1) * den "
+            f"k with denominator {den} and cutoff {cutoff}: (c + 1) * den "
             "would pass 2^63 in the scan")
-    primes = pi.primes_array(top - 1)                       # p < top
-    # one window per column inside, so ints and arrays broadcast alike
-    span = primes.searchsorted(cutoff) - first              # J - first
-    spans = np.ravel(span).tolist()
-    out = np.empty((max(spans) + 1, len(spans)), dtype=np.int64)
+    primes = pi.primes_array(cutoff - 1)                    # p < cutoff
+    out = np.empty(len(primes) - first + 1, dtype=np.int64)
     starts = range(0, len(out), _BLOCK)
-    _run_blocks(lambda lo: _fstar_block(lo, num, den, cutoff, first, span,
-                                        min(spans), primes, pi, out), starts)
+    _run_blocks(lambda lo: _fstar_block(lo, num, den, cutoff, first, primes,
+                                        pi, out), starts)
     for lo in reversed(starts[1:]):
         np.minimum(out[lo - _BLOCK:lo], out[lo], out=out[lo - _BLOCK:lo])
-    return out.T
+    return out
 
 
-def _fstar_block(lo, num, den, cutoff, first, span, shortest, primes, pi,
-                 out) -> None:
-    """Rows [lo, lo + _BLOCK) of _suffix_min's out, one window a column:
-    the suffix minima of f* over the block alone.  shortest is the least
-    span; past it some window has ended.
+def _fstar_block(lo, num, den, cutoff, first, primes, pi, out) -> None:
+    """out[lo:lo + _BLOCK] of _suffix_min: the suffix minima of f* over
+    the block alone.
 
     pi(q(c_j)) comes from pi.pi_array, a rank over the table words that
     the block's q span: a fixed set-up and a few passes per key.  A
     binary search in primes costs about log2 of the primes between one
     key's answer and the block's largest, per key.  So the rank runs
     from _RANK_FROM keys on, where its set-up pays, and only where the
-    q spread over at least as many integers as there are keys; mps
-    blocks and large k, with many keys to a prime, keep the search.
-    numpy's searchsorted starts each of ascending keys at the last key's
-    place but ends it at the end of the array, so the search ends at pi
-    of the last row's largest q."""
+    q spread over at least as many integers as there are keys; large k,
+    with many keys to a prime, keeps the search.  numpy's searchsorted
+    starts each of ascending keys at the last key's place but ends it at
+    the end of the array, so the search ends at pi of the largest q."""
     hi = min(lo + _BLOCK, len(out))
-    i = np.arange(lo, hi)[:, None]
-    j = first + i
-    q = primes.take(j, mode="clip")                         # c_j + 1, j < J
-    if hi > shortest:                     # c_J + 1, and on, so q ascends
-        np.copyto(q, cutoff, where=i >= span)
-    q *= den
+    q = primes[first + lo:first + hi] * den                 # c_j + 1, j < J
+    if hi == len(out):
+        q = np.append(q, cutoff * den)                      # c_J + 1
     q -= 1
     q //= num                                               # q(c_j)
-    q_top = max(q[-1].tolist())
-    if q.size >= _RANK_FROM and q_top - min(q[0].tolist()) >= q.size:
+    if len(q) >= _RANK_FROM and q[-1] - q[0] >= len(q):
         fstar = pi.pi_array(q)                              # pi(q(c_j))
     else:
-        top = primes.searchsorted(q_top, side="right")
+        top = primes.searchsorted(q[-1], side="right")
         fstar = primes[:top].searchsorted(q, side="right")
-    np.subtract(j, fstar, out=fstar)
-    if hi - 1 > shortest:                 # a window ends inside the block
-        np.putmask(fstar, i > span, pi.prime_count + 1)
-    np.minimum.accumulate(fstar[::-1], axis=0, out=out[lo:hi][::-1])
+    np.subtract(np.arange(first + lo, first + hi), fstar, out=fstar)
+    np.minimum.accumulate(fstar[::-1], out=out[lo:hi][::-1])
 
 
 def _scan(k: Fraction, n_max: int, cutoff: int,
@@ -376,7 +359,7 @@ def _scan(k: Fraction, n_max: int, cutoff: int,
     S[j] = n_max fill out from its first S on: each block writes its own
     part, on the block pool like the scan's blocks.
     """
-    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, pi)[0]
+    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, pi)
     last = int(np.searchsorted(sufmin, n_max))       # first S[j] = n_max
     if last == len(sufmin):
         raise AssertionError(
@@ -402,7 +385,7 @@ def _pi_k_array(k: Fraction, x: int, cache: TableCache,
     cutoff = bounds.certify_tail(k, fstar_x + 1, hard_cap=cache.hard_cap)
     hi = max(cutoff, x + 1)
     pi = cache.get(hi)
-    return pi, _suffix_min(num, den, hi, first, pi)[0]
+    return pi, _suffix_min(num, den, hi, first, pi)
 
 
 def ramanujan_prefix(k, n_max: int,
@@ -522,7 +505,8 @@ def mps_holds(m, cache: TableCache | None = None):
 
     m is an int, giving one MpsVerdict, or an int64 array, giving a list
     of verdicts in its order: all its m are certified by one
-    certify_tail call and scanned in row blocks by _mps_r_values.
+    certify_tail call, and _mps_r_values reads each R_{m-1}^(m) off
+    pi(m p_t) - t at the primes p_t below cutoff / m.
     """
     if not isinstance(m, np.ndarray):
         return mps_holds(np.array([m], dtype=np.int64), cache)[0]
@@ -563,20 +547,28 @@ def _mps_r_values(ms: np.ndarray, cutoffs: np.ndarray,
                   pi: PrimeTable) -> np.ndarray:
     """R_{m-1}^(m) for each m >= 2, given cutoffs certified for n = m - 1.
 
-    m's row of _suffix_min starts at j = m - 1.  S is nondecreasing, so
-    with c cells below m - 1 the first j with S[j] >= m - 1 is m - 1 + c
-    and R_{m-1}^(m) = p_{m-1+c}; a j past the row's last candidate means
-    the scan hit its cutoff.  Blocks of _MPS_ROWS rows stay in cache and
-    pad little where widths change (about 700 candidates at m <= 100,
-    20-104 at m in [10^3, 10^4]); so narrow a window is one _BLOCK of
-    _suffix_min, scanned on the calling thread.
+    For k = m, q(x) = x // m, so on each stretch [m p_t, m p_{t+1})
+    (p_0 = 0) pi(q) = t and f*(x) = pi(x) - t never decreases from
+    f*(m p_t).  Let T be the last t with m p_t below the cutoff and
+    f*(m p_t) < m - 1 (t = 0 is one: f*(0) = 0).  The last x below the
+    cutoff with f*(x) < m - 1 lies on stretch T, where that means
+    pi(x) < m - 1 + T, so R_{m-1}^(m) = p_{m-1+T}; a p_{m-1+T} at or
+    past the cutoff means the scan hit it.  The pairs (m, t), about
+    pi(cutoff / m) per m, are counted by one pi_array per _BLOCK m.
     """
     primes = pi.primes_array(int(cutoffs.max()) - 1)
-    idx = np.empty_like(ms)                    # R = p_{m-1+c} = primes[idx]
-    for lo in range(0, ms.size, _MPS_ROWS):
-        m, cut = ms[lo:lo + _MPS_ROWS], cutoffs[lo:lo + _MPS_ROWS]
-        c = (_suffix_min(m, 1, cut, m - 1, pi) < (m - 1)[:, None]).sum(1)
-        idx[lo:lo + _MPS_ROWS] = m - 2 + c
+    idx = np.empty_like(ms)                    # R = p_{m-1+T} = primes[idx]
+    for lo in range(0, ms.size, _BLOCK):
+        m, cut = ms[lo:lo + _BLOCK], cutoffs[lo:lo + _BLOCK]
+        # the pairs (m, t) for 0 <= t <= #{p : m p < cutoff}, by m
+        count = primes.searchsorted((cut - 1) // m, side="right") + 1
+        starts = np.cumsum(count) - count
+        t = np.arange(starts[-1] + count[-1]) - np.repeat(starts, count)
+        m_t = np.repeat(m, count)
+        x = m_t * primes[t - 1]                # m p_t, t = 0 set below
+        x[starts] = 0
+        low = pi.pi_array(x) - t < m_t - 1     # f*(m p_t) < m - 1
+        idx[lo:lo + _BLOCK] = m - 2 + np.maximum.reduceat(t * low, starts)
     broken = np.flatnonzero(idx >= np.searchsorted(primes, cutoffs))
     if broken.size:
         b = broken[0]

@@ -544,6 +544,8 @@ def _run_rho_upper(cache, limit, mmax, rng):
         # c2/log x, falling in x: above its value at a gap's end on the gap
         return c2 / np.log(x.astype(np.float64))
 
+    # rho_2(x) <= 1/2 < c2/log x for every x < e^(2 c2) = e^200, so this
+    # check cannot fail: the verdict rests on the n-range check above
     for a, b in _gap_screen(
             pi, n3, x_max + 1,
             lambda pis, ends: excess(pis) <= bound(ends) * (1.0 - _SLACK)):

@@ -348,6 +348,14 @@ def test_mps_json_output_is_frozen(capsys):
         == "bd969fb5638d3c042de7190958fde666"
 
 
+def test_mps_json_to_10_5_is_frozen(capsys):
+    """The same for m <= 10^5, where the certified cutoffs pass 10^6."""
+    code, out, _ = run(capsys, "mps", "--mmax", "100000", "--json")
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() \
+        == "00d9f62be3b7aefbaaa2f3979624dee8"
+
+
 def test_verify_all_output_is_frozen(capsys):
     """Every campaign report of verify --campaign all at seed 7, byte for
     byte but for the timings."""

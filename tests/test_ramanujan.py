@@ -481,13 +481,40 @@ def test_mps_array_edge_cases(cache):
         mps_holds(np.array([2.5]), cache)
 
 
-def test_mps_chunks_give_the_same_verdicts(cache, monkeypatch):
-    """Blocks of one row each give the verdicts of the default 128-row
-    blocks."""
-    ms = np.arange(1, 3001, dtype=np.int64)
-    whole = mps_holds(ms, cache)
-    monkeypatch.setattr(ramanujan, "_MPS_ROWS", 1)
-    assert mps_holds(ms, cache) == whole
+def test_mps_stretches_equal_the_window_count(cache, monkeypatch):
+    """R_{m-1}^(m) read off pi(m p_t) - t equals the count of the
+    one-window scan from j = m - 1, p_{m-1+c} for the c entries of S
+    below m - 1: every 2 <= m <= 3000 and 200 seeded m up to 10^5, in
+    chunks of 7 and 4096 m that split them."""
+    rng = np.random.default_rng(28)
+    ms = np.concatenate([np.arange(2, 3001, dtype=np.int64),
+                         rng.integers(3001, 10 ** 5 + 1, 200)])
+    cutoffs = certify_tail(ms, ms - 1)
+    pi = cache.get(int(cutoffs.max()))
+    primes = pi.primes_array(pi.limit)
+    want = [primes[m - 2 + int((_suffix_min(m, 1, c, m - 1, pi)
+                                < m - 1).sum())]
+            for m, c in zip(ms.tolist(), cutoffs.tolist())]
+    for block in (7, 4096):
+        monkeypatch.setattr(ramanujan, "_BLOCK", block)
+        got = ramanujan._mps_r_values(ms, cutoffs, pi)
+        assert got.tolist() == want, block
+
+
+def test_mps_r_values_refuse_a_broken_certificate(cache):
+    """A cutoff at some m's R_{m-1}^(m) leaves f*(cutoff - 1) < m - 1
+    unproven: _mps_r_values raises naming the first such m."""
+    ms = np.arange(2, 200, dtype=np.int64)
+    cutoffs = certify_tail(ms, ms - 1)
+    pi = cache.get(int(cutoffs.max()))
+    r = ramanujan._mps_r_values(ms, cutoffs, pi)
+    for bad in ([0], [57], [57, 150], [len(ms) - 1]):
+        cut = cutoffs.copy()
+        cut[bad] = r[bad]
+        with pytest.raises(AssertionError,
+                           match=f"k={ms[bad[0]]} hit its own cutoff "
+                                 f"{r[bad[0]]}; certificate broken"):
+            ramanujan._mps_r_values(ms, cut, pi)
 
 
 def test_mps_budget_error():
@@ -537,10 +564,10 @@ def test_windowed_scan_matches_full_scan(cache):
         pi = cache.get(cutoff)
         primes = _primes_below(pi, cutoff)
         full = _suffix_min(num, den, cutoff, 0, pi)
-        assert full.shape == (1, len(primes) + 1)
+        assert full.shape == (len(primes) + 1,)
         for first in (1, 2, n_max // 3, n_max - 1, n_max):
             window = _suffix_min(num, den, cutoff, first, pi)
-            assert np.array_equal(window, full[:, first:]), (ks, first)
+            assert np.array_equal(window, full[first:]), (ks, first)
 
 
 STEP_GRID = (("101/100", 1000), ("11/10", 2000), ("3/2", 3000),
@@ -553,7 +580,7 @@ def test_suffix_min_steps_by_zero_or_one(cache, ks, n_max):
     k = Fraction(ks)
     cutoff = certify_tail(k, n_max)
     sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0,
-                         cache.get(cutoff))[0]
+                         cache.get(cutoff))
     assert sufmin[0] == 0
     assert set(np.diff(sufmin).tolist()) == {0, 1}
     assert sufmin[-1] >= n_max
@@ -566,7 +593,7 @@ def test_step_emit_equals_searchsorted_emit(cache, ks, n_max):
     cutoff = certify_tail(k, n_max)
     pi = cache.get(cutoff)
     primes = _primes_below(pi, cutoff)
-    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, pi)[0]
+    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, pi)
     for n in (1, n_max // 2 + 1, n_max):
         j = np.searchsorted(sufmin, np.arange(1, n + 1), side="left")
         got = ramanujan._scan(k, n, cutoff, pi)
@@ -587,7 +614,7 @@ def test_pooled_emission_equals_whole_row_emission(cache, monkeypatch,
         cutoff = certify_tail(k, n_max)
         pi = cache.get(cutoff)
         primes = _primes_below(pi, cutoff)
-        sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, pi)[0]
+        sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, pi)
         lasts = np.searchsorted(sufmin, np.arange(1, n_max + 1))
         ns = {n_max}
         for r in {0, 1, block - 1}:
@@ -618,31 +645,25 @@ def test_scan_at_the_int64_edge_equals_python_ints(cache):
 
 
 def test_suffix_min_rows_equal_rows_alone(cache):
-    """A many-row call gives each row's one-row result, then padding, and
-    both equal min f* on [p_j, cutoff) taken over every integer.
+    """Each (k, cutoff, first) window, one per call, equals min f* on
+    [p_j, cutoff) taken over every integer.
 
-    Rows mix integer and Fraction k, with 1 to 712 candidates; the last
-    prime below the largest cutoff is also the last of primes.
+    Windows mix integer and Fraction k, with 1 to 712 candidates; the
+    last prime below the largest cutoff is also the last of primes.
     """
     rows = [(Fraction(2), 5394, 0), (Fraction(2), 5394, 710),
             (Fraction(3), 20000, 1700), (Fraction(11, 10), 40000, 3700),
             (Fraction(7, 3), 6000, 400), (Fraction(100), 7919, 999)]
-    pi = build_table(40000)               # padding is pi.prime_count + 1
+    pi = build_table(40000)
     primes = pi.primes_array(pi.limit)
     pic = pi.pi_cumulative(40000)
-    num, den, cutoff, first = (np.array(col, dtype=np.int64) for col in zip(
-        *((k.numerator, k.denominator, c, f) for k, c, f in rows)))
-    table = _suffix_min(num, den, cutoff, first, pi)
-    assert table.shape == (len(rows), 712)
-    for (k, c, f), row in zip(rows, table):
-        m = np.arange(c)
-        fstar = pic[m] - pic[((m + 1) * k.denominator - 1) // k.numerator]
-        tail_min = np.minimum.accumulate(fstar[::-1])[::-1]
-        want = tail_min[np.append(0, primes)[f:pic[c - 1] + 1]]  # m = p_j
-        alone = _suffix_min(k.numerator, k.denominator, c, f, pi)
-        assert np.array_equal(alone, want[None, :]), (k, c, f)
-        assert np.array_equal(row[:len(want)], want), (k, c, f)
-        assert (row[len(want):] == len(primes) + 1).all(), (k, c, f)
+    widths = []
+    for k, c, f in rows:
+        got = _suffix_min(k.numerator, k.denominator, c, f, pi)
+        assert np.array_equal(got, window_by_integers(k, c, f, pic, primes)), \
+            (k, c, f)
+        widths.append(len(got))
+    assert (min(widths), max(widths)) == (1, 712)
 
 
 def window_by_integers(k, cutoff, first, pic, primes):
@@ -657,8 +678,8 @@ def window_by_integers(k, cutoff, first, pic, primes):
 def test_blocks_are_exact_across_edges(cache, monkeypatch, block):
     """Blocks of 1, 7 and 64 candidates give S exactly: whole scans,
     windows from pi(x), windows whose last candidate J opens or closes a
-    block, one-candidate windows, a 128-row mps block of rows 583 to 710
-    candidates wide, and a window padded after its J in one block."""
+    block, one-candidate windows, and the 128 windows of R_{m-1}^(m) for
+    m = 2..129, 584 to 711 candidates wide."""
     _check_blocks_across_edges(monkeypatch, block)
 
 
@@ -681,7 +702,7 @@ def test_rank_blocks_are_exact_across_edges(monkeypatch, block):
 
 
 def _check_blocks_across_edges(monkeypatch, block):
-    pi = build_table(40000)               # padding is pi.prime_count + 1
+    pi = build_table(40000)
     primes = pi.primes_array(pi.limit)
     pic = pi.pi_cumulative(40000)
     monkeypatch.setattr(ramanujan, "_BLOCK", block)
@@ -691,26 +712,25 @@ def _check_blocks_across_edges(monkeypatch, block):
                       last - 3 * block + 1, last):
             got = _suffix_min(k.numerator, k.denominator, cutoff, first, pi)
             want = window_by_integers(k, cutoff, first, pic, primes)
-            assert np.array_equal(got, want[None, :]), (k, first)
+            assert np.array_equal(got, want), (k, first)
 
     def rows_alone(rows):
-        num, den, cutoff, first = (np.array(col, dtype=np.int64) for col in
-                                   zip(*((k.numerator, k.denominator, c, f)
-                                         for k, c, f in rows)))
-        table = _suffix_min(num, den, cutoff, first, pi)
-        for (k, c, f), row in zip(rows, table):
+        widths = []
+        for k, c, f in rows:
+            got = _suffix_min(k.numerator, k.denominator, c, f, pi)
             want = window_by_integers(k, c, f, pic, primes)
-            assert np.array_equal(row[:len(want)], want), (k, c, f)
-            assert (row[len(want):] == len(primes) + 1).all(), (k, c, f)
-        return table
+            assert np.array_equal(got, want), (k, c, f)
+            widths.append(len(got))
+        return widths
 
     ms = np.arange(2, 130, dtype=np.int64)
     cutoffs = certify_tail(ms, ms - 1)
-    assert rows_alone([(Fraction(m), c, m - 1) for m, c in
-                       zip(ms.tolist(), cutoffs.tolist())]).shape == (128, 711)
-    # a window past the last of primes whose J = 4203 is followed by
-    # padding in its block: c_J + 1 = 40000 gives the block's largest q,
-    # and the prime 19997 lies between q(39989 - 1) and q(40000 - 1)
+    widths = rows_alone([(Fraction(m), c, m - 1) for m, c in
+                         zip(ms.tolist(), cutoffs.tolist())])
+    assert (min(widths), max(widths)) == (584, 711)
+    # a window past the last of primes, J = 4203: c_J + 1 = 40000 gives
+    # its last block's largest q, and the prime 19997 lies between
+    # q(39989 - 1) and q(40000 - 1)
     rows_alone([(Fraction(2), 40000, len(primes) - 700),
                 (Fraction(3), 20000, 0)])
 
