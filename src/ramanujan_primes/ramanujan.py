@@ -11,42 +11,34 @@ x -> (m+1)^-.  Hence R_n^(k) = 1 + max{m : f*(m) < n}.  With k = num/den
 the strict count below (m+1)/k is pi(q(m)) for q(m) = ((m+1)*den - 1) // num,
 exact in integer arithmetic.
 
-The scan visits primes, not integers.  Between consecutive primes pi(m)
-is constant while pi(q(m)) never decreases, so f* never increases on
-[p_j, p_{j+1}): its minimum there sits at the candidate
-c_j = p_{j+1} - 1, where f*(c_j) = j - pi(q(c_j)).  Below a cutoff X the
-candidates are c_j for every prime p_{j+1} < X plus c = X - 1, and
-their suffix minimum S (nondecreasing by construction) carries the
-whole scan:
+The scan visits stretches, not integers.  A prime p counts below
+(m+1)/k exactly when m >= floor(num p / den), so pi(q(m)) = t on the
+stretch s_t <= m < s_{t+1}, s_t = floor(num p_t / den) (p_0 = s_0 = 0),
+where f*(m) = pi(m) - t never decreases from g(t) = pi(s_t) - t.  Below
+a cutoff X lie about pi(X/k) stretch starts, and the suffix minimum G
+of g (nondecreasing; G[0] = 0 since f* >= 0) carries the whole scan:
 
-    min{f*(y) : m <= y < X} = S[pi(m)],
-    R_n^(k) = c_{j-1} + 1 = p_j  for the first j with S[j] >= n,
-    pi_k(x) = S[pi(x)].
+    G[t] = min{f*(y) : s_t <= y < X}.
 
-So each scan costs a few machine words per prime below X instead of
-per integer.  S also moves in unit steps.  S[0] = 0, since f* >= 0
-(q(m) <= m) and f*(c_0) = f*(1) = 0.  And
-f*(c_{j+1}) <= f*(c_j) + 1 because pi(q(c)) never decreases, so where
-S[j] < S[j+1] we have S[j] = f*(c_j) >= f*(c_{j+1}) - 1 >= S[j+1] - 1.
-Hence R_n = p_{j+1} for the n-th j with S[j] < S[j+1], and the prefix
-R_1..R_N is read off the steps of S before the first S[j] = N as one
-int64 array, with no search per n.
+Let T(n) = #{t >= 1 : G[t] < n}, the last stretch with an f* below n.
+There f*(y) < n means pi(y) < n + T(n), and every later stretch stays
+at n or above, so
 
-A scan need not start at j = 0 either: S[j] <= f*(c_j) <= j,
-so S[j] >= n forces j >= n, and the suffix minima over a window
-[first, J] are S itself there.  pi_k(x) needs f* only at j >= pi(x),
-where it is the window minimum.  R_{m-1}^(m) needs no window: at k = m
-f* never decreases on a stretch [m p_t, m p_{t+1}), so the points m p_t
-below the cutoff settle it (_mps_r_values).  A scan is complete only
-below a cutoff X for which the tail x >= X is PROVEN safe;
-bounds.certify_tail supplies that proof.
+    R_n^(k) = p_{n+T(n)},
+    pi_k(x) = min(f*(x), G[t_x + 1])   for t_x = pi(q(x)),
 
-The scan runs in blocks of 2^16 candidates, on a small thread pool from
-4 blocks on.  A block takes pi(q(c_j)) from a rank over the table words
-its q span (PrimeTable.pi_array), or, for few keys or keys denser than
-the integers they span, from a binary search in the primes.  R_n is
-written block by block at the steps of S, and the output digits in
-jobs of 2^16 values, on the same pool.
+since f* only rises on the rest of x's own stretch; where x lies on the
+last stretch there is no G[t_x + 1] and pi_k(x) = f*(x).  _scan counts
+T(n) for every n at once, with one bincount of G's entries below n and
+a cumsum.  R_{m-1}^(m) is the case k = m, n = m - 1, read for many m at
+once (_mps_r_values).  A scan is complete only below a cutoff X for
+which the tail x >= X is PROVEN safe; bounds.certify_tail supplies that
+proof, and an R_n at or past X means the scan hit its own cutoff.
+
+The scan runs in blocks of 2^16 stretches, on a small thread pool from
+4 blocks on; a block counts pi(s_t) with PrimeTable.pi_array or, for
+few keys, a binary search in the primes.  The output digits are
+written in jobs of 2^16 values, on the same pool.
 """
 
 from __future__ import annotations
@@ -287,105 +279,111 @@ def _as_cache(cache: TableCache | None) -> TableCache:
 # the scan
 # ---------------------------------------------------------------------------
 
-# candidate offsets per block of _suffix_min and _scan, values per job of
-# _format_ints
+# stretches per block of _stretch_min, values per job of _format_ints
 _BLOCK = 1 << 16
 _RANK_FROM = 1 << 12         # keys from which pi_array can beat searchsorted
 
 
-def _suffix_min(num: int, den: int, cutoff: int, first: int,
-                pi: PrimeTable) -> np.ndarray:
-    """S[first..J] for k = num/den: S[pi(m)] = min f* on [m, cutoff).
+def _stretch_min(num: int, den: int, cutoff: int, first: int,
+                 pi: PrimeTable) -> np.ndarray:
+    """G[first..T] for k = num/den: G[t] = min f* on [s_t, cutoff).
 
-    J = #{p < cutoff} is the last candidate, and pi covers the cutoff;
-    the scan reads pi's primes below it and no others.  The window's
-    suffix minima equal S on it because S looks only rightwards.
+    T is the last stretch with s_t < cutoff, and pi covers the cutoff;
+    the scan reads pi's primes below it and no others.  A window's
+    suffix minima equal G on it because G looks only rightwards, and
+    first = T + 1 gives an empty window.
 
-    The offsets run in blocks of _BLOCK (_fstar_block), on the block
+    The stretches run in blocks of _BLOCK (_stretch_block), on the block
     pool once there are 4 or more of them.  Each block writes its own
     suffix minima; one pass from the top then carries each block's first
     entry, by then the minimum of everything above, into the block below.
-    q(c) = ((c + 1) den - 1) // num is formed in int64, so a den with
+    num p_t < den * cutoff is formed in int64, so a den with
     den * cutoff >= 2^63 is refused with a ValueError.
     """
     if den * cutoff >= 1 << 63:
         raise ValueError(
-            f"k with denominator {den} and cutoff {cutoff}: (c + 1) * den "
+            f"k with denominator {den} and cutoff {cutoff}: num * p_t "
             "would pass 2^63 in the scan")
     primes = pi.primes_array(cutoff - 1)                    # p < cutoff
-    out = np.empty(len(primes) - first + 1, dtype=np.int64)
+    last = int(primes.searchsorted((den * cutoff - 1) // num, side="right"))
+    out = np.empty(last - first + 1, dtype=np.int64)        # T = last
     starts = range(0, len(out), _BLOCK)
-    _run_blocks(lambda lo: _fstar_block(lo, num, den, cutoff, first, primes,
-                                        pi, out), starts)
+    _run_blocks(lambda lo: _stretch_block(lo, num, den, first, primes, pi,
+                                          out), starts)
     for lo in reversed(starts[1:]):
         np.minimum(out[lo - _BLOCK:lo], out[lo], out=out[lo - _BLOCK:lo])
     return out
 
 
-def _fstar_block(lo, num, den, cutoff, first, primes, pi, out) -> None:
-    """out[lo:lo + _BLOCK] of _suffix_min: the suffix minima of f* over
+def _stretch_block(lo, num, den, first, primes, pi, out) -> None:
+    """out[lo:lo + _BLOCK] of _stretch_min: the suffix minima of g over
     the block alone.
 
-    pi(q(c_j)) comes from pi.pi_array, a rank over the table words that
-    the block's q span: a fixed set-up and a few passes per key.  A
-    binary search in primes costs about log2 of the primes between one
-    key's answer and the block's largest, per key.  So the rank runs
-    from _RANK_FROM keys on, where its set-up pays, and only where the
-    q spread over at least as many integers as there are keys; large k,
-    with many keys to a prime, keeps the search.  numpy's searchsorted
-    starts each of ascending keys at the last key's place but ends it at
-    the end of the array, so the search ends at pi of the largest q."""
+    pi(s_t) comes from pi.pi_array, a rank over the table words the
+    block's s_t span, from _RANK_FROM keys on, where its fixed set-up
+    pays.  Fewer keys take a binary search in primes, at about log2 of
+    the primes between a key's answer and the block's largest per key:
+    numpy starts each of ascending keys at the last key's place but ends
+    it at the end of the array, so the search ends at pi(largest s_t)."""
     hi = min(lo + _BLOCK, len(out))
-    q = primes[first + lo:first + hi] * den                 # c_j + 1, j < J
-    if hi == len(out):
-        q = np.append(q, cutoff * den)                      # c_J + 1
-    q -= 1
-    q //= num                                               # q(c_j)
-    if len(q) >= _RANK_FROM and q[-1] - q[0] >= len(q):
-        fstar = pi.pi_array(q)                              # pi(q(c_j))
+    t = max(first + lo, 1)                  # g(0) = 0 is set below
+    s = primes[t - 1:first + hi - 1] * num                  # num p_t
+    s //= den                                               # s_t
+    if len(s) >= _RANK_FROM:
+        g = pi.pi_array(s)                                  # pi(s_t)
     else:
-        top = primes.searchsorted(q[-1], side="right")
-        fstar = primes[:top].searchsorted(q, side="right")
-    np.subtract(np.arange(first + lo, first + hi), fstar, out=fstar)
-    np.minimum.accumulate(fstar[::-1], out=out[lo:hi][::-1])
+        top = primes.searchsorted(s.max(initial=0), side="right")
+        g = primes[:top].searchsorted(s, side="right")
+    g -= np.arange(t, first + hi)
+    np.minimum.accumulate(g[::-1], out=out[hi - len(g):hi][::-1])
+    out[lo:hi - len(g)] = 0                 # g(0) = 0, below every g(t)
 
 
 def _scan(k: Fraction, n_max: int, cutoff: int,
           pi: PrimeTable) -> np.ndarray:
-    """R_1..R_{n_max} as int64, assuming no m >= cutoff has f*(m) < n_max.
+    """R_1..R_{n_max} as int64, assuming no m >= cutoff has f*(m) < n_max."""
+    return pi.primes_array(cutoff - 1)[_r_index(k, n_max, cutoff, pi)]
 
-    The n-th step of S, S[j] = n - 1 < S[j + 1], gives R_n = p_{j+1}.
-    S steps by one, so the steps of a block of _BLOCK j's below the first
-    S[j] = n_max fill out from its first S on: each block writes its own
-    part, on the block pool like the scan's blocks.
-    """
-    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, pi)
-    last = int(np.searchsorted(sufmin, n_max))       # first S[j] = n_max
-    if last == len(sufmin):
+
+def _r_index(k: Fraction, n_max: int, cutoff: int,
+             pi: PrimeTable) -> np.ndarray:
+    """n - 1 + T(n), the place of R_n = p_{n+T(n)} among the primes from
+    0, for n = 1..n_max under _scan's assumption: T(n), the count of
+    G[t] < n for t >= 1, sums one bincount of G's entries below n_max."""
+    stretch_min = _stretch_min(k.numerator, k.denominator, cutoff, 0, pi)
+    index = np.bincount(stretch_min[1:stretch_min.searchsorted(n_max)],
+                        minlength=n_max)
+    del stretch_min
+    np.cumsum(index, out=index)                             # T(n)
+    index += np.arange(n_max)
+    if index[-1] >= pi.pi(cutoff - 1):
         raise AssertionError(
             f"scan for k={k} hit its own cutoff {cutoff}; certificate broken")
-    primes = pi.primes_array(cutoff - 1)
-    out = np.empty(n_max, dtype=np.int64)
-
-    def emit(lo: int) -> None:
-        s = sufmin[lo:min(lo + _BLOCK, last) + 1]
-        j = np.flatnonzero(s[1:] != s[:-1])
-        n = int(s[0])
-        np.take(primes[lo:], j, out=out[n:n + len(j)])
-
-    _run_blocks(emit, range(0, last, _BLOCK))
-    return out
+    return index
 
 
-def _pi_k_array(k: Fraction, x: int, cache: TableCache,
-                first: int = 0) -> tuple[PrimeTable, np.ndarray]:
-    """A table and S[first:] with pi_k(y) = S[pi(y)] for every y <= x."""
-    num, den = k.numerator, k.denominator
-    fstar_x = cache.pi(x) - cache.pi(((x + 1) * den - 1) // num)
-    cutoff = bounds.certify_tail(k, fstar_x + 1, hard_cap=cache.hard_cap)
+def _tail_table(k: Fraction, x: int,
+                cache: TableCache) -> tuple[int, int, int, PrimeTable]:
+    """pi(x), t_x = pi(q(x)), hi = max(cutoff, x + 1) for the cutoff
+    certified for f*(x) + 1, and a table over hi.  pi(x) comes first, so
+    an x past the cap is refused unsieved."""
+    pix = cache.pi(x)
+    t_x = cache.pi(((x + 1) * k.denominator - 1) // k.numerator)
+    cutoff = bounds.certify_tail(k, pix - t_x + 1, hard_cap=cache.hard_cap)
     hi = max(cutoff, x + 1)
-    pi = cache.get(hi)
-    return pi, _suffix_min(num, den, hi, first, pi)
+    return pix, t_x, hi, cache.get(hi)
+
+
+def _pi_k_array(k: Fraction, x: int,
+                cache: TableCache) -> tuple[PrimeTable, np.ndarray]:
+    """A table and S with pi_k(y) = S[pi(y)] for every y <= x.
+
+    S[j] = #{n : R_n <= p_j} for j <= pi(x), from the R_n up to
+    f*(x) + 1, since pi_k(x) <= f*(x)."""
+    pix, t_x, hi, pi = _tail_table(k, x, cache)
+    index = _r_index(k, pix - t_x + 1, hi, pi)
+    return pi, np.cumsum(np.bincount(index[:index.searchsorted(pix)] + 1,
+                                     minlength=pix + 1))
 
 
 def ramanujan_prefix(k, n_max: int,
@@ -410,8 +408,9 @@ def pi_k(k, x: int, cache: TableCache | None = None) -> int:
     if x < 2:
         return 0
     cache = _as_cache(cache)
-    pi, sufmin = _pi_k_array(k, x, cache, first=cache.pi(x))
-    return int(sufmin[0])
+    pix, t_x, hi, pi = _tail_table(k, x, cache)
+    window = _stretch_min(k.numerator, k.denominator, hi, t_x + 1, pi)
+    return min([pix - t_x, *window[:1].tolist()])      # no window: f*(x)
 
 
 def rho_k(k, x: int, cache: TableCache | None = None) -> Fraction:
@@ -547,13 +546,10 @@ def _mps_r_values(ms: np.ndarray, cutoffs: np.ndarray,
                   pi: PrimeTable) -> np.ndarray:
     """R_{m-1}^(m) for each m >= 2, given cutoffs certified for n = m - 1.
 
-    For k = m, q(x) = x // m, so on each stretch [m p_t, m p_{t+1})
-    (p_0 = 0) pi(q) = t and f*(x) = pi(x) - t never decreases from
-    f*(m p_t).  Let T be the last t with m p_t below the cutoff and
-    f*(m p_t) < m - 1 (t = 0 is one: f*(0) = 0).  The last x below the
-    cutoff with f*(x) < m - 1 lies on stretch T, where that means
-    pi(x) < m - 1 + T, so R_{m-1}^(m) = p_{m-1+T}; a p_{m-1+T} at or
-    past the cutoff means the scan hit it.  The pairs (m, t), about
+    The module's stretch identity at k = m, n = m - 1: s_t = m p_t, and
+    R_{m-1}^(m) = p_{m-1+T} for the last t = T with s_t below the cutoff
+    and g(t) = pi(m p_t) - t < m - 1, which is T(m - 1).  A p_{m-1+T} at
+    or past the cutoff means the scan hit it.  The pairs (m, t), about
     pi(cutoff / m) per m, are counted by one pi_array per _BLOCK m.
     """
     primes = pi.primes_array(int(cutoffs.max()) - 1)

@@ -33,7 +33,7 @@ from ramanujan_primes import (MpsVerdict, NEstimate, RamanujanTable,
 from ramanujan_primes.bounds import certify_tail
 from ramanujan_primes.primes import PrimeTable, build_table
 from ramanujan_primes.ramanujan import (PROOF_ANALYTIC, _format_ints,
-                                       _suffix_min)
+                                       _stretch_min)
 
 
 def naive_table(k: Fraction, n_max: int, primes, bound: int) -> list[int]:
@@ -385,6 +385,25 @@ def test_pi_k_counts_reference_values(cache, oracle_primes, num, den, i, off):
     assert pi_k(k, x, cache) == sum(v <= x for v in want)
 
 
+@pytest.mark.parametrize("ks, x", [("1000", 10 ** 4), ("100", 14000),
+                                   ("1000", 14000)])
+def test_pi_k_on_an_empty_stretch_window(cache, oracle_primes, monkeypatch,
+                                         ks, x):
+    """An x on the last stretch below its cutoff has no G[t_x + 1], so
+    pi_k(x) = f*(x), which is still #{n : R_n <= x}."""
+    windows, stretch_min = [], ramanujan._stretch_min
+    monkeypatch.setattr(ramanujan, "_stretch_min",
+                        lambda *args: windows.append(stretch_min(*args))
+                        or windows[-1])
+    k = Fraction(ks)
+    bound = 10 ** 5
+    primes = oracle_primes[:bisect_right(oracle_primes, bound)]
+    want = naive_table(k, bisect_right(primes, x) + 1, primes, bound)
+    assert want[-1] > x
+    assert pi_k(k, x, cache) == sum(v <= x for v in want)
+    assert [len(w) for w in windows] == [0]
+
+
 def test_rho_k_exact_values(cache):
     assert rho_k(2, 2, cache) == Fraction(-1, 2)
     assert rho_k(2, 41, cache) == Fraction(3, 26)
@@ -482,18 +501,16 @@ def test_mps_array_edge_cases(cache):
 
 
 def test_mps_stretches_equal_the_window_count(cache, monkeypatch):
-    """R_{m-1}^(m) read off pi(m p_t) - t equals the count of the
-    one-window scan from j = m - 1, p_{m-1+c} for the c entries of S
-    below m - 1: every 2 <= m <= 3000 and 200 seeded m up to 10^5, in
-    chunks of 7 and 4096 m that split them."""
+    """R_{m-1}^(m) read off pi(m p_t) - t for many m at once equals the
+    last value of the one-k scan at k = m, n = m - 1: every
+    2 <= m <= 3000 and 200 seeded m up to 10^5, in chunks of 7 and 4096
+    m that split them."""
     rng = np.random.default_rng(28)
     ms = np.concatenate([np.arange(2, 3001, dtype=np.int64),
                          rng.integers(3001, 10 ** 5 + 1, 200)])
     cutoffs = certify_tail(ms, ms - 1)
     pi = cache.get(int(cutoffs.max()))
-    primes = pi.primes_array(pi.limit)
-    want = [primes[m - 2 + int((_suffix_min(m, 1, c, m - 1, pi)
-                                < m - 1).sum())]
+    want = [int(ramanujan._scan(Fraction(m), m - 1, c, pi)[-1])
             for m, c in zip(ms.tolist(), cutoffs.tolist())]
     for block in (7, 4096):
         monkeypatch.setattr(ramanujan, "_BLOCK", block)
@@ -554,19 +571,27 @@ def _primes_below(pi, x):
     return pi.primes_array(x - 1)
 
 
+def _stretches_below(k, cutoff, primes):
+    """T = #{p : floor(k p) < cutoff}, the last stretch below the cutoff,
+    counted prime by prime in Python ints."""
+    return sum(p * k.numerator // k.denominator < cutoff
+               for p in primes.tolist())
+
+
 def test_windowed_scan_matches_full_scan(cache):
-    """The window's suffix minima equal the full S from first on."""
+    """A window's suffix minima equal the full G from first on, down to
+    the one-stretch window at T and the empty window past it."""
     for ks, n_max in (("11/10", 2000), ("3/2", 3000), ("2", 5000),
                       ("7", 500)):
         k = Fraction(ks)
         num, den = k.numerator, k.denominator
         cutoff = certify_tail(k, n_max)
         pi = cache.get(cutoff)
-        primes = _primes_below(pi, cutoff)
-        full = _suffix_min(num, den, cutoff, 0, pi)
-        assert full.shape == (len(primes) + 1,)
-        for first in (1, 2, n_max // 3, n_max - 1, n_max):
-            window = _suffix_min(num, den, cutoff, first, pi)
+        last = _stretches_below(k, cutoff, _primes_below(pi, cutoff))
+        full = _stretch_min(num, den, cutoff, 0, pi)
+        assert full.shape == (last + 1,)
+        for first in (1, 2, last // 3, last - 1, last, last + 1):
+            window = _stretch_min(num, den, cutoff, first, pi)
             assert np.array_equal(window, full[first:]), (ks, first)
 
 
@@ -576,54 +601,77 @@ STEP_GRID = (("101/100", 1000), ("11/10", 2000), ("3/2", 3000),
 
 @pytest.mark.parametrize("ks, n_max", STEP_GRID)
 def test_suffix_min_steps_by_zero_or_one(cache, ks, n_max):
-    """S[0] = 0 and S steps by 0 or 1 over the whole certified scan."""
+    """The suffix minimum of f* at the primes, S[j] = pi_k(p_j) from
+    _pi_k_array, steps by 0 or 1 from S[0] = 0 to S[pi(R_n)] = n.  The
+    suffix minimum over stretches, G, starts at 0 and never falls, but
+    may step by more."""
     k = Fraction(ks)
     cutoff = certify_tail(k, n_max)
-    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0,
-                         cache.get(cutoff))
-    assert sufmin[0] == 0
+    pi = cache.get(cutoff)
+    g = _stretch_min(k.numerator, k.denominator, cutoff, 0, pi)
+    assert g[0] == 0 and np.diff(g).min(initial=0) >= 0
+    r_n = ramanujan._scan(k, n_max, cutoff, pi)[-1]
+    pi, sufmin = ramanujan._pi_k_array(k, int(r_n), cache)
+    assert len(sufmin) == pi.pi(int(r_n)) + 1
+    assert sufmin[0] == 0 and sufmin[-1] == n_max
     assert set(np.diff(sufmin).tolist()) == {0, 1}
-    assert sufmin[-1] >= n_max
 
 
 @pytest.mark.parametrize("ks, n_max", STEP_GRID)
 def test_step_emit_equals_searchsorted_emit(cache, ks, n_max):
-    """R_n at the n-th step of S is p_j for the first j with S[j] >= n."""
+    """R_n counted off G's steps by one bincount is p_{n+T(n)} for T(n)
+    found by a search in G for each n: the last t with G[t] < n."""
     k = Fraction(ks)
     cutoff = certify_tail(k, n_max)
     pi = cache.get(cutoff)
     primes = _primes_below(pi, cutoff)
-    sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, pi)
+    g = _stretch_min(k.numerator, k.denominator, cutoff, 0, pi)
     for n in (1, n_max // 2 + 1, n_max):
-        j = np.searchsorted(sufmin, np.arange(1, n + 1), side="left")
+        ns = np.arange(1, n + 1)
+        t = np.searchsorted(g, ns, side="left") - 1
         got = ramanujan._scan(k, n, cutoff, pi)
         assert got.dtype == np.int64
-        assert np.array_equal(got, primes[j - 1]), (ks, n)
+        assert np.array_equal(got, primes[ns + t - 1]), (ks, n)
 
 
 @pytest.mark.parametrize("block", [7, 64])
 def test_pooled_emission_equals_whole_row_emission(cache, monkeypatch,
                                                     block):
-    """R_n written block by block on the pool equals R_n read off the
-    whole row's steps: steps on either side of a block edge, and the
-    first S[j] = n_max on the first and on the last row of a block."""
-    monkeypatch.setattr(ramanujan, "_BLOCK", block)
-    monkeypatch.setattr(primes_module, "_WORKERS", 2)
+    """R_n from G built block by block on the pool equals R_n from G
+    built as one block: n whose last stretch T(n) opens a block, is its
+    second or closes it, and n_max."""
     for ks, n_max in (("11/10", 300), ("2", 1000), ("10001", 400)):
         k = Fraction(ks)
         cutoff = certify_tail(k, n_max)
         pi = cache.get(cutoff)
-        primes = _primes_below(pi, cutoff)
-        sufmin = _suffix_min(k.numerator, k.denominator, cutoff, 0, pi)
-        lasts = np.searchsorted(sufmin, np.arange(1, n_max + 1))
+        whole = ramanujan._scan(k, n_max, cutoff, pi)
+        g = _stretch_min(k.numerator, k.denominator, cutoff, 0, pi)
+        lasts = np.searchsorted(g, np.arange(1, n_max + 1)) - 1  # T(n)
         ns = {n_max}
         for r in {0, 1, block - 1}:
             ns.update(np.flatnonzero(lasts % block == r)[:2] + 1)
-        for n in sorted(ns):
-            head = sufmin[:lasts[n - 1] + 1]
-            want = primes[np.flatnonzero(head[1:] != head[:-1])]
-            assert np.array_equal(ramanujan._scan(k, n, cutoff, pi), want), \
-                (ks, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(ramanujan, "_BLOCK", block)
+            patch.setattr(primes_module, "_WORKERS", 2)
+            for n in sorted(ns):
+                assert np.array_equal(ramanujan._scan(k, n, cutoff, pi),
+                                      whole[:n]), (ks, n)
+
+
+@pytest.mark.parametrize("ks, n_max", [("2", 1), ("2", 1000),
+                                       ("11/10", 300), ("10001", 400)])
+def test_scan_refuses_a_cutoff_at_its_last_value(cache, ks, n_max):
+    """A cutoff at R_n leaves f*(R_n - 1) < n unproven: the scan raises.
+    One past it, the scan ends exactly at R_n."""
+    k = Fraction(ks)
+    want = ramanujan_prefix(k, n_max, cache).array
+    r_n = int(want[-1])
+    pi = cache.get(r_n + 1)
+    with pytest.raises(AssertionError,
+                       match=f"k={k} hit its own cutoff {r_n}; "
+                             "certificate broken"):
+        ramanujan._scan(k, n_max, r_n, pi)
+    assert np.array_equal(ramanujan._scan(k, n_max, r_n + 1, pi), want)
 
 
 def test_scan_at_the_int64_edge_equals_python_ints(cache):
@@ -641,53 +689,65 @@ def test_scan_at_the_int64_edge_equals_python_ints(cache):
     want = [bisect_left(tail, n) for n in range(1, n_max + 1)]  # R_n
     assert ramanujan_prefix(k, n_max, cache).values == want
     with pytest.raises(ValueError, match="would pass 2\\^63"):
-        _suffix_min(num, den + 1, cutoff, 0, cache.get(cutoff))
+        _stretch_min(num, den + 1, cutoff, 0, cache.get(cutoff))
 
 
 def test_suffix_min_rows_equal_rows_alone(cache):
-    """Each (k, cutoff, first) window, one per call, equals min f* on
-    [p_j, cutoff) taken over every integer.
+    """Each (k, cutoff, first) window of G, one per call, equals min f*
+    on [s_t, cutoff) taken over every integer.
 
-    Windows mix integer and Fraction k, with 1 to 712 candidates; the
-    last prime below the largest cutoff is also the last of primes.
+    Windows mix integer and Fraction k, with 0 to 393 stretches; two
+    pairs of cutoffs put a stretch start at cutoff - 1 and at cutoff.
     """
-    rows = [(Fraction(2), 5394, 0), (Fraction(2), 5394, 710),
-            (Fraction(3), 20000, 1700), (Fraction(11, 10), 40000, 3700),
-            (Fraction(7, 3), 6000, 400), (Fraction(100), 7919, 999)]
+    rows = [(Fraction(2), 5394, 0), (Fraction(2), 5394, 392),
+            (Fraction(2), 5394, 393), (Fraction(3), 20000, 500),
+            (Fraction(11, 10), 40000, 3700), (Fraction(7, 3), 6000, 300),
+            (Fraction(100), 7919, 0),
+            (Fraction(2), 5399, 380), (Fraction(2), 5398, 380),
+            (Fraction(11, 10), 39989, 3700), (Fraction(11, 10), 39988, 3700)]
     pi = build_table(40000)
     primes = pi.primes_array(pi.limit)
     pic = pi.pi_cumulative(40000)
     widths = []
     for k, c, f in rows:
-        got = _suffix_min(k.numerator, k.denominator, c, f, pi)
+        got = _stretch_min(k.numerator, k.denominator, c, f, pi)
         assert np.array_equal(got, window_by_integers(k, c, f, pic, primes)), \
             (k, c, f)
         widths.append(len(got))
-    assert (min(widths), max(widths)) == (1, 712)
+    assert (min(widths), max(widths)) == (0, 393)
+    assert widths[7] == widths[8] + 1 and widths[9] == widths[10] + 1
 
 
 def window_by_integers(k, cutoff, first, pic, primes):
-    """S[first..J] as min f* on [p_j, cutoff) over every integer (p_0 = 0)."""
+    """G[first..T] as min f* on [s_t, cutoff) over every integer, with
+    s_t = floor(k p_t) (s_0 = 0) checked to be where the count of primes
+    below (m + 1)/k reaches t."""
+    num, den = k.numerator, k.denominator
     m = np.arange(cutoff)
-    fstar = pic[m] - pic[((m + 1) * k.denominator - 1) // k.numerator]
+    below = pic[((m + 1) * den - 1) // num]           # primes < (m + 1)/k
+    fstar = pic[m] - below
     tail_min = np.minimum.accumulate(fstar[::-1])[::-1]
-    return tail_min[np.append(0, primes)[first:pic[cutoff - 1] + 1]]
+    s = np.append(0, primes * num // den)
+    s = s[:np.searchsorted(s, cutoff)]
+    t = np.arange(len(s))
+    assert np.array_equal(below[s], t) and np.array_equal(below[s[1:] - 1],
+                                                          t[:-1])
+    return tail_min[s[first:]]
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_blocks_are_exact_across_edges(cache, monkeypatch, block):
-    """Blocks of 1, 7 and 64 candidates give S exactly: whole scans,
-    windows from pi(x), windows whose last candidate J opens or closes a
-    block, one-candidate windows, and the 128 windows of R_{m-1}^(m) for
-    m = 2..129, 584 to 711 candidates wide."""
+    """Blocks of 1, 7 and 64 stretches give G exactly: whole scans,
+    windows from t_x + 1, windows whose last stretch T opens or closes a
+    block, one-stretch and empty windows, and the 128 scans of
+    R_{m-1}^(m) for m = 2..129, 14 to 393 stretches long."""
     _check_blocks_across_edges(monkeypatch, block)
 
 
 @pytest.mark.parametrize("block", [7, 64, 1024])
 def test_rank_blocks_are_exact_across_edges(monkeypatch, block):
-    """The same scans with pi(q(c_j)) from PrimeTable.pi_array in every
-    block whose q spread over as many integers as it has keys, which at
-    k = 2 and 11/10 is every block of a row."""
+    """The same scans with pi(s_t) from PrimeTable.pi_array in every
+    block."""
     calls = []
     pi_array = PrimeTable.pi_array
 
@@ -707,49 +767,43 @@ def _check_blocks_across_edges(monkeypatch, block):
     pic = pi.pi_cumulative(40000)
     monkeypatch.setattr(ramanujan, "_BLOCK", block)
     for k, cutoff in ((Fraction(2), 30011), (Fraction(11, 10), 40000)):
-        last = int(pic[cutoff - 1])                         # J
-        for first in (0, int(pic[10007]), last - 3 * block,
-                      last - 3 * block + 1, last):
-            got = _suffix_min(k.numerator, k.denominator, cutoff, first, pi)
-            want = window_by_integers(k, cutoff, first, pic, primes)
-            assert np.array_equal(got, want), (k, first)
-
-    def rows_alone(rows):
-        widths = []
-        for k, c, f in rows:
-            got = _suffix_min(k.numerator, k.denominator, c, f, pi)
-            want = window_by_integers(k, c, f, pic, primes)
-            assert np.array_equal(got, want), (k, c, f)
-            widths.append(len(got))
-        return widths
+        full = window_by_integers(k, cutoff, 0, pic, primes)
+        last = len(full) - 1                                # T
+        t_x = int(pic[(10008 * k.denominator - 1) // k.numerator])
+        for first in (0, t_x + 1, last - 3 * block, last - 3 * block + 1,
+                      last, last + 1):
+            if first >= 0:
+                got = _stretch_min(k.numerator, k.denominator, cutoff,
+                                   first, pi)
+                assert np.array_equal(got, full[first:]), (k, first)
 
     ms = np.arange(2, 130, dtype=np.int64)
     cutoffs = certify_tail(ms, ms - 1)
-    widths = rows_alone([(Fraction(m), c, m - 1) for m, c in
-                         zip(ms.tolist(), cutoffs.tolist())])
-    assert (min(widths), max(widths)) == (584, 711)
-    # a window past the last of primes, J = 4203: c_J + 1 = 40000 gives
-    # its last block's largest q, and the prime 19997 lies between
-    # q(39989 - 1) and q(40000 - 1)
-    rows_alone([(Fraction(2), 40000, len(primes) - 700),
-                (Fraction(3), 20000, 0)])
+    widths = []
+    for m, c in zip(ms.tolist(), cutoffs.tolist()):
+        got = _stretch_min(m, 1, c, 0, pi)
+        want = window_by_integers(Fraction(m), c, 0, pic, primes)
+        assert np.array_equal(got, want), (m, c)
+        widths.append(len(got))
+    assert (min(widths), max(widths)) == (14, 393)
 
 
 def _pooled(monkeypatch, block):
-    """Blocks of 64 candidates on the block pool, even with one CPU; block
-    runs in place of _fstar_block."""
+    """Blocks of 64 stretches on the block pool, even with one CPU; block
+    runs in place of _stretch_block."""
     monkeypatch.setattr(ramanujan, "_BLOCK", 64)
     monkeypatch.setattr(primes_module, "_WORKERS", 2)
-    monkeypatch.setattr(ramanujan, "_fstar_block", block)
+    monkeypatch.setattr(ramanujan, "_stretch_block", block)
 
 
 def test_pooled_blocks_agree_from_two_threads(cache, monkeypatch):
     """Two threads calling ramanujan_prefix at once, as verify --threads 2
     does, share the block pool and get the one-block scan's values, with
-    the interpreter switching threads as often as it can."""
-    ks = ["11/10", "3/2", "2", "7", "100"]
+    the interpreter switching threads as often as it can.  Each k has 4
+    or more blocks, so every block runs on the pool."""
+    ks = ["11/10", "3/2", "2", "5", "7"]
     serial = [ramanujan_prefix(k, 3000, cache).values for k in ks]
-    names, block = set(), ramanujan._fstar_block
+    names, block = set(), ramanujan._stretch_block
 
     def spy(*args):
         names.add(threading.current_thread().name)
@@ -770,9 +824,9 @@ def test_pooled_blocks_agree_from_two_threads(cache, monkeypatch):
 
 
 def test_pooled_block_errors_reach_the_caller(cache, monkeypatch):
-    """A MemoryError in one pooled block reaches _suffix_min's caller once
-    every other block has finished."""
-    done, block = [], ramanujan._fstar_block
+    """A MemoryError in one pooled block reaches _stretch_min's caller
+    once every other block has finished."""
+    done, block = [], ramanujan._stretch_block
 
     def failing(lo, *args):
         if lo == 5 * 64:
@@ -782,10 +836,10 @@ def test_pooled_block_errors_reach_the_caller(cache, monkeypatch):
 
     _pooled(monkeypatch, failing)
     pi = cache.get(40000)
-    primes = _primes_below(pi, 40000)
+    last = _stretches_below(Fraction(2), 40000, _primes_below(pi, 40000))
     with pytest.raises(MemoryError):
-        _suffix_min(2, 1, 40000, 0, pi)
-    assert len(done) == -(-(len(primes) + 1) // 64) - 1
+        _stretch_min(2, 1, 40000, 0, pi)
+    assert len(done) == -(-(last + 1) // 64) - 1
 
 
 def test_mps_against_direct_counts(cache, oracle_primes):
