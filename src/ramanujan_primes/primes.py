@@ -2,11 +2,13 @@
 
 A PrimeTable stores one bit per odd integer in [0, limit] (1/16 byte per
 integer; 2 is implicit) plus a cumulative prime count at every 2^16
-boundary.  The table is padded to whole 64-bit words, and pi and pi_array
-count the same words: pi(x) is a checkpoint lookup plus an
-np.bitwise_count over at most 512 whole words and one masked word, and
-pi_array answers pi for a whole int64 array with a rank over just the
-words its values span, read in place and built per call.  The primes
+boundary.  The table is padded to whole 64-bit words, and pi and the
+word rank pi_below_words count the same words: pi(x) is a checkpoint
+lookup plus an np.bitwise_count over at most 512 whole words and one
+masked word, and the rank is the checkpoint of its first word's block
+plus a cumulative popcount from that block's start.  pi_array answers pi
+for a whole integer array from the rank over just the words its values
+span, built per call; no other module reads the bits.  The primes
 themselves are unpacked from the bits on demand, by one kernel on the
 block pool.  The table caches a prefix of them, every prime below some
 checkpoint boundary, grown in whole blocks to the largest prime or
@@ -137,7 +139,7 @@ class PrimeTable:
         # packed little-endian: bit i (bit i & 7 of byte i >> 3) is 2i + 1
         self._bits = bits
         # the same buffer as 64-bit words (bit i & 63 of word i >> 6), which
-        # pi and pi_array count
+        # pi and pi_below_words count
         self._words = bits.view("<u8")
         # checkpoints[j] = #{p odd prime : p < j * 2^16}
         self._checkpoints = checkpoints
@@ -174,27 +176,43 @@ class PrimeTable:
         mask = (1 << (slots & 63)) - 1
         return count + (int(self._words[word]) & mask).bit_count()
 
+    def pi_below_words(self, w_lo: int, w_hi: int) -> np.ndarray:
+        """The primes below 128w, 2 counted below word 0, for every table
+        word w in [w_lo, w_hi], as an int64 array: the checkpoint of
+        w_lo's block plus the cumulative popcount of the words from that
+        block's start.  w_hi may be the word count, the table's end."""
+        if w_lo < 0 or w_hi < w_lo or w_hi > len(self._words):
+            raise RangeQueryError(
+                f"words [{w_lo}, {w_hi}] outside [0, {len(self._words)}]")
+        first = w_lo - w_lo % _BLOCK_WORDS
+        below = np.empty(w_hi + 1 - first, dtype=np.int64)
+        below[0] = 1 + self._checkpoints[first // _BLOCK_WORDS]
+        np.cumsum(np.bitwise_count(self._words[first:w_hi]), out=below[1:])
+        below[1:] += below[0]
+        return below[w_lo - first:]
+
     def pi_array(self, x: np.ndarray) -> np.ndarray:
-        """pi at every entry of an int64 array x, each in [0, limit].
+        """pi at every entry of an integer array x in [0, limit], as int64.
 
         A rank over the table words that x spans, local to the call: the
-        cumulative popcount of those 64-bit words, read in place, on top
-        of pi below the first of them, less the popcount of each value's
-        own word from its bit on.  So the cost is a few passes over x and
-        over (max x - min x) / 128 words, with no index kept in the table.
+        primes through each of those words, from pi_below_words, less the
+        popcount of each value's own word from its bit on.  So the cost
+        is a few passes over x and over (max x - min x) / 128 words, plus
+        at most one checkpoint block, with no index kept in the table.
         """
+        if x.dtype.kind not in "iu":
+            raise TypeError(f"pi_array needs an integer array, got {x.dtype}")
         lo, hi = (int(x.min()), int(x.max())) if x.size else (0, 0)
         if lo < 0 or hi > self.limit:
             raise RangeQueryError(
                 f"x in [{lo}, {hi}] outside sieved range [0, {self.limit}]")
+        x = x.astype(np.int64, copy=False)
         # v has (v + 1) >> 1 odd numbers up to it, the slots below
         # s = (v + 1) >> 1: the words up to s >> 6 but for the bits of word
         # s >> 6 from s & 63 on
         w_lo, w_hi = (lo + 1) >> 7, (hi + 1) >> 7
         words = self._words[w_lo:w_hi + 1]
-        counts = np.cumsum(np.bitwise_count(words), dtype=np.int64)
-        # the primes below word w_lo: 2 and the odd ones below 128 * w_lo
-        counts += self.pi(128 * w_lo - 1) if w_lo else 1
+        counts = self.pi_below_words(w_lo, w_hi + 1)[1:]   # through word w
         s = x + (1 - 128 * w_lo)
         s >>= 1                                  # slots from word w_lo on
         word = s >> 6

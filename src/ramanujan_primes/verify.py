@@ -143,23 +143,15 @@ def _word_screen(pi: PrimeTable, lo: int, hi: int, clears):
     for lo >= 128.
 
     [lo, hi) is cut into the table words [128w, 128w + 128) it meets, in
-    blocks of ramanujan._BLOCK words, worked in buffers that every block
-    reuses.  clears(below, ends) gets the arrays of pi(128w - 1), counted
-    from the table's words as PrimeTable.pi counts them, and of each
-    piece's end, one past its last integer, and is True where every
-    integer of the piece passes."""
-    steps = np.arange(rp._BLOCK + 1)
-    edges, below = np.empty((2, rp._BLOCK + 1), dtype=np.int64)
+    blocks of ramanujan._BLOCK words.  clears(below, ends) gets the arrays
+    of pi(128w - 1), from PrimeTable.pi_below_words, and of each piece's
+    end, one past its last integer, and is True where every integer of the
+    piece passes."""
     for w_a, w_b in _blocks(lo >> 7, ((hi - 1) >> 7) + 1):
-        n = w_b - w_a
-        counts = np.bitwise_count(pi._words[w_a:w_b])
-        np.cumsum(counts, out=below[:n])
-        below[:n] -= counts
-        below[:n] += pi.pi(128 * w_a - 1)
-        ends = np.add(steps[:n + 1], w_a, out=edges[:n + 1])
-        ends *= 128
+        ends = np.arange(128 * w_a, 128 * w_b + 1, 128)
         ends[0], ends[-1] = max(lo, ends[0]), min(hi, ends[-1])
-        yield from _runs(ends, ~clears(below[:n], ends[1:]))
+        below = pi.pi_below_words(w_a, w_b - 1)
+        yield from _runs(ends, ~clears(below, ends[1:]))
 
 
 # n per run of the pi(m) + pi(n) grids' screen
@@ -253,43 +245,25 @@ def _run_lemma34_sweep(cache, limit, mmax, rng):
     # h(q) <= h(128w + 128): the screen clears the word where that j
     # passes that h
     q_end = int(pi.primes_between(x_max + 1, x_max + 501)[0])
-    # float rows for _h_plus_one, reused by every block and run, so that
-    # none allocates and faults in its own
-    rows = np.empty((3, rp._BLOCK))
 
     def clears(pis, ends):
-        bound = _h_plus_one(ends, rows)
-        bound *= 1.0 + _SLACK
-        return pis >= bound
+        return pis >= _h_plus_one(ends) * (1.0 + _SLACK)
 
     failures = []
     for a, b in _word_screen(pi, 470078, q_end + 1, clears):
-        _lemma34_check(pi.primes_between(a, b), pi.pi(a - 1), rows, failures)
+        for c, d in _blocks(a, b):
+            q = pi.primes_between(c, d)
+            j = np.arange(len(q)) + pi.pi(c - 1)
+            failures += [f"i={v}: pi(p_i) < h(p_i+1) + 1"
+                         for v in j[j < _h_plus_one(q)]]
     return params, pi.pi(x_max) + 1 - pi.pi(470077), failures, []
 
 
-def _h_plus_one(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _h_plus_one(x: np.ndarray) -> np.ndarray:
     """h(x) + 1 = x / ((log x - 1) - 1/log x) + 1 at every entry of x, in
-    that order of operations, in place in rows[0]; rows[1:3] are
-    scratch."""
-    h, lp, inv = rows[:, :len(x)]
-    np.copyto(h, x)
-    np.log(h, out=lp)
-    np.divide(1.0, lp, out=inv)
-    lp -= 1.0
-    lp -= inv
-    h /= lp
-    h += 1.0
-    return h
-
-
-def _lemma34_check(primes, i, rows, failures) -> None:
-    """Append the failures of pi(p_j) >= h(p_{j+1}) + 1 for the j from i
-    on whose p_{j+1} make up primes."""
-    for a, b in _blocks(i, i + len(primes)):
-        h = _h_plus_one(primes[a - i:b - i], rows)
-        j = np.arange(a, b)
-        failures += [f"i={v}: pi(p_i) < h(p_i+1) + 1" for v in j[j < h]]
+    that order of operations."""
+    lp = np.log(x)
+    return x / ((lp - 1.0) - 1.0 / lp) + 1.0
 
 
 def _run_eq431_range(cache, limit, mmax, rng):

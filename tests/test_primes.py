@@ -7,6 +7,7 @@ literals computed once from that oracle and frozen here.
 
 from __future__ import annotations
 
+import ast
 import gc
 import random
 import sys
@@ -14,6 +15,7 @@ import threading
 import tracemalloc
 import weakref
 from bisect import bisect_left, bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +221,85 @@ def test_pi_array_range_errors(table):
     for bad in ([-1], [0, -5], [table.limit + 1], [3, table.limit + 1]):
         with pytest.raises(RangeQueryError):
             table.pi_array(np.array(bad, dtype=np.int64))
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.uint32, np.uint64])
+def test_pi_array_counts_any_integer_dtype_as_int64(table, dtype):
+    xs = np.array([0, 2, 127, 128, 30000], dtype=np.int64)
+    got = table.pi_array(xs.astype(dtype))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, table.pi_array(xs))
+
+
+def test_pi_array_refuses_a_float_array(table):
+    with pytest.raises(TypeError, match="float64"):
+        table.pi_array(np.array([2.0, 3.0]))
+
+
+# table words 511..513 and 1023..1025 straddle the checkpoint blocks'
+# edges at words 512 and 1024
+_WORD_EDGES = (0, 1, 2, 511, 512, 513, 1023, 1024, 1025)
+
+
+def test_pi_below_words_matches_the_cumulative_oracle():
+    """Every word of ranges that start on, just before and just after a
+    checkpoint block's edge, single words among them, against
+    pi_cumulative: the primes below 128w, 2 below word 0."""
+    t = build_table(250_001)
+    pic = t.pi_cumulative(t.limit + 1)
+    n_words = ((t.limit + 1) >> 7) + 1
+
+    def want(w_lo, w_hi):
+        x = np.minimum(128 * np.arange(w_lo, w_hi + 1) - 1, t.limit)
+        return np.where(x < 0, 1, pic[np.maximum(x, 0)])
+
+    for w_lo in _WORD_EDGES:
+        for w_hi in (w_lo, w_lo + 1, w_lo + 600, n_words):
+            got = t.pi_below_words(w_lo, w_hi)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want(w_lo, w_hi)), (w_lo, w_hi)
+    # the table's last word, and its end: every prime below it
+    assert t.pi_below_words(n_words - 1, n_words).tolist() == \
+        want(n_words - 1, n_words).tolist()
+    assert t.pi_below_words(n_words, n_words).tolist() == [t.prime_count]
+
+
+def test_pi_below_words_refuses_words_outside_the_table():
+    t = build_table(250_001)
+    n_words = ((t.limit + 1) >> 7) + 1
+    for w_lo, w_hi in ((-1, 3), (0, n_words + 1), (5, 4),
+                       (n_words + 1, n_words + 1)):
+        with pytest.raises(RangeQueryError):
+            t.pi_below_words(w_lo, w_hi)
+
+
+@pytest.mark.parametrize("lo", [0, 100, 200_000, 512 * 128 - 1,
+                                1024 * 128 - 1])
+def test_pi_array_makes_no_pi_call(monkeypatch, lo):
+    """x whose minimum lies in word 0, mid-block and on a block edge:
+    the rank comes from pi_below_words alone."""
+    t = build_table(250_001)
+    pic = t.pi_cumulative(t.limit + 1)
+    calls = []
+    pi = primes.PrimeTable.pi
+    monkeypatch.setattr(primes.PrimeTable, "pi",
+                        lambda self, x: calls.append(x) or pi(self, x))
+    x = np.arange(lo, lo + 700, dtype=np.int64)
+    assert np.array_equal(t.pi_array(x), pic[x])
+    assert calls == []
+
+
+def test_only_primes_reads_the_table_layout():
+    """No module of the package but primes reads a PrimeTable's private
+    attributes: a new table layout changes primes.py alone."""
+    private = {"_words", "_bits", "_checkpoints", "_primes"}
+    for path in Path(primes.__file__).parent.glob("*.py"):
+        if path.name == "primes.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = [(node.lineno, node.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in private]
+        assert read == [], path.name
 
 
 def test_build_table_peak_memory_within_twice_the_table():
