@@ -31,6 +31,7 @@ counts.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from math import isqrt, prod
@@ -164,7 +165,9 @@ class PrimeTable:
 
     def pi(self, x: int) -> int:
         """Number of primes <= x: the checkpoint of x's block plus the
-        popcount of its words below x's word and of that word's low bits."""
+        popcount of its words below x's word and of that word's low bits.
+        x may be any integer type, numpy's included; a float is refused."""
+        x = operator.index(x)      # a numpy int would overflow the mask
         self._check_range(x)
         if x < 2:
             return 0

@@ -44,10 +44,11 @@ class CampaignReport:
     description: str
     params: dict
     cases: int
-    failures: list[str]
+    failures: list[str]      # the first 50, then "... and N more"
     exceptions: list[str]
     elapsed: float
     table_limit: int
+    failure_count: int       # every failure, the ones past 50 included
 
     @property
     def passed(self) -> bool:
@@ -79,7 +80,7 @@ def reports_to_csv(reports: list[CampaignReport]) -> str:
                      "exception_count", "elapsed_s", "table_limit"])
     for r in reports:
         writer.writerow([r.id, "pass" if r.passed else "fail", r.cases,
-                         len(r.failures), len(r.exceptions),
+                         r.failure_count, len(r.exceptions),
                          round(r.elapsed, 3), r.table_limit])
     return buf.getvalue()
 
@@ -105,8 +106,8 @@ def _blocks(lo: int, hi: int, width: int = 1):
     return zip(edges, edges[1:]) if lo < hi else iter(())
 
 
-# A screen decides a check once per piece of its range on which the check
-# is monotone, at the piece's worst end, and hands only the pieces it
+# A screen decides a check once per piece of its range, from a bound that
+# holds at every element of the piece, and hands only the pieces it
 # cannot clear to the per-element check.  So a screen must clear a piece
 # only where every element passes; it may leave a passing piece to the
 # element check, which then finds nothing.  Float screens widen their
@@ -116,42 +117,28 @@ def _blocks(lo: int, hi: int, width: int = 1):
 _SLACK = 2.0 ** -40
 
 
-def _runs(edges: np.ndarray, suspect: np.ndarray):
-    """The [a, b) of each maximal run of suspect pieces
-    [edges[i], edges[i + 1]), ascending."""
-    flips = edges[np.flatnonzero(np.diff(suspect, prepend=False,
-                                         append=False))].tolist()
-    return zip(flips[::2], flips[1::2])
-
-
-def _gap_screen(pi: PrimeTable, lo: int, hi: int, clears):
-    """The runs [a, b) of [lo, hi), ascending, that clears cannot clear.
-
-    [lo, hi) is cut at every prime into pieces on which pi is constant,
-    in blocks of ramanujan._BLOCK values, so no array grows with the
-    range.  clears(pis, ends) gets the arrays of each piece's pi and its
-    end, one past its last integer, and is True where every integer of
-    the piece passes."""
-    for a, b in _blocks(lo, hi):
-        edges = np.concatenate(([a], pi.primes_between(a + 1, b), [b]))
-        pis = np.arange(len(edges) - 1) + pi.pi(a)
-        yield from _runs(edges, ~clears(pis, edges[1:]))
-
-
 def _word_screen(pi: PrimeTable, lo: int, hi: int, clears):
-    """The runs [a, b) of [lo, hi), ascending, that clears cannot clear,
-    for lo >= 128.
+    """The pieces [a, b) of [lo, hi), ascending and at most
+    ramanujan._BLOCK values each, that clears cannot clear, for lo >= 2.
 
     [lo, hi) is cut into the table words [128w, 128w + 128) it meets, in
-    blocks of ramanujan._BLOCK words.  clears(below, ends) gets the arrays
-    of pi(128w - 1), from PrimeTable.pi_below_words, and of each piece's
-    end, one past its last integer, and is True where every integer of the
-    piece passes."""
+    blocks of ramanujan._BLOCK words.  clears(least, most, ends) gets three
+    arrays over those pieces: least, the primes below 128w, and most, the
+    primes below 128w + 128, from PrimeTable.pi_below_words, so that
+    least <= pi(x) <= most at every x of the piece (2 is counted below
+    word 0, so least >= 1 there, and pi(x) >= 1 from x = 2 on); and each
+    piece's end, one past its last integer.  It is True where every
+    integer of the piece passes."""
     for w_a, w_b in _blocks(lo >> 7, ((hi - 1) >> 7) + 1):
         ends = np.arange(128 * w_a, 128 * w_b + 1, 128)
         ends[0], ends[-1] = max(lo, ends[0]), min(hi, ends[-1])
-        below = pi.pi_below_words(w_a, w_b - 1)
-        yield from _runs(ends, ~clears(below, ends[1:]))
+        below = pi.pi_below_words(w_a, w_b)
+        suspect = ~clears(below[:-1], below[1:], ends[1:])
+        # the [a, b) of each maximal run of suspect pieces
+        flips = ends[np.flatnonzero(np.diff(suspect, prepend=False,
+                                            append=False))].tolist()
+        for a, b in zip(flips[::2], flips[1::2]):
+            yield from _blocks(a, b)
 
 
 # n per run of the pi(m) + pi(n) grids' screen
@@ -241,21 +228,20 @@ def _run_lemma34_sweep(cache, limit, mmax, rng):
     pi = cache.get(x_max + 500)
     # p_{j+1} for pi(470077) <= j <= pi(x_max): the primes q from 470078 to
     # q_end, the first prime past x_max, each with j = pi(q - 1).  The q of
-    # table word w have j >= pi(128w - 1) and, h being nondecreasing,
-    # h(q) <= h(128w + 128): the screen clears the word where that j
-    # passes that h
+    # a table word have j >= least and, h being nondecreasing, h(q) at most
+    # h at the word's end: the screen clears the word where least passes
+    # that h
     q_end = int(pi.primes_between(x_max + 1, x_max + 501)[0])
 
-    def clears(pis, ends):
-        return pis >= _h_plus_one(ends) * (1.0 + _SLACK)
+    def clears(least, most, ends):
+        return least >= _h_plus_one(ends) * (1.0 + _SLACK)
 
     failures = []
     for a, b in _word_screen(pi, 470078, q_end + 1, clears):
-        for c, d in _blocks(a, b):
-            q = pi.primes_between(c, d)
-            j = np.arange(len(q)) + pi.pi(c - 1)
-            failures += [f"i={v}: pi(p_i) < h(p_i+1) + 1"
-                         for v in j[j < _h_plus_one(q)]]
+        q = pi.primes_between(a, b)
+        j = np.arange(len(q)) + pi.pi(a - 1)
+        failures += [f"i={v}: pi(p_i) < h(p_i+1) + 1"
+                     for v in j[j < _h_plus_one(q)]]
     return params, pi.pi(x_max) + 1 - pi.pi(470077), failures, []
 
 
@@ -276,12 +262,12 @@ def _run_eq431_range(cache, limit, mmax, rng):
         sup = sup.astype(np.float64)
         return sup / (np.log(sup) - 1.0) + 1.0
 
-    # pi is constant on a prime gap, so the sup of its last [m, m + 1),
-    # the gap's end, decides it
+    # pi(x) >= least on a table word and rhs grows, so the sup of the
+    # word's last [m, m + 1), its end, is its worst point
     failures = []
-    for a, b in _gap_screen(
+    for a, b in _word_screen(
             pi, 7477, x_max + 1,
-            lambda pis, ends: pis >= rhs(ends) * (1.0 + _SLACK)):
+            lambda least, most, ends: least >= rhs(ends) * (1.0 + _SLACK)):
         m = np.arange(a, b, dtype=np.int64)
         failures += [f"x={int(v)}: pi(x) <= x/(log x - 1) + 1 fails on "
                      "[x, x+1)" for v in m[pi.pi_array(m) < rhs(m + 1)]]
@@ -471,9 +457,12 @@ def _run_rho_positivity(cache, limit, mmax, rng):
         # rho_2(x) > 0  <=>  pi(x) - 2*pi_2(x) >= 1, exactly in integers
         return pix - 2 * sufmin[pix]
 
-    # the margin is constant on a prime gap, so any x decides the gap
-    for a, b in _gap_screen(pi, start, x_max + 1,
-                            lambda pis, ends: margin(pis) >= 1):
+    # sufmin steps by 0 or 1 per prime, so the margin by -1 or +1: on a
+    # table word, where least <= pi(x) <= most, it is at least
+    # margin(least) - (most - least)
+    for a, b in _word_screen(
+            pi, start, x_max + 1,
+            lambda least, most, ends: margin(least) - (most - least) >= 1):
         x = np.arange(a, b, dtype=np.int64)
         failures += [f"x={int(v)}: rho_2(x) <= 0"
                      for v in x[margin(pi.pi_array(x)) < 1]]
@@ -511,18 +500,22 @@ def _run_rho_upper(cache, limit, mmax, rng):
         cases += len(nn)
 
     def excess(pix):
-        # rho_2(x) at pi(x) = pix, constant on a prime gap
+        # rho_2(x) at pi(x) = pix
         return 0.5 - sufmin[pix] / pix
 
     def bound(x):
-        # c2/log x, falling in x: above its value at a gap's end on the gap
+        # c2/log x, falling in x: above its value at a word's end on the word
         return c2 / np.log(x.astype(np.float64))
+
+    def clears(least, most, ends):
+        # sufmin never falls and pi(x) <= most on a table word, so
+        # 0.5 - sufmin[least] / most bounds its excess, in floats too:
+        # correctly rounded division and subtraction are monotone
+        return 0.5 - sufmin[least] / most <= bound(ends) * (1.0 - _SLACK)
 
     # rho_2(x) <= 1/2 < c2/log x for every x < e^(2 c2) = e^200, so this
     # check cannot fail: the verdict rests on the n-range check above
-    for a, b in _gap_screen(
-            pi, n3, x_max + 1,
-            lambda pis, ends: excess(pis) <= bound(ends) * (1.0 - _SLACK)):
+    for a, b in _word_screen(pi, n3, x_max + 1, clears):
         xs = np.arange(a, b, dtype=np.int64)
         failures += [f"x={int(v)}: rho_2(x) > c2/log x"
                      for v in xs[excess(pi.pi_array(xs)) > bound(xs)]]
@@ -790,13 +783,15 @@ def run_campaign(cid: str, cache: rp.TableCache | None = None,
     elapsed = time.perf_counter() - started
     if seed is not None:
         params = dict(params, seed=seed)
-    if len(failures) > 50:
-        failures = failures[:50] + [f"... and {len(failures) - 50} more"]
+    failure_count = len(failures)
+    if failure_count > 50:
+        failures = failures[:50] + [f"... and {failure_count - 50} more"]
     table = cache.current()
     return CampaignReport(id=cid, description=description, params=params,
                           cases=cases, failures=failures,
                           exceptions=exceptions, elapsed=elapsed,
-                          table_limit=table.limit if table else 0)
+                          table_limit=table.limit if table else 0,
+                          failure_count=failure_count)
 
 
 def run_all(ids: list[str] | None = None,

@@ -18,12 +18,14 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ramanujan_primes import bounds
 from ramanujan_primes import ramanujan as rp
 from ramanujan_primes.cli import ENV_CAP, ENV_THREADS, main
 from test_bounds import _valid_params
+from test_ramanujan import _UndercountingCache
 
 
 def run(capsys, *argv):
@@ -287,6 +289,13 @@ def test_verify_failing_campaign_sets_exit_code(capsys):
     assert "failure: n=33" in out
 
 
+def test_verify_text_prints_the_expected_anomaly(capsys):
+    code, out, _ = run(capsys, "verify", "--campaign", "sondow-gap",
+                       "--limit", "100")
+    assert code == 0
+    assert "\n  expected: min gap over n >= 2 is 4, at n=2 and n=3\n" in out
+
+
 def test_verify_json_output(capsys):
     code, out, _ = run(capsys, "verify", "--campaign", "sondow-gap",
                        "--limit", "10", "--json")
@@ -322,6 +331,20 @@ def test_mps_single(capsys):
     code, out, _ = run(capsys, "mps", "--m", "168")
     assert code == 0
     assert "m=168: holds-certified (n0 = 7, R = 1013)" in out
+
+
+def test_mps_text_names_the_counterexample(capsys, monkeypatch):
+    """A failing verdict, forced as test_mps_scans_past_a_large_r forces
+    one, prints its counterexample n and exits 1."""
+    monkeypatch.setattr(rp, "_mps_r_values",
+                        lambda ms, *args: np.full(ms.shape, 1000))
+    table_cache = rp.TableCache
+    monkeypatch.setattr(
+        rp, "TableCache",
+        lambda hard_cap: _UndercountingCache(table_cache(hard_cap=hard_cap)))
+    code, out, _ = run(capsys, "mps", "--m", "50")
+    assert code == 1
+    assert out == "m=50: fails (n0 = 6, R = 1000, counterexample n = 10)\n"
 
 
 def test_mps_range_json(capsys):

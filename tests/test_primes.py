@@ -236,6 +236,17 @@ def test_pi_array_refuses_a_float_array(table):
         table.pi_array(np.array([2.0, 3.0]))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
+def test_pi_takes_a_numpy_integer(table, dtype):
+    """pi at a numpy integer x equals pi at int(x), over every residue of
+    x mod 128, so over words with their top bit set; a float is
+    refused."""
+    xs = range(0, 200_000, 7)
+    assert [table.pi(dtype(x)) for x in xs] == [table.pi(x) for x in xs]
+    with pytest.raises(TypeError):
+        table.pi(np.float64(3.0))
+
+
 # table words 511..513 and 1023..1025 straddle the checkpoint blocks'
 # edges at words 512 and 1024
 _WORD_EDGES = (0, 1, 2, 511, 512, 513, 1023, 1024, 1025)

@@ -412,6 +412,13 @@ def test_rho_k_exact_values(cache):
         rho_k(2, 1, cache)
 
 
+def test_pi_k_and_rho_k_take_a_numpy_integer(cache):
+    for x in [2, 100, 1279, 20_000, 470_077]:
+        for k in (2, Fraction(11, 10)):
+            assert pi_k(k, np.int64(x), cache) == pi_k(k, x, cache)
+        assert rho_k(2, np.int64(x), cache) == rho_k(2, x, cache)
+
+
 # ---------------------------------------------------------------------------
 # empirical N and N_0
 # ---------------------------------------------------------------------------

@@ -180,6 +180,20 @@ def test_json_and_csv_serialization(cache):
     assert lines[2].startswith("nicholson-bound,fail,")
 
 
+def test_csv_counts_every_failure_past_the_json_cap(monkeypatch, cache):
+    """A campaign with 70 failures lists 50 of them and "... and 20 more"
+    in its report, and counts all 70 in the CSV."""
+    def runner(cache, limit, mmax, rng):
+        return {}, 70, [f"case {i}" for i in range(70)], []
+
+    monkeypatch.setitem(verify._CAMPAIGNS, "stub", ("70 failures", runner))
+    report = run_campaign("stub", cache)
+    failures = json.loads(reports_to_json([report]))["reports"][0]["failures"]
+    assert failures == [f"case {i}" for i in range(50)] + ["... and 20 more"]
+    row = reports_to_csv([report]).splitlines()[1].split(",")
+    assert row[:5] == ["stub", "fail", "70", "70", "0"]
+
+
 def test_h_is_nondecreasing_past_12_8():
     """The comparison function behind the lemma34 sweep never decreases."""
     def h(x):
@@ -370,12 +384,12 @@ def _steps(x, v0, steps):
 
 
 @pytest.mark.parametrize("block", [7, 4096, 1 << 16])
-def test_gap_screen_finds_failures_inside_and_at_the_end_of_a_gap(
+def test_word_screen_finds_failures_inside_and_at_the_end_of_a_gap(
         monkeypatch, cache, block):
     """An x fails where pi(x) < g(x), with g stepping up inside the gap
-    [1129, 1151) and at the last x of the gap [1201, 1213): the screen at
-    each piece's end leaves exactly those failures to the element check,
-    whatever the block edges."""
+    [1129, 1151) and at the last x of the gap [1201, 1213): the screen on
+    pi(x) >= least and each word's end leaves exactly those failures to
+    the element check, whatever the block edges."""
     monkeypatch.setattr(ramanujan, "_BLOCK", block)
     pi = cache.get(10 ** 4)
     g = {"v0": 0.0, "steps": [(1140, pi.pi(1140) + 0.5),
@@ -383,16 +397,17 @@ def test_gap_screen_finds_failures_inside_and_at_the_end_of_a_gap(
     x = np.arange(1000, 3000)
     brute = x[pi.pi_array(x) < _steps(x, **g)].tolist()
     assert brute == [*range(1140, 1151), 1212]
-    runs = list(verify._gap_screen(
-        pi, 1000, 3000, lambda pis, ends: pis >= _steps(ends, **g)))
+    runs = list(verify._word_screen(
+        pi, 1000, 3000,
+        lambda least, most, ends: least >= _steps(ends, **g)))
     found = [int(v) for a, b in runs for v in range(a, b)
              if pi.pi(v) < _steps(np.array(v), **g)]
     assert found == brute
     if block == 1 << 16:
-        assert runs == [(1129, 1151), (1201, 1213)]
+        assert runs == [(1024, 1280)]
     # a NaN cannot clear a piece: every piece goes to the element check
-    nan = list(verify._gap_screen(
-        pi, 1000, 3000, lambda pis, ends: pis >= np.full(len(pis), np.nan)))
+    nan = list(verify._word_screen(
+        pi, 1000, 3000, lambda least, most, ends: least >= np.nan))
     assert [v for a, b in nan for v in range(a, b)] == list(range(1000, 3000))
 
 
@@ -411,13 +426,15 @@ def test_word_screen_finds_failures_inside_and_at_the_end_of_a_word(
     brute = q[pi.pi_array(q) - 1 < _steps(q, **g)].tolist()
     assert brute == [1279, 1451]
     runs = list(verify._word_screen(
-        pi, 1000, 3000, lambda below, ends: below >= _steps(ends, **g)))
+        pi, 1000, 3000,
+        lambda least, most, ends: least >= _steps(ends, **g)))
     found = [int(v) for a, b in runs for v in pi.primes_between(a, b)
              if pi.pi(int(v)) - 1 < _steps(v, **g)]
     assert found == brute
-    assert runs == [(1152, 1280), (1408, 1536)]
+    if block == 1 << 16:
+        assert runs == [(1152, 1280), (1408, 1536)]
     nan = list(verify._word_screen(
-        pi, 1000, 3000, lambda below, ends: below >= np.nan))
+        pi, 1000, 3000, lambda least, most, ends: least >= np.nan))
     assert [v for a, b in nan for v in range(a, b)] == list(range(1000, 3000))
 
 
@@ -441,32 +458,33 @@ def test_grid_screen_finds_failures_inside_and_at_the_end_of_a_run(
     assert verify._grid_failures(pi, vals, pvals, div) == brute
 
 
-def _spy_on(monkeypatch, screen):
+def _spy_on(monkeypatch):
     """The clears functions that the campaigns pass to verify's screen."""
-    seen, real = [], getattr(verify, screen)
+    seen, real = [], verify._word_screen
 
     def spy(pi, lo, hi, clears):
         seen.append(clears)
         return real(pi, lo, hi, clears)
 
-    monkeypatch.setattr(verify, screen, spy)
+    monkeypatch.setattr(verify, "_word_screen", spy)
     return seen, real
 
 
-@pytest.mark.parametrize("cid, lo, hi", [("eq431-range", 3000, 7477),
-                                         ("rho-positivity", 2, 100),
+# each range reaches past the first table word that clears its campaign;
+# no word below 7477 clears eq431-range
+@pytest.mark.parametrize("cid, lo, hi", [("eq431-range", 3000, 20000),
+                                         ("rho-positivity", 2, 1000),
                                          ("lemma34-sweep", 300000, 470078)])
 def test_campaign_screens_clear_no_failure_below_their_range(
         monkeypatch, cache, cid, lo, hi):
     """Below each campaign's range its inequality fails, often and not
-    at every element: the campaign's own screen, run there, must leave
-    every failure of the element check to that check."""
-    words = cid == "lemma34-sweep"
-    seen, screen = _spy_on(monkeypatch,
-                           "_word_screen" if words else "_gap_screen")
-    run_campaign(cid, cache, limit=1)            # the least range
+    at every element: the campaign's own screen, run on a range that
+    reaches there, must leave every failure of the element check to that
+    check."""
+    seen, screen = _spy_on(monkeypatch)
+    run_campaign(cid, cache, limit=hi)   # its clears then covers [lo, hi)
     pi, sufmin = ramanujan._pi_k_array(Fraction(2), 10 ** 6, cache)
-    if words:
+    if cid == "lemma34-sweep":
         elements = pi.primes_between(lo, hi)
         fails = _lemma34_fails(pi, elements)
     else:
