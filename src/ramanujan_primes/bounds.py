@@ -643,20 +643,20 @@ def named_threshold(name: str, pi=None, **params) -> float:
     X25, X26) need pi: a TableCache, which sieves as far as the formula
     reads and raises ResourceBudgetError past its hard cap, or a
     PrimeTable, which raises RangeQueryError for a query past its limit.
-    A float overflow inside a formula (k near 1) is a
-    ThresholdDomainError naming the threshold.
+    A float overflow, in a parameter or inside a formula (k near 1), is
+    a ThresholdDomainError naming the threshold.
     """
     try:
         formula = _THRESHOLDS[name]
     except KeyError:
         raise ValueError(f"unknown threshold {name!r}; "
                          f"known: {threshold_names()}") from None
-    clean = {key: (value if isinstance(value, str)
-                   or key == "profile" else float(value))
-             for key, value in params.items()}
-    if "k" in clean and not clean["k"] > 1:
-        raise ValueError(f"need k > 1, got {clean['k']}")
     try:
+        clean = {key: (value if isinstance(value, str)
+                       or key == "profile" else float(value))
+                 for key, value in params.items()}
+        if "k" in clean and not clean["k"] > 1:
+            raise ValueError(f"need k > 1, got {clean['k']}")
         return float(formula(pi, **clean))
     except ThresholdDomainError as err:    # it may come from an inner one
         raise ThresholdDomainError(f"{name}: {err}") from None

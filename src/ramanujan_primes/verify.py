@@ -1,8 +1,10 @@
 """Finite verification campaigns over the k-Ramanujan machinery.
 
 Each campaign re-runs one self-contained computation whose claims split
-into a finite part (checked exhaustively here) and an analytic tail
-(discharged by the estimates in bounds).  A campaign passes iff its
+into a finite part (checked exhaustively here, unless one cruder
+inequality settles all of it: rho-upper's bounds exceed rho_2 <= 1/2
+below e^(2 c1), which it checks once) and an analytic tail (discharged
+by the estimates in bounds).  A campaign passes iff its
 failure list is empty; anomalies that are supposed to be there (the one
 n where an upper bound genuinely fails, the two n realizing a minimal
 gap) are confirmed and recorded separately, and their absence is itself
@@ -113,7 +115,8 @@ def _blocks(lo: int, hi: int, width: int = 1):
 # element check, which then finds nothing.  Float screens widen their
 # bound by _SLACK, relatively: far more than the few ulp by which one
 # expression, evaluated at two points, can invert the order of its true
-# values.  Each screen reads a NaN as "cannot clear".
+# values; rho-upper's one check narrows its bound the same way.  Each
+# screen reads a NaN as "cannot clear".
 _SLACK = 2.0 ** -40
 
 
@@ -476,10 +479,6 @@ def _run_rho_upper(cache, limit, mmax, rng):
     eps = 0.5
     c2 = 100.0
     params = {"k": Fraction(2), "eps": eps, "c2": c2, "x_max": x_max}
-    failures, cases = [], 0
-    # pi_2(y) = sufmin[pi(y)] for every y <= x_max
-    pi, sufmin = rp._pi_k_array(Fraction(2), x_max, cache)
-
     x26 = bounds.named_threshold("X26", pi=cache, k=2, b1=1.17, eps1=eps,
                                  eps2=eps, eps3=eps, eps4=eps, delta1=eps,
                                  delta2=eps, c2=c2)
@@ -490,36 +489,16 @@ def _run_rho_upper(cache, limit, mmax, rng):
                             c2=c2)
     params.update(X26=float(x26), c1=float(c1), n3=int(n3))
 
-    for a, b in _blocks(math.ceil(x26), pi.pi(x_max) + 1):
-        nn = np.arange(a, b, dtype=np.int64)
-        pn = pi.nth_prime(nn)
-        lhs = 0.5 - sufmin[nn] / nn           # pi(p_n) = n
-        rhs = c1 / np.log(pn.astype(np.float64))
-        failures += [f"n={int(v)}: rho_2(p_n) > c1/log p_n"
-                     for v in nn[lhs > rhs]]
-        cases += len(nn)
-
-    def excess(pix):
-        # rho_2(x) at pi(x) = pix
-        return 0.5 - sufmin[pix] / pix
-
-    def bound(x):
-        # c2/log x, falling in x: above its value at a word's end on the word
-        return c2 / np.log(x.astype(np.float64))
-
-    def clears(least, most, ends):
-        # sufmin never falls and pi(x) <= most on a table word, so
-        # 0.5 - sufmin[least] / most bounds its excess, in floats too:
-        # correctly rounded division and subtraction are monotone
-        return 0.5 - sufmin[least] / most <= bound(ends) * (1.0 - _SLACK)
-
-    # rho_2(x) <= 1/2 < c2/log x for every x < e^(2 c2) = e^200, so this
-    # check cannot fail: the verdict rests on the n-range check above
-    for a, b in _word_screen(pi, n3, x_max + 1, clears):
-        xs = np.arange(a, b, dtype=np.int64)
-        failures += [f"x={int(v)}: rho_2(x) > c2/log x"
-                     for v in xs[excess(pi.pi_array(xs)) > bound(xs)]]
-    return params, cases + max(x_max + 1 - n3, 0), failures, []
+    # pi_2 >= 0, so rho_2(x) <= 1/2 for every x >= 2.  Below e^(2 c1),
+    # c1/log p_n exceeds 1/2, and so does c2/log x, X26 holding only for
+    # c2 > c1: both bounds hold on their whole ranges up to x_max
+    failures = []
+    if not math.log(x_max) < 2.0 * c1 * (1.0 - _SLACK):
+        failures.append(f"x_max={x_max}: log x_max >= 2 c1, so rho_2 <= 1/2 "
+                        "does not settle rho_2(p_n) <= c1/log p_n")
+    cases = (max(cache.pi(x_max) + 1 - math.ceil(x26), 0)
+             + max(x_max + 1 - n3, 0))
+    return params, cases, failures, []
 
 
 def _run_mps_scan(cache, limit, mmax, rng):

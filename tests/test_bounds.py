@@ -586,6 +586,25 @@ def test_n_threshold_errors(cache):
             n_threshold("n0", pi, k=k, profile=profile)
 
 
+@pytest.mark.parametrize("kind, name, key", [
+    (None, "X2", "k"), (None, "gamma", "eps1"),
+    ("n2", "X22", "eps1"), ("n3", "X26", "eps1")])
+def test_a_parameter_past_float_range_is_a_domain_error(cache, kind, name,
+                                                       key):
+    """A parameter no float holds (10^400) is a ThresholdDomainError that
+    names the threshold, as an overflow inside its formula is: n2 and n3
+    name X22 and X26, which they evaluate.  Converting it once raised a
+    bare OverflowError."""
+    pi, valid = _valid_params(cache)
+    params = dict(valid[name], **{key: 10 ** 400})
+    with pytest.raises(ThresholdDomainError,
+                       match=rf"^{name}: overflows a float \("):
+        if kind is None:
+            named_threshold(name, pi, **params)
+        else:
+            n_threshold(kind, pi, **params)
+
+
 @pytest.mark.parametrize("kind", ["n0", "n1"])
 @pytest.mark.parametrize("k", [1, Fraction(1, 2)])
 def test_n_threshold_needs_k_above_one(cache, kind, k):

@@ -534,6 +534,20 @@ def test_const_overflow_is_usage_error(capsys, name, params):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("name, params", [
+    ("X2", "k=1e400"),
+    ("gamma", "k=2,eps1=1e400,eps2=0.5,eps3=0.5,delta1=0.5,delta2=0.5")])
+def test_const_parameter_past_float_range_is_usage_error(capsys, name,
+                                                         params):
+    """A parameter no float holds is one usage line naming the constant
+    and exit 2, not an OverflowError traceback and exit 1."""
+    code, out, err = run(capsys, "const", "--name", name, "--params", params)
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(rf"usage error: {name}: overflows a float \(.+\)\n",
+                        err)
+
+
 def test_cap_below_minimum_rejected(capsys):
     code, _, err = run(capsys, "--cap", "1000", "compute", "--k", "2",
                        "--n", "5")

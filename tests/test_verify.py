@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ramanujan_primes import ramanujan, verify
+from ramanujan_primes import bounds, ramanujan, verify
 from ramanujan_primes import (CampaignReport, TableCache, campaign_ids,
                               reports_to_csv, reports_to_json, run_all,
                               run_campaign)
@@ -496,3 +496,60 @@ def test_campaign_screens_clear_no_failure_below_their_range(
     runs = list(screen(pi, lo, hi, seen[0]))
     assert [v for v in brute if any(a <= v < b for a, b in runs)] == brute
     assert sum(b - a for a, b in runs) < hi - lo
+
+
+def test_rho_positivity_screen_counts_the_margin_it_can_lose(monkeypatch,
+                                                             cache):
+    """On a table word, where least <= pi(x) <= most, the margin
+    pi(x) - 2 pi_2(x) can fall by one per prime past least: with an S
+    whose margin is 1 at j = 3 and falls by one from there on, the
+    campaign's screen must not clear least = 3, most = 10, where every
+    x but those at pi(x) = 3 fails."""
+    stepped = np.maximum(np.arange(1000) - 2, 0)     # margin 1 at j = 3
+    assert (np.arange(3, 11) - 2 * stepped[3:11]).tolist() == \
+        list(range(1, -7, -1))
+    monkeypatch.setattr(ramanujan, "_pi_k_array",
+                        lambda k, x, cache: (cache.get(x), stepped))
+    seen, _ = _spy_on(monkeypatch)
+    run_campaign("rho-positivity", cache, limit=100)
+    assert not seen[0](np.array([3]), np.array([10]), np.array([128]))[0]
+
+
+def test_rho_upper_fails_where_rho_2_at_most_half_cannot_settle_c1(
+        monkeypatch, cache):
+    """rho_2 <= 1/2 proves rho_2(p_n) <= c1/log p_n only up to e^(2 c1):
+    with c1 = 5 that holds at x_max = 22026 < e^10 and not at 22027 or at
+    the default 10^6, where the campaign reports the one failure naming
+    x_max, with the cases it counts at the real c1."""
+    want = {lim: run_campaign("rho-upper", cache, limit=lim)
+            for lim in (22026, 22027, None)}
+    assert all(r.passed for r in want.values())
+    real = bounds.named_threshold
+
+    def c1_is_5(name, pi=None, **params):
+        return 5.0 if name == "c1" else real(name, pi, **params)
+
+    monkeypatch.setattr(bounds, "named_threshold", c1_is_5)
+    for lim, before in want.items():
+        report = run_campaign("rho-upper", cache, limit=lim)
+        x_max = before.params["x_max"]
+        assert report.params == dict(before.params, c1=5.0)
+        assert report.cases == before.cases
+        assert report.failures == ([] if lim == 22026 else [
+            f"x_max={x_max}: log x_max >= 2 c1, so rho_2 <= 1/2 does not "
+            "settle rho_2(p_n) <= c1/log p_n"])
+
+
+def test_rho_upper_runs_no_scan(monkeypatch, cache):
+    """rho-upper settles both its bounds from rho_2 <= 1/2: it neither
+    computes pi_2 nor screens a range."""
+    def refuse(name):
+        def stub(*args, **kwargs):
+            raise AssertionError(f"rho-upper called {name}")
+        return stub
+
+    monkeypatch.setattr(ramanujan, "_pi_k_array", refuse("_pi_k_array"))
+    monkeypatch.setattr(verify, "_word_screen", refuse("_word_screen"))
+    monkeypatch.setattr(verify, "_blocks", refuse("_blocks"))
+    for limit in (None, 60001):
+        assert run_campaign("rho-upper", cache, limit=limit).passed
