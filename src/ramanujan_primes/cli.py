@@ -97,6 +97,8 @@ def _parse_params(text: str | None) -> dict:
             raise ValueError(f"expected key=value, got {chunk!r}")
         key = key.strip()
         raw = raw.strip()
+        if key in out:
+            raise ValueError(f"parameter '{key}' given twice")
         if key == "profile":
             out[key] = raw
         else:
@@ -218,8 +220,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--mmax", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--json", action="store_true")
+    group.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("mps", help="interval-conjecture verdicts")
     group = p.add_mutually_exclusive_group(required=True)

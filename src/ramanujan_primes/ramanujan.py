@@ -341,49 +341,22 @@ def _stretch_block(lo, num, den, first, primes, pi, out) -> None:
 
 def _scan(k: Fraction, n_max: int, cutoff: int,
           pi: PrimeTable) -> np.ndarray:
-    """R_1..R_{n_max} as int64, assuming no m >= cutoff has f*(m) < n_max."""
-    return pi.primes_array(cutoff - 1)[_r_index(k, n_max, cutoff, pi)]
+    """R_1..R_{n_max} as int64, assuming no m >= cutoff has f*(m) < n_max.
 
-
-def _r_index(k: Fraction, n_max: int, cutoff: int,
-             pi: PrimeTable) -> np.ndarray:
-    """n - 1 + T(n), the place of R_n = p_{n+T(n)} among the primes from
-    0, for n = 1..n_max under _scan's assumption: T(n), the count of
-    G[t] < n for t >= 1, sums one bincount of G's entries below n_max."""
+    R_n = p_{n+T(n)} sits at n - 1 + T(n) among the primes from 0, and
+    T(n), the count of G[t] < n for t >= 1, sums one bincount of G's
+    entries below n_max."""
     stretch_min = _stretch_min(k.numerator, k.denominator, cutoff, 0, pi)
     index = np.bincount(stretch_min[1:stretch_min.searchsorted(n_max)],
                         minlength=n_max)
     del stretch_min
     np.cumsum(index, out=index)                             # T(n)
     index += np.arange(n_max)
-    if index[-1] >= pi.pi(cutoff - 1):
+    primes = pi.primes_array(cutoff - 1)
+    if index[-1] >= len(primes):
         raise AssertionError(
             f"scan for k={k} hit its own cutoff {cutoff}; certificate broken")
-    return index
-
-
-def _tail_table(k: Fraction, x: int,
-                cache: TableCache) -> tuple[int, int, int, PrimeTable]:
-    """pi(x), t_x = pi(q(x)), hi = max(cutoff, x + 1) for the cutoff
-    certified for f*(x) + 1, and a table over hi.  pi(x) comes first, so
-    an x past the cap is refused unsieved."""
-    pix = cache.pi(x)
-    t_x = cache.pi(((x + 1) * k.denominator - 1) // k.numerator)
-    cutoff = bounds.certify_tail(k, pix - t_x + 1, hard_cap=cache.hard_cap)
-    hi = max(cutoff, x + 1)
-    return pix, t_x, hi, cache.get(hi)
-
-
-def _pi_k_array(k: Fraction, x: int,
-                cache: TableCache) -> tuple[PrimeTable, np.ndarray]:
-    """A table and S with pi_k(y) = S[pi(y)] for every y <= x.
-
-    S[j] = #{n : R_n <= p_j} for j <= pi(x), from the R_n up to
-    f*(x) + 1, since pi_k(x) <= f*(x)."""
-    pix, t_x, hi, pi = _tail_table(k, x, cache)
-    index = _r_index(k, pix - t_x + 1, hi, pi)
-    return pi, np.cumsum(np.bincount(index[:index.searchsorted(pix)] + 1,
-                                     minlength=pix + 1))
+    return primes[index]
 
 
 def ramanujan_prefix(k, n_max: int,
@@ -408,8 +381,13 @@ def pi_k(k, x: int, cache: TableCache | None = None) -> int:
     if x < 2:
         return 0
     cache = _as_cache(cache)
-    pix, t_x, hi, pi = _tail_table(k, x, cache)
-    window = _stretch_min(k.numerator, k.denominator, hi, t_x + 1, pi)
+    pix = cache.pi(x)           # first, so an x past the cap goes unsieved
+    t_x = cache.pi(((x + 1) * k.denominator - 1) // k.numerator)
+    # certified for f*(x) + 1, the cutoff is at least R_{f*(x)+1} > x, so
+    # its table covers x
+    cutoff = bounds.certify_tail(k, pix - t_x + 1, hard_cap=cache.hard_cap)
+    window = _stretch_min(k.numerator, k.denominator, cutoff, t_x + 1,
+                          cache.get(cutoff))
     return min([pix - t_x, *window[:1].tolist()])      # no window: f*(x)
 
 

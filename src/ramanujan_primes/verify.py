@@ -453,22 +453,25 @@ def _run_rho_positivity(cache, limit, mmax, rng):
     if start != 11:
         failures.append(f"R_N(2) = {start}, want 11")
 
-    # pi_2(y) = sufmin[pi(y)] for every y <= x_max
-    pi, sufmin = rp._pi_k_array(Fraction(2), x_max, cache)
+    # pi_2(y) = S[pi(y)] for y <= x_max, S[j] = #{n : R_n <= p_j}, where
+    # R_n up to n = f*(x_max) + 1 > pi_2(x_max) holds every R_n <= x_max
+    pix = cache.pi(x_max)
+    rv = rp.ramanujan_prefix(2, pix - cache.pi(x_max // 2) + 1, cache).array
+    pi = cache.get(int(rv[-1]))     # R_n > x_max: p_{pi(x_max)+1} <= R_n
+    sufmin = np.cumsum(np.bincount(
+        pi.pi_array(rv[:rv.searchsorted(x_max, side="right")]),
+        minlength=pix + 1))
 
-    def margin(pix):
-        # rho_2(x) > 0  <=>  pi(x) - 2*pi_2(x) >= 1, exactly in integers
-        return pix - 2 * sufmin[pix]
-
-    # sufmin steps by 0 or 1 per prime, so the margin by -1 or +1: on a
-    # table word, where least <= pi(x) <= most, it is at least
-    # margin(least) - (most - least)
-    for a, b in _word_screen(
-            pi, start, x_max + 1,
-            lambda least, most, ends: margin(least) - (most - least) >= 1):
-        x = np.arange(a, b, dtype=np.int64)
-        failures += [f"x={int(v)}: rho_2(x) <= 0"
-                     for v in x[margin(pi.pi_array(x)) < 1]]
+    # rho_2(x) > 0  <=>  pi(x) - 2 pi_2(x) >= 1, exactly in integers: it
+    # depends on x only through j = pi(x), so a failing j fails on all of
+    # [p_j, p_{j+1}).  start = R_2 is prime, the p_j of j = pi(start)
+    for a, b in _blocks(pi.pi(start), pix + 1):
+        j = np.arange(a, b)
+        bad = j[j - 2 * sufmin[a:b] < 1]
+        for lo, hi in zip(pi.nth_prime(bad).tolist(),
+                          pi.nth_prime(bad + 1).tolist()):
+            failures += [f"x={v}: rho_2(x) <= 0"
+                         for v in range(lo, min(hi, x_max + 1))]
     return params, cases + x_max + 1 - start, failures, []
 
 
@@ -596,7 +599,7 @@ def _run_section2_properties(cache, limit, mmax, rng):
             succ = (int(rv[j]) + 1) * den
             if succ % num == 0:
                 q = succ // num
-                if q != 2 and q <= pi.limit and pi.is_prime(q):
+                if q != 2 and pi.is_prime(q):
                     failures.append(f"k={k}, n={j + 1}: R_n = k*{q} - 1")
     return params, cases, failures, []
 

@@ -169,6 +169,15 @@ def test_const_malformed_params(capsys):
     assert "key=value" in err
 
 
+@pytest.mark.parametrize("params", ["k=2,k=3", "k=3, k =3"])
+def test_const_refuses_a_repeated_param(capsys, params):
+    """A key given twice once kept its last value and exited 0."""
+    code, out, err = run(capsys, "const", "--name", "X2", "--params", params)
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: parameter 'k' given twice\n"
+
+
 def test_const_missing_param_names_the_key(capsys):
     code, _, err = run(capsys, "const", "--name", "X4")
     assert code == 2
@@ -313,6 +322,17 @@ def test_verify_csv_output(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("id,status,")
     assert lines[1].startswith("prop310-table,pass,3,0,0,")
+
+
+@pytest.mark.parametrize("flags", [("--json", "--csv"), ("--csv", "--json")])
+def test_verify_refuses_json_with_csv(capsys, flags):
+    """--json once won and --csv was dropped without a word: the two are
+    one choice, and asking for both is a usage error that runs nothing."""
+    code, out, err = run(capsys, "verify", "--campaign", "prop310-table",
+                         *flags)
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
 
 
 def test_verify_unknown_campaign(capsys):

@@ -58,6 +58,26 @@ def naive_table(k: Fraction, n_max: int, primes, bound: int) -> list[int]:
     return out
 
 
+def pi_k_oracle(k: Fraction, x: int, cache) -> np.ndarray:
+    """pi_k(y) for every integer 0 <= y <= x, sharing no code with the
+    scan: the suffix minimum of f*(m) = pi(m) - pi(q(m)), read off
+    pi_cumulative, over the m below the cutoff certified for f*(x) + 1.
+    No m past it has an f* that low, and pi_k(y) <= f*(x) for y <= x."""
+    num, den = k.numerator, k.denominator
+    pi = cache.get(x)
+    cutoff = certify_tail(k, pi.pi(x) - pi.pi(((x + 1) * den - 1) // num)
+                          + 1)
+    count = cache.get(cutoff).pi_cumulative(cutoff)
+    fstar = np.arange(1, cutoff + 1) * den
+    fstar -= 1
+    fstar //= num                                   # q(m)
+    fstar = count.take(fstar)
+    np.subtract(count, fstar, out=fstar)
+    del count
+    np.minimum.accumulate(fstar[::-1], out=fstar[::-1])
+    return fstar[:x + 1]
+
+
 # frozen output of naive_table at bound 10^6
 PREFIXES = {
     "4/3": [11, 31, 59, 71, 101, 151, 157, 163, 223, 227],
@@ -608,8 +628,8 @@ STEP_GRID = (("101/100", 1000), ("11/10", 2000), ("3/2", 3000),
 
 @pytest.mark.parametrize("ks, n_max", STEP_GRID)
 def test_suffix_min_steps_by_zero_or_one(cache, ks, n_max):
-    """The suffix minimum of f* at the primes, S[j] = pi_k(p_j) from
-    _pi_k_array, steps by 0 or 1 from S[0] = 0 to S[pi(R_n)] = n.  The
+    """The suffix minimum of f* at the primes, S[j] = pi_k(p_j) (S[0] =
+    pi_k(1) = 0), steps by 0 or 1 from S[0] = 0 to S[pi(R_n)] = n.  The
     suffix minimum over stretches, G, starts at 0 and never falls, but
     may step by more."""
     k = Fraction(ks)
@@ -617,9 +637,9 @@ def test_suffix_min_steps_by_zero_or_one(cache, ks, n_max):
     pi = cache.get(cutoff)
     g = _stretch_min(k.numerator, k.denominator, cutoff, 0, pi)
     assert g[0] == 0 and np.diff(g).min(initial=0) >= 0
-    r_n = ramanujan._scan(k, n_max, cutoff, pi)[-1]
-    pi, sufmin = ramanujan._pi_k_array(k, int(r_n), cache)
-    assert len(sufmin) == pi.pi(int(r_n)) + 1
+    r_n = int(ramanujan._scan(k, n_max, cutoff, pi)[-1])
+    sufmin = pi_k_oracle(k, r_n, cache)[np.append(1, pi.primes_array(r_n))]
+    assert len(sufmin) == pi.pi(r_n) + 1
     assert sufmin[0] == 0 and sufmin[-1] == n_max
     assert set(np.diff(sufmin).tolist()) == {0, 1}
 

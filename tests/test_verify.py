@@ -22,6 +22,7 @@ from ramanujan_primes import bounds, ramanujan, verify
 from ramanujan_primes import (CampaignReport, TableCache, campaign_ids,
                               reports_to_csv, reports_to_json, run_all,
                               run_campaign)
+from test_ramanujan import pi_k_oracle
 
 ALL_IDS = [
     "sondow-gap", "upper-48-19", "lemma34-sweep", "eq431-range",
@@ -287,30 +288,31 @@ def _eq431_oracle(cache, limit, params):
                     for v in m[_eq431_fails(pi, m)]]
 
 
-def _rho_positivity_fails(pi, sufmin, x):
+def _rho_positivity_fails(pi, pi_2, x):
     """rho_2(x) <= 0, that is pi(x) - 2 pi_2(x) < 1."""
-    pix = pi.pi_array(x)
-    return pix - 2 * sufmin[pix] < 1
+    return pi.pi_array(x) - 2 * pi_2[x] < 1
 
 
 def _rho_positivity_oracle(cache, limit, params):
     x_max = max(limit or 10 ** 6, 100)
-    pi, sufmin = ramanujan._pi_k_array(Fraction(2), x_max, cache)
+    pi_2 = pi_k_oracle(Fraction(2), x_max, cache)
+    pi = cache.get(x_max)
     x = np.arange(11, x_max + 1)                 # from R_N(2) = 11
     # and the two checks of N(2) and R_N(2)
     return 2 + len(x), [f"x={v}: rho_2(x) <= 0"
-                        for v in x[_rho_positivity_fails(pi, sufmin, x)]]
+                        for v in x[_rho_positivity_fails(pi, pi_2, x)]]
 
 
 def _rho_upper_oracle(cache, limit, params):
     x_max = max(limit or 10 ** 6, 20000)
-    pi, sufmin = ramanujan._pi_k_array(Fraction(2), x_max, cache)
+    pi_2 = pi_k_oracle(Fraction(2), x_max, cache)
+    pi = cache.get(x_max)
     nn = np.arange(math.ceil(params["X26"]), pi.pi(x_max) + 1)
-    lhs = 0.5 - sufmin[nn] / nn
-    rhs = params["c1"] / np.log(pi.nth_prime(nn).astype(np.float64))
+    pn = pi.nth_prime(nn)
+    lhs = 0.5 - pi_2[pn] / nn
+    rhs = params["c1"] / np.log(pn.astype(np.float64))
     xs = np.arange(params["n3"], x_max + 1)
-    pix = pi.pi_array(xs)
-    lhs2 = 0.5 - sufmin[pix] / pix
+    lhs2 = 0.5 - pi_2[xs] / pi.pi_array(xs)
     rhs2 = params["c2"] / np.log(xs.astype(np.float64))
     return len(nn) + len(xs), (
         [f"n={v}: rho_2(p_n) > c1/log p_n" for v in nn[lhs > rhs]]
@@ -473,7 +475,6 @@ def _spy_on(monkeypatch):
 # each range reaches past the first table word that clears its campaign;
 # no word below 7477 clears eq431-range
 @pytest.mark.parametrize("cid, lo, hi", [("eq431-range", 3000, 20000),
-                                         ("rho-positivity", 2, 1000),
                                          ("lemma34-sweep", 300000, 470078)])
 def test_campaign_screens_clear_no_failure_below_their_range(
         monkeypatch, cache, cid, lo, hi):
@@ -483,14 +484,13 @@ def test_campaign_screens_clear_no_failure_below_their_range(
     check."""
     seen, screen = _spy_on(monkeypatch)
     run_campaign(cid, cache, limit=hi)   # its clears then covers [lo, hi)
-    pi, sufmin = ramanujan._pi_k_array(Fraction(2), 10 ** 6, cache)
+    pi = cache.get(hi)
     if cid == "lemma34-sweep":
         elements = pi.primes_between(lo, hi)
         fails = _lemma34_fails(pi, elements)
     else:
         elements = np.arange(lo, hi)
-        fails = (_eq431_fails(pi, elements) if cid == "eq431-range"
-                 else _rho_positivity_fails(pi, sufmin, elements))
+        fails = _eq431_fails(pi, elements)
     brute = elements[fails].tolist()
     assert 0 < len(brute) < len(elements) / 2
     runs = list(screen(pi, lo, hi, seen[0]))
@@ -498,21 +498,50 @@ def test_campaign_screens_clear_no_failure_below_their_range(
     assert sum(b - a for a, b in runs) < hi - lo
 
 
-def test_rho_positivity_screen_counts_the_margin_it_can_lose(monkeypatch,
-                                                             cache):
-    """On a table word, where least <= pi(x) <= most, the margin
-    pi(x) - 2 pi_2(x) can fall by one per prime past least: with an S
-    whose margin is 1 at j = 3 and falls by one from there on, the
-    campaign's screen must not clear least = 3, most = 10, where every
-    x but those at pi(x) = 3 fails."""
-    stepped = np.maximum(np.arange(1000) - 2, 0)     # margin 1 at j = 3
-    assert (np.arange(3, 11) - 2 * stepped[3:11]).tolist() == \
-        list(range(1, -7, -1))
-    monkeypatch.setattr(ramanujan, "_pi_k_array",
-                        lambda k, x, cache: (cache.get(x), stepped))
-    seen, _ = _spy_on(monkeypatch)
-    run_campaign("rho-positivity", cache, limit=100)
-    assert not seen[0](np.array([3]), np.array([10]), np.array([128]))[0]
+@pytest.mark.parametrize("every", [False, True], ids=["first-ten", "all"])
+@pytest.mark.parametrize("limit", [100, 200])
+def test_rho_positivity_reports_every_x_of_a_failing_prime_index(
+        monkeypatch, cache, limit, every):
+    """With R_n = p_n injected for n <= 10 into the prefix the campaign
+    counts pi_2 from, pi(x) - 2 pi_2(x) < 1 at every j = pi(x) <= 10 and
+    past it; with the prefix p_1..p_{pi(x_max)+1} in its place, at every
+    j.  The failures, from x = 11 and clipped at an x_max inside the prime
+    gap [97, 101) or [199, 211), are those of a per-x brute force over
+    the same R_n, and the campaign screens no range."""
+    pi = cache.get(10 ** 4)
+    n_large = pi.pi(limit) - pi.pi(limit // 2) + 1
+    injected = []
+    real = ramanujan.ramanujan_prefix
+
+    def early_primes(k, n_max, cache=None):
+        table = real(k, n_max, cache)
+        if n_max != n_large:
+            return table
+        if every:
+            values = pi.nth_prime(np.arange(1, pi.pi(limit) + 2))
+        else:
+            values = table.array.copy()
+            values[:10] = pi.nth_prime(np.arange(1, 11))
+        injected.append(values)
+        return ramanujan.RamanujanTable(table.k, values, table.cutoff)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rho-positivity screened a range")
+
+    monkeypatch.setattr(ramanujan, "ramanujan_prefix", early_primes)
+    monkeypatch.setattr(verify, "_word_screen", refuse)
+    report = run_campaign("rho-positivity", cache, limit=limit)
+    [values] = injected
+    assert values[-1] > limit
+    x = np.arange(11, limit + 1)
+    pi_2 = values.searchsorted(x, side="right")
+    brute = x[pi.pi_array(x) - 2 * pi_2 < 1].tolist()
+    assert set(range(11, pi.nth_prime(11))) <= set(brute)
+    assert (brute == x.tolist()) == every
+    assert report.failure_count == len(brute)
+    assert report.failures == _capped([f"x={v}: rho_2(x) <= 0"
+                                       for v in brute])
+    assert report.cases == 2 + len(x)
 
 
 def test_rho_upper_fails_where_rho_2_at_most_half_cannot_settle_c1(
@@ -548,7 +577,7 @@ def test_rho_upper_runs_no_scan(monkeypatch, cache):
             raise AssertionError(f"rho-upper called {name}")
         return stub
 
-    monkeypatch.setattr(ramanujan, "_pi_k_array", refuse("_pi_k_array"))
+    monkeypatch.setattr(ramanujan, "_stretch_min", refuse("_stretch_min"))
     monkeypatch.setattr(verify, "_word_screen", refuse("_word_screen"))
     monkeypatch.setattr(verify, "_blocks", refuse("_blocks"))
     for limit in (None, 60001):
