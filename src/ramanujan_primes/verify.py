@@ -120,28 +120,31 @@ def _blocks(lo: int, hi: int, width: int = 1):
 _SLACK = 2.0 ** -40
 
 
-def _word_screen(pi: PrimeTable, lo: int, hi: int, clears):
-    """The pieces [a, b) of [lo, hi), ascending and at most
-    ramanujan._BLOCK values each, that clears cannot clear, for lo >= 2.
+def _lower_failures(pi: PrimeTable, lo: int, hi: int, lower) -> list[int]:
+    """The x of [lo, hi), ascending, with pi(x) < lower(x + 1), for
+    lo >= 2 and lower a nondecreasing form evaluated per array entry.
 
-    [lo, hi) is cut into the table words [128w, 128w + 128) it meets, in
-    blocks of ramanujan._BLOCK words.  clears(least, most, ends) gets three
-    arrays over those pieces: least, the primes below 128w, and most, the
-    primes below 128w + 128, from PrimeTable.pi_below_words, so that
-    least <= pi(x) <= most at every x of the piece (2 is counted below
-    word 0, so least >= 1 there, and pi(x) >= 1 from x = 2 on); and each
-    piece's end, one past its last integer.  It is True where every
-    integer of the piece passes."""
+    [lo, hi) is screened per table word [128w, 128w + 128) it meets, in
+    blocks of ramanujan._BLOCK words: pi(x) is at least the primes below
+    128w (2 is counted below word 0, and pi(x) >= 1 from x = 2 on), read
+    off PrimeTable.pi_below_words, and lower(x + 1) is at most lower at
+    the piece's end, one past its last x.  So a word is cleared where that
+    count reaches lower at its end, and each run of the other words goes
+    to the element check in pieces of at most ramanujan._BLOCK values."""
+    bad = []
     for w_a, w_b in _blocks(lo >> 7, ((hi - 1) >> 7) + 1):
         ends = np.arange(128 * w_a, 128 * w_b + 1, 128)
         ends[0], ends[-1] = max(lo, ends[0]), min(hi, ends[-1])
-        below = pi.pi_below_words(w_a, w_b)
-        suspect = ~clears(below[:-1], below[1:], ends[1:])
+        least = pi.pi_below_words(w_a, w_b - 1)
+        suspect = ~(least >= lower(ends[1:]) * (1.0 + _SLACK))
         # the [a, b) of each maximal run of suspect pieces
         flips = ends[np.flatnonzero(np.diff(suspect, prepend=False,
                                             append=False))].tolist()
         for a, b in zip(flips[::2], flips[1::2]):
-            yield from _blocks(a, b)
+            for c, d in _blocks(a, b):
+                x = np.arange(c, d, dtype=np.int64)
+                bad += x[pi.pi_array(x) < lower(x + 1)].tolist()
+    return bad
 
 
 # n per run of the pi(m) + pi(n) grids' screen
@@ -229,22 +232,15 @@ def _run_lemma34_sweep(cache, limit, mmax, rng):
     x_max = max(limit if limit else 38168363, 470077)
     params = {"x_lo": 470077, "x_max": x_max}
     pi = cache.get(x_max + 500)
-    # p_{j+1} for pi(470077) <= j <= pi(x_max): the primes q from 470078 to
-    # q_end, the first prime past x_max, each with j = pi(q - 1).  The q of
-    # a table word have j >= least and, h being nondecreasing, h(q) at most
-    # h at the word's end: the screen clears the word where least passes
-    # that h
+    # pi(p_i) >= h(p_{i+1}) + 1 for pi(470077) <= i <= pi(x_max) is
+    # pi(x) >= h(x + 1) + 1 at each x = p_{i+1} - 1 of [470077, q_end),
+    # q_end the first prime past x_max: the last x of each prime gap,
+    # where h(x + 1) is largest.  Of the failing x, those with x + 1
+    # prime are reported, with i = pi(x)
     q_end = int(pi.primes_between(x_max + 1, x_max + 501)[0])
-
-    def clears(least, most, ends):
-        return least >= _h_plus_one(ends) * (1.0 + _SLACK)
-
-    failures = []
-    for a, b in _word_screen(pi, 470078, q_end + 1, clears):
-        q = pi.primes_between(a, b)
-        j = np.arange(len(q)) + pi.pi(a - 1)
-        failures += [f"i={v}: pi(p_i) < h(p_i+1) + 1"
-                     for v in j[j < _h_plus_one(q)]]
+    failures = [f"i={pi.pi(x)}: pi(p_i) < h(p_i+1) + 1"
+                for x in _lower_failures(pi, 470077, q_end, _h_plus_one)
+                if pi.is_prime(x + 1)]
     return params, pi.pi(x_max) + 1 - pi.pi(470077), failures, []
 
 
@@ -255,25 +251,21 @@ def _h_plus_one(x: np.ndarray) -> np.ndarray:
     return x / ((lp - 1.0) - 1.0 / lp) + 1.0
 
 
+def _p4_plus_one(x: np.ndarray) -> np.ndarray:
+    """x / (log x - 1) + 1, P4's lower form plus 1, at every entry of x,
+    taken as float64, in that order of operations."""
+    x = x.astype(np.float64)
+    return x / (np.log(x) - 1.0) + 1.0
+
+
 def _run_eq431_range(cache, limit, mmax, rng):
     x_max = max(limit if limit else 470077, 7478)
     params = {"x_lo": 7477, "x_max": x_max}
     pi = cache.get(x_max + 1)
-
-    def rhs(sup):
-        # x/(log x - 1) + 1 at x = sup, growing in sup
-        sup = sup.astype(np.float64)
-        return sup / (np.log(sup) - 1.0) + 1.0
-
-    # pi(x) >= least on a table word and rhs grows, so the sup of the
-    # word's last [m, m + 1), its end, is its worst point
-    failures = []
-    for a, b in _word_screen(
-            pi, 7477, x_max + 1,
-            lambda least, most, ends: least >= rhs(ends) * (1.0 + _SLACK)):
-        m = np.arange(a, b, dtype=np.int64)
-        failures += [f"x={int(v)}: pi(x) <= x/(log x - 1) + 1 fails on "
-                     "[x, x+1)" for v in m[pi.pi_array(m) < rhs(m + 1)]]
+    # pi is constant on [x, x + 1) and the form grows, so its sup x + 1 is
+    # the piece's worst point
+    failures = [f"x={v}: pi(x) <= x/(log x - 1) + 1 fails on [x, x+1)"
+                for v in _lower_failures(pi, 7477, x_max + 1, _p4_plus_one)]
     return params, x_max + 1 - 7477, failures, []
 
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from ramanujan_primes import bounds, ramanujan, verify
+from ramanujan_primes.primes import PrimeTable
 from ramanujan_primes import (CampaignReport, TableCache, campaign_ids,
                               reports_to_csv, reports_to_json, run_all,
                               run_campaign)
@@ -195,15 +196,16 @@ def test_csv_counts_every_failure_past_the_json_cap(monkeypatch, cache):
     assert row[:5] == ["stub", "fail", "70", "70", "0"]
 
 
-def test_h_is_nondecreasing_past_12_8():
-    """The comparison function behind the lemma34 sweep never decreases."""
-    def h(x):
-        return x / (math.log(x) - 1.0 - 1.0 / math.log(x))
-
-    x = 12.8
-    while x < 10 ** 7:
-        assert h(x * 1.001) >= h(x), x
-        x *= 1.01
+@pytest.mark.parametrize("form, x0", [(verify._p4_plus_one, 7477.0),
+                                      (verify._h_plus_one, 12.8)],
+                         ids=["eq431", "h"])
+def test_lower_forms_are_nondecreasing(form, x0):
+    """The forms the lower-estimate checker screens with never decrease
+    from each one's start to past lemma34-sweep's default 38168363: its
+    screen is sound only on a nondecreasing form."""
+    x = x0 * 1.01 ** np.arange(math.ceil(math.log(3.9e7 / x0, 1.01)) + 1)
+    assert x[-1] >= 3.9e7
+    assert (form(x * 1.001) >= form(x)).all()
 
 
 # the campaigns that walk their ranges in blocks of ramanujan._BLOCK, each
@@ -258,34 +260,34 @@ def test_streamed_campaigns_stay_within_8_mib():
 # failures, every element checked, from its --limit and (rho-upper) the
 # thresholds in its report's params.
 
-def _lemma34_fails(pi, q):
-    """pi(p_j) < h(p_{j+1}) + 1 at each prime q = p_{j+1}."""
+def _lemma34_fails(pi, q, lift=0.0):
+    """pi(p_j) < h(p_{j+1}) + 1 + lift at each prime q = p_{j+1}."""
     f = q.astype(np.float64)
     lp = np.log(f)
-    return pi.pi_array(q) - 1 < f / ((lp - 1.0) - 1.0 / lp) + 1.0
+    return pi.pi_array(q) - 1 < f / ((lp - 1.0) - 1.0 / lp) + 1.0 + lift
 
 
-def _lemma34_oracle(cache, limit, params):
+def _lemma34_oracle(cache, limit, params, lift=0.0):
     x_max = max(limit or 38168363, 470077)
     pi = cache.get(x_max + 500)
     q = pi.primes_between(470078, x_max + 501)
     q = q[:pi.pi(x_max) + 1 - pi.pi(470077)]
     return len(q), [f"i={pi.pi(int(v)) - 1}: pi(p_i) < h(p_i+1) + 1"
-                    for v in q[_lemma34_fails(pi, q)]]
+                    for v in q[_lemma34_fails(pi, q, lift)]]
 
 
-def _eq431_fails(pi, m):
-    """pi(x) <= x/(log x - 1) + 1 somewhere on [m, m + 1)."""
+def _eq431_fails(pi, m, lift=0.0):
+    """pi(x) <= x/(log x - 1) + 1 + lift somewhere on [m, m + 1)."""
     sup = (m + 1).astype(np.float64)
-    return pi.pi_array(m) < sup / (np.log(sup) - 1.0) + 1.0
+    return pi.pi_array(m) < sup / (np.log(sup) - 1.0) + 1.0 + lift
 
 
-def _eq431_oracle(cache, limit, params):
+def _eq431_oracle(cache, limit, params, lift=0.0):
     x_max = max(limit or 470077, 7478)
     pi = cache.get(x_max + 1)
     m = np.arange(7477, x_max + 1)
     return len(m), [f"x={v}: pi(x) <= x/(log x - 1) + 1 fails on [x, x+1)"
-                    for v in m[_eq431_fails(pi, m)]]
+                    for v in m[_eq431_fails(pi, m, lift)]]
 
 
 def _rho_positivity_fails(pi, pi_2, x):
@@ -385,13 +387,31 @@ def _steps(x, v0, steps):
                      [v for at, v in reversed(steps)], default=v0)
 
 
+def _element_checked(monkeypatch):
+    """Every x that reaches the element check of verify._lower_failures,
+    in order, as the arrays it passes to PrimeTable.pi_array (its screen
+    reads pi_below_words only)."""
+    seen, real = [], PrimeTable.pi_array
+
+    def spy(self, x):
+        seen.extend(x.tolist())
+        return real(self, x)
+
+    monkeypatch.setattr(PrimeTable, "pi_array", spy)
+    return seen
+
+
+def _nan_form(y):
+    return np.full(len(y), np.nan)
+
+
 @pytest.mark.parametrize("block", [7, 4096, 1 << 16])
 def test_word_screen_finds_failures_inside_and_at_the_end_of_a_gap(
         monkeypatch, cache, block):
     """An x fails where pi(x) < g(x), with g stepping up inside the gap
-    [1129, 1151) and at the last x of the gap [1201, 1213): the screen on
-    pi(x) >= least and each word's end leaves exactly those failures to
-    the element check, whatever the block edges."""
+    [1129, 1151) and at the last x of the gap [1201, 1213): the checker,
+    given lower(y) = g(y - 1), screens on pi(x) >= least and each word's
+    end and reports exactly those failures, whatever the block edges."""
     monkeypatch.setattr(ramanujan, "_BLOCK", block)
     pi = cache.get(10 ** 4)
     g = {"v0": 0.0, "steps": [(1140, pi.pi(1140) + 0.5),
@@ -399,18 +419,17 @@ def test_word_screen_finds_failures_inside_and_at_the_end_of_a_gap(
     x = np.arange(1000, 3000)
     brute = x[pi.pi_array(x) < _steps(x, **g)].tolist()
     assert brute == [*range(1140, 1151), 1212]
-    runs = list(verify._word_screen(
-        pi, 1000, 3000,
-        lambda least, most, ends: least >= _steps(ends, **g)))
-    found = [int(v) for a, b in runs for v in range(a, b)
-             if pi.pi(v) < _steps(np.array(v), **g)]
+    checked = _element_checked(monkeypatch)
+    found = verify._lower_failures(pi, 1000, 3000,
+                                   lambda y: _steps(y - 1, **g))
     assert found == brute
     if block == 1 << 16:
-        assert runs == [(1024, 1280)]
-    # a NaN cannot clear a piece: every piece goes to the element check
-    nan = list(verify._word_screen(
-        pi, 1000, 3000, lambda least, most, ends: least >= np.nan))
-    assert [v for a, b in nan for v in range(a, b)] == list(range(1000, 3000))
+        assert checked == list(range(1024, 1280))
+    # a NaN cannot clear a word: every x goes to the element check, and
+    # none fails there
+    checked.clear()
+    assert verify._lower_failures(pi, 1000, 3000, _nan_form) == []
+    assert checked == list(range(1000, 3000))
 
 
 @pytest.mark.parametrize("block", [7, 4096, 1 << 16])
@@ -418,8 +437,8 @@ def test_word_screen_finds_failures_inside_and_at_the_end_of_a_word(
         monkeypatch, cache, block):
     """A prime q fails where pi(q) - 1 < g(q), with g stepping up at
     1279, the last integer of table word 9, and at 1451, inside word 11:
-    the screen on pi(128w - 1) and each word's end leaves exactly those
-    failures to the element check."""
+    the checker on pi(x) < g(x + 1), screened on pi(128w - 1) and each
+    word's end, reports those q - 1 among its failures."""
     monkeypatch.setattr(ramanujan, "_BLOCK", block)
     pi = cache.get(10 ** 4)
     g = {"v0": -1.0, "steps": [(1279, pi.pi(1279) - 0.5),
@@ -427,17 +446,14 @@ def test_word_screen_finds_failures_inside_and_at_the_end_of_a_word(
     q = pi.primes_between(1000, 3000)
     brute = q[pi.pi_array(q) - 1 < _steps(q, **g)].tolist()
     assert brute == [1279, 1451]
-    runs = list(verify._word_screen(
-        pi, 1000, 3000,
-        lambda least, most, ends: least >= _steps(ends, **g)))
-    found = [int(v) for a, b in runs for v in pi.primes_between(a, b)
-             if pi.pi(int(v)) - 1 < _steps(v, **g)]
-    assert found == brute
+    checked = _element_checked(monkeypatch)
+    found = verify._lower_failures(pi, 999, 2999, lambda y: _steps(y, **g))
+    assert [v + 1 for v in found if pi.is_prime(v + 1)] == brute
     if block == 1 << 16:
-        assert runs == [(1152, 1280), (1408, 1536)]
-    nan = list(verify._word_screen(
-        pi, 1000, 3000, lambda least, most, ends: least >= np.nan))
-    assert [v for a, b in nan for v in range(a, b)] == list(range(1000, 3000))
+        assert checked == [*range(1152, 1280), *range(1408, 1536)]
+    checked.clear()
+    assert verify._lower_failures(pi, 999, 2999, _nan_form) == []
+    assert checked == list(range(999, 2999))
 
 
 @pytest.mark.parametrize("block", [7, 1 << 16])
@@ -461,41 +477,80 @@ def test_grid_screen_finds_failures_inside_and_at_the_end_of_a_run(
 
 
 def _spy_on(monkeypatch):
-    """The clears functions that the campaigns pass to verify's screen."""
-    seen, real = [], verify._word_screen
+    """The forms that the campaigns pass to verify's lower-estimate
+    checker."""
+    seen, real = [], verify._lower_failures
 
-    def spy(pi, lo, hi, clears):
-        seen.append(clears)
-        return real(pi, lo, hi, clears)
+    def spy(pi, lo, hi, lower):
+        seen.append(lower)
+        return real(pi, lo, hi, lower)
 
-    monkeypatch.setattr(verify, "_word_screen", spy)
+    monkeypatch.setattr(verify, "_lower_failures", spy)
     return seen, real
 
 
-# each range reaches past the first table word that clears its campaign;
-# no word below 7477 clears eq431-range
-@pytest.mark.parametrize("cid, lo, hi", [("eq431-range", 3000, 20000),
-                                         ("lemma34-sweep", 300000, 470078)])
+# every range but eq431-range's [11, 7478) reaches past the first table
+# word that clears its campaign; no word below 7477 clears eq431-range, so
+# there every integer reaches the element check.  lemma34-sweep's ranges
+# are of its primes q, checked at x = q - 1
+@pytest.mark.parametrize("block", [7, 4096, 1 << 16])
+@pytest.mark.parametrize("cid, lo, hi, count", [
+    ("eq431-range", 11, 7478, 2752), ("eq431-range", 3000, 20000, 458),
+    ("lemma34-sweep", 300000, 470078, 2444),
+    ("lemma34-sweep", 1000, 470078, 18861)])
 def test_campaign_screens_clear_no_failure_below_their_range(
-        monkeypatch, cache, cid, lo, hi):
+        monkeypatch, cache, cid, lo, hi, count, block):
     """Below each campaign's range its inequality fails, often and not
-    at every element: the campaign's own screen, run on a range that
-    reaches there, must leave every failure of the element check to that
+    at every element: the checker, run with the campaign's own form on a
+    range that reaches there, must report the failures of the brute
+    force, while fewer than all of its integers reach the element
     check."""
-    seen, screen = _spy_on(monkeypatch)
-    run_campaign(cid, cache, limit=hi)   # its clears then covers [lo, hi)
+    seen, checker = _spy_on(monkeypatch)
+    run_campaign(cid, cache, limit=1)
+    [lower] = seen
     pi = cache.get(hi)
     if cid == "lemma34-sweep":
         elements = pi.primes_between(lo, hi)
-        fails = _lemma34_fails(pi, elements)
+        brute = elements[_lemma34_fails(pi, elements)].tolist()
+        lo, hi = lo - 1, hi - 1
     else:
         elements = np.arange(lo, hi)
-        fails = _eq431_fails(pi, elements)
-    brute = elements[fails].tolist()
-    assert 0 < len(brute) < len(elements) / 2
-    runs = list(screen(pi, lo, hi, seen[0]))
-    assert [v for v in brute if any(a <= v < b for a, b in runs)] == brute
-    assert sum(b - a for a, b in runs) < hi - lo
+        brute = elements[_eq431_fails(pi, elements)].tolist()
+    assert len(brute) == count
+    monkeypatch.setattr(ramanujan, "_BLOCK", block)
+    checked = _element_checked(monkeypatch)
+    found = checker(pi, lo, hi, lower)
+    if hi <= 7478:
+        assert checked == list(range(lo, hi))
+    else:
+        assert len(checked) < hi - lo
+    if cid == "lemma34-sweep":
+        found = [v + 1 for v in found if pi.is_prime(v + 1)]
+    assert found == brute
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16])
+@pytest.mark.parametrize("cid, lift, limits", [
+    ("eq431-range", 5.0, (20001, 90001)),
+    ("lemma34-sweep", 10.0, (600011, 1000003))],
+    ids=["eq431-range", "lemma34-sweep"])
+def test_campaign_reports_failures_inside_its_range(
+        monkeypatch, cache, cid, lift, limits, block):
+    """With its form raised by a constant, each campaign fails inside its
+    range, and reports the cases and failures of its brute-force oracle
+    on the same raised form: lemma34-sweep one line per failing prime,
+    not per failing integer."""
+    name = "_p4_plus_one" if cid == "eq431-range" else "_h_plus_one"
+    form = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda y: form(y) + lift)
+    monkeypatch.setattr(ramanujan, "_BLOCK", block)
+    for limit in limits:
+        report = run_campaign(cid, cache, limit=limit)
+        cases, failures = _ORACLES[cid](cache, limit, report.params, lift)
+        assert 50 < len(failures) < cases
+        assert report.cases == cases
+        assert report.failure_count == len(failures)
+        assert report.failures == _capped(failures)
 
 
 @pytest.mark.parametrize("every", [False, True], ids=["first-ten", "all"])
@@ -529,7 +584,7 @@ def test_rho_positivity_reports_every_x_of_a_failing_prime_index(
         raise AssertionError("rho-positivity screened a range")
 
     monkeypatch.setattr(ramanujan, "ramanujan_prefix", early_primes)
-    monkeypatch.setattr(verify, "_word_screen", refuse)
+    monkeypatch.setattr(verify, "_lower_failures", refuse)
     report = run_campaign("rho-positivity", cache, limit=limit)
     [values] = injected
     assert values[-1] > limit
@@ -578,7 +633,8 @@ def test_rho_upper_runs_no_scan(monkeypatch, cache):
         return stub
 
     monkeypatch.setattr(ramanujan, "_stretch_min", refuse("_stretch_min"))
-    monkeypatch.setattr(verify, "_word_screen", refuse("_word_screen"))
+    monkeypatch.setattr(verify, "_lower_failures",
+                        refuse("_lower_failures"))
     monkeypatch.setattr(verify, "_blocks", refuse("_blocks"))
     for limit in (None, 60001):
         assert run_campaign("rho-upper", cache, limit=limit).passed
